@@ -6,11 +6,14 @@ so the vectorized kernel has to agree with the slow reference path round by
 round, not just in aggregate.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bb84eve
 import oracles
 from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, intercept_resend
 from bb84eve.infotheory import info_from_fidelity
@@ -251,6 +254,12 @@ class TestDeterminism:
 
 
 class TestScalarReplay:
+    N_ROUNDS = 256
+    SEED = 2024
+    # about one round in fifty intercepted: at SPARSE_CHUNK rounds per chunk
+    # the run mixes chunks with and without an intercepted round
+    SPARSE = InterceptResend(phi=0.3, fraction=0.02)
+    SPARSE_CHUNK = 16
     CONFIGS = [
         NoAttack(),
         InterceptResend(phi=0.3, fraction=0.6),
@@ -259,13 +268,24 @@ class TestScalarReplay:
         AncillaNoMemory(alpha=math.pi / 2, phi=0.0, symmetrize=False),
         AncillaWithMemory(alpha=math.pi / 3),
         AncillaWithMemory(alpha=0.0),
+        InterceptResend(phi=0.2, fraction=0.0),
+        SPARSE,
     ]
+
+    def test_sparse_run_mixes_chunks_with_and_without_interception(self):
+        acted = raw_uniforms(self.SEED, self.N_ROUNDS)[:, 3] < self.SPARSE.fraction
+        chunks = {
+            bool(acted[s : s + self.SPARSE_CHUNK].any())
+            for s in range(0, self.N_ROUNDS, self.SPARSE_CHUNK)
+        }
+        assert chunks == {False, True}
 
     @pytest.mark.parametrize("attack", CONFIGS, ids=lambda a: type(a).__name__)
     def test_trace_matches_scalar_rederivation(self, attack):
-        n = 256
-        seed = 2024
-        _, trace = run_protocol(n, attack, seed=seed, keep_trace=True, chunk_rounds=91)
+        n = self.N_ROUNDS
+        seed = self.SEED
+        chunk = self.SPARSE_CHUNK if attack == self.SPARSE else 91
+        _, trace = run_protocol(n, attack, seed=seed, keep_trace=True, chunk_rounds=chunk)
         uniforms = raw_uniforms(seed, n)
         assert trace is not None and len(trace) == n
         for index, record in enumerate(trace):
@@ -422,3 +442,18 @@ class TestTraceEstimation:
     def test_no_trace_by_default(self):
         _, trace = run_protocol(1_000, NoAttack(), seed=2)
         assert trace is None
+
+
+class TestRouteSeparation:
+    @pytest.mark.parametrize("module", ["protocol_sim", "quantum_core"])
+    def test_engine_never_imports_closed_forms_or_cli(self, module):
+        source = Path(bb84eve.__file__).with_name(f"{module}.py").read_text()
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+        names = {part for name in imported for part in name.split(".")}
+        assert not names & {"analytic_strategies", "report_cli"}

@@ -290,6 +290,33 @@ class TestMainEntryPoint:
             ["analytic", "--strategy", "intercept_resend", "--phi", "pi"],
             ["compare", "--d-bob", "0.9"],
             ["analytic", "--strategy", "ancilla_no_memory"],
+            ["simulate", "--strategy", "none", "--phi", "0", "--rounds", "1000"],
+            ["simulate", "--strategy", "none", "--alpha", "0.5", "--rounds", "1000"],
+            ["simulate", "--strategy", "none", "--fraction", "0.5", "--rounds", "1000"],
+            ["simulate", "--strategy", "none", "--grid", "3", "--rounds", "1000"],
+            ["simulate", "--strategy", "intercept_resend", "--phi", "0", "--alpha", "0.5",
+             "--rounds", "1000"],
+            ["analytic", "--strategy", "intercept_resend", "--phi", "0", "--alpha", "0.5"],
+            ["simulate", "--strategy", "ancilla_no_memory", "--phi", "0", "--alpha", "0.5",
+             "--fraction", "0.5", "--rounds", "1000"],
+            ["analytic", "--strategy", "ancilla_no_memory", "--phi", "0", "--fraction", "0.5"],
+            ["simulate", "--strategy", "ancilla_with_memory", "--alpha", "0.5",
+             "--fraction", "0.5", "--rounds", "1000"],
+            ["analytic", "--strategy", "ancilla_with_memory", "--fraction", "0.5"],
+            ["simulate", "--strategy", "ancilla_with_memory", "--phi", "0", "--alpha", "0.5",
+             "--rounds", "1000"],
+            ["analytic", "--strategy", "ancilla_with_memory", "--phi", "0"],
+            ["simulate", "--strategy", "intercept_resend", "--phi", "0", "--fraction", "0.5",
+             "--grid", "3", "--rounds", "1000"],
+            ["simulate", "--strategy", "ancilla_no_memory", "--phi", "0", "--alpha", "0.5",
+             "--grid", "3", "--rounds", "1000"],
+            ["simulate", "--strategy", "ancilla_with_memory", "--alpha", "0.5", "--grid", "3",
+             "--rounds", "1000"],
+            ["simulate", "--strategy", "ancilla_no_memory", "--phi", "0", "--rounds", "1000"],
+            ["simulate", "--strategy", "ancilla_with_memory", "--rounds", "1000"],
+            ["analytic", "--strategy", "all", "--phi", "0"],
+            ["analytic", "--strategy", "all", "--alpha", "0.5"],
+            ["analytic", "--strategy", "all", "--fraction", "0.5"],
         ]
         for argv in cases:
             assert main(argv) == EXIT_USAGE, argv
