@@ -200,6 +200,15 @@ def _ancilla_point(strategy: str, alpha: float, phi: float | None) -> CurvePoint
     )
 
 
+def sweep_grid(strategy: str, grid: int) -> np.ndarray:
+    """Evenly spaced values of a strategy's swept parameter over its range.
+
+    The intercepted fraction in [0, 1] for intercept/resend, alpha in
+    [0, pi/2] for the ancilla attacks.
+    """
+    return np.linspace(0.0, 1.0 if strategy == INTERCEPT_RESEND else ALPHA_MAX, grid)
+
+
 def curve_sweep(strategy: str, phi: float | None = None, *, grid: int = 101, values=None) -> list[CurvePoint]:
     """Trace one strategy family as a list of curve points sorted by d_bob.
 
@@ -220,10 +229,10 @@ def curve_sweep(strategy: str, phi: float | None = None, *, grid: int = 101, val
     if not needs_phi and phi is not None:
         raise ValueError(f"{strategy} takes no phi parameter")
 
+    if values is None:
+        values = sweep_grid(strategy, grid)
     if strategy == INTERCEPT_RESEND:
-        fractions = np.linspace(0.0, 1.0, grid) if values is None else values
-        points = intercept_resend_curve(phi, fractions)
+        points = intercept_resend_curve(phi, values)
     else:
-        alphas = np.linspace(0.0, ALPHA_MAX, grid) if values is None else values
-        points = [_ancilla_point(strategy, float(a), phi) for a in alphas]
+        points = [_ancilla_point(strategy, float(a), phi) for a in values]
     return sorted(points, key=lambda p: p.d_bob)

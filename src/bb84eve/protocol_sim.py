@@ -6,11 +6,14 @@ keyed by the run seed, so results are bit-identical for a given
 semantics, fixed for the life of the format:
 
     0 Alice basis   1 Alice bit      2 Bob basis      3 intercept coin
-    4 Eve basis coin 5 Eve outcome / joint outcome draw
+    4 symmetrization coin 5 Eve outcome / joint outcome draw
     6 Bob outcome (intercept/resend and untouched rounds)
     7 tie-break coin, doubling as the guess coin on untouched rounds
 
 A value u maps to index (u >= 0.5), so u < 0.5 means x / bit 0 / PLUS.
+Eve's angle slot (phi or its companion pi/2 - phi) comes from column 4
+under symmetrization and is 0 without it; for the stored probe, which is
+read in the revealed basis, the slot comes from column 0.
 
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
@@ -273,102 +276,100 @@ def _direct_bob_table() -> np.ndarray:
     return table
 
 
+_SYMMETRIZE_COLUMN = 4
+_ALICE_BASIS_COLUMN = 0
+
+
 @dataclass
 class _EngineTables:
-    variant: str
+    """Born-rule sampling tables in one of the engine's two modes.
+
+    Sequential mode (joint_cdf None): on a fraction of rounds Eve measures
+    the flying qubit with p_eve[k, ab, abit] and Bob measures her forwarded
+    eigenstate with p_forward[k, e, bb]; every other round Bob measures the
+    untouched qubit with p_direct. Joint mode: Eve acts every round and one
+    draw on joint_cdf[k, ab, abit, bb] gives Bob's and Eve's outcomes.
+
+    k is Eve's angle slot, read from slot_column (always 0 when None);
+    eve_labels[k] is its trace label and decisions[k, revealed basis] its
+    maximum-likelihood reading. Without decisions there is no eavesdropper
+    and untouched rounds record no guess.
+    """
+
     fraction: float = 1.0
-    symmetrize: bool = False
-    eve_angles: tuple[float, float] | None = None
+    slot_column: int | None = None
+    eve_labels: tuple = ()
+    decisions: np.ndarray | None = None
     p_direct: np.ndarray | None = None
     p_eve: np.ndarray | None = None
     p_forward: np.ndarray | None = None
     joint_cdf: np.ndarray | None = None
-    decisions: np.ndarray | None = None
+
+
+def _decisions(angles, correlation_scale: float) -> np.ndarray:
+    return np.array(
+        [[_ml_decision(angle, rho, correlation_scale) for rho in BASIS_ANGLES] for angle in angles],
+        dtype=np.int64,
+    )
 
 
 def _build_tables(attack: AttackConfig) -> _EngineTables:
     states = _protocol_states()
     if isinstance(attack, NoAttack):
-        return _EngineTables(variant="none", fraction=0.0, p_direct=_direct_bob_table())
+        return _EngineTables(fraction=0.0, p_direct=_direct_bob_table())
 
     if isinstance(attack, InterceptResend):
         angles = (attack.phi, math.pi / 2 - attack.phi)
         p_eve = np.empty((2, 2, 2), dtype=np.float64)
         p_forward = np.empty((2, 2, 2), dtype=np.float64)
-        for t, angle in enumerate(angles):
+        for k, angle in enumerate(angles):
             basis = EquatorBasis(angle)
             for ab in (0, 1):
                 for abit in (0, 1):
-                    p_eve[t, ab, abit] = outcome_probabilities(states[ab][abit], basis)[0]
+                    p_eve[k, ab, abit] = outcome_probabilities(states[ab][abit], basis)[0]
             for e in (0, 1):
                 forwarded = basis.eigenstate(Outcome.from_bit(e))
                 for bb in (0, 1):
-                    p_forward[t, e, bb] = outcome_probabilities(
+                    p_forward[k, e, bb] = outcome_probabilities(
                         forwarded, EquatorBasis(BASIS_ANGLES[bb])
                     )[0]
-        decisions = np.array(
-            [[_ml_decision(angle, rho, 1.0) for rho in BASIS_ANGLES] for angle in angles],
-            dtype=np.int64,
-        )
         return _EngineTables(
-            variant="intercept_resend",
             fraction=attack.fraction,
-            symmetrize=attack.symmetrize,
-            eve_angles=angles,
+            slot_column=_SYMMETRIZE_COLUMN if attack.symmetrize else None,
+            eve_labels=angles,
+            decisions=_decisions(angles, 1.0),
             p_direct=_direct_bob_table(),
             p_eve=p_eve,
             p_forward=p_forward,
-            decisions=decisions,
         )
 
     if isinstance(attack, AncillaNoMemory):
-        angles = (attack.phi, math.pi / 2 - attack.phi)
-        scale = math.sin(attack.alpha)
-        cdf = np.empty((2, 2, 2, 2, 4), dtype=np.float64)
-        for t, angle in enumerate(angles):
-            eve_basis = EquatorBasis(angle)
-            for ab in (0, 1):
-                for abit in (0, 1):
-                    entangled = apply_eve_unitary(states[ab][abit], attack.alpha)
-                    for bb in (0, 1):
-                        table = joint_outcome_probabilities(
-                            entangled, EquatorBasis(BASIS_ANGLES[bb]), eve_basis
-                        )
-                        cdf[t, ab, abit, bb] = np.cumsum(table.reshape(4))
-        decisions = np.array(
-            [[_ml_decision(angle, rho, scale) for rho in BASIS_ANGLES] for angle in angles],
-            dtype=np.int64,
-        )
-        return _EngineTables(
-            variant="ancilla_no_memory",
-            symmetrize=attack.symmetrize,
-            eve_angles=angles,
-            joint_cdf=cdf,
-            decisions=decisions,
-        )
-
-    if isinstance(attack, AncillaWithMemory):
-        scale = math.sin(attack.alpha)
-        cdf = np.empty((2, 2, 2, 4), dtype=np.float64)
+        angles = labels = (attack.phi, math.pi / 2 - attack.phi)
+        slot_column = _SYMMETRIZE_COLUMN if attack.symmetrize else None
+    elif isinstance(attack, AncillaWithMemory):
+        # the stored probe is read in the revealed basis, i.e. Alice's
+        angles = BASIS_ANGLES
+        labels = (REVEALED_BASIS_MARKER, REVEALED_BASIS_MARKER)
+        slot_column = _ALICE_BASIS_COLUMN
+    else:
+        raise ValueError(f"unsupported attack config: {attack!r}")
+    cdf = np.empty((2, 2, 2, 2, 4), dtype=np.float64)
+    for k, angle in enumerate(angles):
+        eve_basis = EquatorBasis(angle)
         for ab in (0, 1):
-            eve_basis = EquatorBasis(BASIS_ANGLES[ab])
             for abit in (0, 1):
                 entangled = apply_eve_unitary(states[ab][abit], attack.alpha)
                 for bb in (0, 1):
                     table = joint_outcome_probabilities(
                         entangled, EquatorBasis(BASIS_ANGLES[bb]), eve_basis
                     )
-                    cdf[ab, abit, bb] = np.cumsum(table.reshape(4))
-        decisions = np.array(
-            [_ml_decision(rho, rho, scale) for rho in BASIS_ANGLES], dtype=np.int64
-        )
-        return _EngineTables(
-            variant="ancilla_with_memory",
-            joint_cdf=cdf,
-            decisions=decisions,
-        )
-
-    raise ValueError(f"unsupported attack config: {attack!r}")
+                    cdf[k, ab, abit, bb] = np.cumsum(table.reshape(4))
+    return _EngineTables(
+        slot_column=slot_column,
+        eve_labels=labels,
+        decisions=_decisions(angles, math.sin(attack.alpha)),
+        joint_cdf=cdf,
+    )
 
 
 # --- chunk execution --------------------------------------------------------
@@ -390,6 +391,15 @@ def _resolve_guess(decisions: np.ndarray, e: np.ndarray, coin: np.ndarray) -> np
     return np.where(decisions == 1, e, np.where(decisions == -1, 1 - e, coin))
 
 
+def _slots(tables: _EngineTables, u: np.ndarray, ab: np.ndarray):
+    """Eve's angle slot per round, or the scalar 0 without a slot column."""
+    if tables.slot_column is None:
+        return 0
+    if tables.slot_column == _ALICE_BASIS_COLUMN:
+        return ab
+    return (u[:, tables.slot_column] >= 0.5).astype(np.int64)
+
+
 def _run_chunk(
     tables: _EngineTables, seed: int, start: int, size: int, keep_trace: bool
 ) -> tuple[RoundCounts, list[TrialRecord] | None]:
@@ -398,31 +408,23 @@ def _run_chunk(
     abit = (u[:, 1] >= 0.5).astype(np.int64)
     bb = (u[:, 2] >= 0.5).astype(np.int64)
     coin = (u[:, 7] >= 0.5).astype(np.int64)
-    zeros = np.zeros(size, dtype=np.int64)
+    k = e = 0  # scalars until drawn: no per-round arrays when Eve is absent
 
-    if tables.variant == "none":
-        acted = np.zeros(size, dtype=bool)
-        t = zeros
-        e = zeros
-        bob_bit = (u[:, 6] >= tables.p_direct[ab, abit, bb]).astype(np.int64)
-        guess = np.full(size, -1, dtype=np.int64)
-    elif tables.variant == "intercept_resend":
-        acted = u[:, 3] < tables.fraction
-        t = (u[:, 4] >= 0.5).astype(np.int64) if tables.symmetrize else zeros
-        e = (u[:, 5] >= tables.p_eve[t, ab, abit]).astype(np.int64)
-        p_bob = np.where(acted, tables.p_forward[t, e, bb], tables.p_direct[ab, abit, bb])
+    if tables.joint_cdf is None:
+        acted = u[:, 3] < tables.fraction if tables.fraction > 0 else np.zeros(size, dtype=bool)
+        p_bob = tables.p_direct[ab, abit, bb]
+        guess = coin if tables.decisions is not None else np.full(size, -1, dtype=np.int64)
+        if acted.any():  # Eve's draw only where she can have intercepted
+            k = _slots(tables, u, ab)
+            e = (u[:, 5] >= tables.p_eve[k, ab, abit]).astype(np.int64)
+            p_bob = np.where(acted, tables.p_forward[k, e, bb], p_bob)
+            guess = np.where(acted, _resolve_guess(tables.decisions[k, ab], e, coin), coin)
         bob_bit = (u[:, 6] >= p_bob).astype(np.int64)
-        guess = np.where(acted, _resolve_guess(tables.decisions[t, ab], e, coin), coin)
-    elif tables.variant == "ancilla_no_memory":
+    else:
         acted = np.ones(size, dtype=bool)
-        t = (u[:, 4] >= 0.5).astype(np.int64) if tables.symmetrize else zeros
-        bob_bit, e = _joint_draw(tables.joint_cdf[t, ab, abit, bb], u[:, 5])
-        guess = _resolve_guess(tables.decisions[t, ab], e, coin)
-    else:  # ancilla_with_memory
-        acted = np.ones(size, dtype=bool)
-        t = zeros
-        bob_bit, e = _joint_draw(tables.joint_cdf[ab, abit, bb], u[:, 5])
-        guess = _resolve_guess(tables.decisions[ab], e, coin)
+        k = _slots(tables, u, ab)
+        bob_bit, e = _joint_draw(tables.joint_cdf[k, ab, abit, bb], u[:, 5])
+        guess = _resolve_guess(tables.decisions[k, ab], e, coin)
 
     sifted = ab == bb
     counts = RoundCounts.zeros()
@@ -434,7 +436,7 @@ def _run_chunk(
     recorded = sifted & (guess >= 0)
     if np.any(recorded):
         acted_i = acted.astype(np.int64)
-        t_acc = np.where(acted, t, 0)  # untouched rounds all share stratum t=0
+        t_acc = np.where(acted, k, 0)  # untouched rounds all share stratum t=0
         flat = ((((acted_i * 2 + t_acc) * 2 + ab) * 2 + abit) * 2 + guess)[recorded]
         counts.guess_counts += np.bincount(flat, minlength=32).reshape(2, 2, 2, 2, 2)
 
@@ -442,13 +444,11 @@ def _run_chunk(
     if keep_trace:
         trace = []
         acted_list = acted.tolist()
+        slots = np.broadcast_to(k, size)
         for i in range(size):
             is_acted = acted_list[i]
             if is_acted:
-                if tables.variant == "ancilla_with_memory":
-                    eve_basis = REVEALED_BASIS_MARKER
-                else:
-                    eve_basis = tables.eve_angles[int(t[i])]
+                eve_basis = tables.eve_labels[int(slots[i])]
                 eve_outcome = Outcome.from_bit(int(e[i]))
                 eve_guess = int(guess[i])
             else:
@@ -489,8 +489,6 @@ def run_protocol(
     keep_trace materializes one TrialRecord per round (memory-bound; meant
     for small runs).
     """
-    if not isinstance(attack, (NoAttack, InterceptResend, AncillaNoMemory, AncillaWithMemory)):
-        raise ValueError(f"unsupported attack config: {attack!r}")
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds!r}")
     if not (0 <= seed < 2**64):
@@ -613,7 +611,7 @@ def _counts_from_trace(records, coin_seed: int) -> RoundCounts:
     """
     rng = np.random.Generator(np.random.Philox(key=coin_seed))
     counts = RoundCounts.zeros()
-    basis_angle_to_t: dict[float, int] = {}
+    label_to_t: dict[float | str, int] = {}
     for record in records:
         counts.n_rounds += 1
         if not record.sifted:
@@ -623,12 +621,9 @@ def _counts_from_trace(records, coin_seed: int) -> RoundCounts:
         if record.bob_bit != record.alice_bit:
             counts.n_errors_by_basis[rb] += 1
         if record.eve_acted:
-            if record.eve_basis == REVEALED_BASIS_MARKER:
-                t = 0
-            else:
-                t = basis_angle_to_t.setdefault(float(record.eve_basis), len(basis_angle_to_t))
-                if t > 1:
-                    raise ValueError("trace contains more than two Eve measurement angles")
+            t = label_to_t.setdefault(record.eve_basis, len(label_to_t))
+            if t > 1:
+                raise ValueError("trace contains more than two Eve measurement angles")
             counts.guess_counts[1, t, rb, record.alice_bit, record.eve_guess] += 1
         else:
             guess = int(rng.random() >= 0.5)

@@ -16,6 +16,7 @@ import argparse
 import math
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,19 +26,16 @@ from .analytic_strategies import (
     ANCILLA_NO_MEMORY,
     ANCILLA_WITH_MEMORY,
     INTERCEPT_RESEND,
-    STRATEGIES,
-    ancilla_no_memory,
-    ancilla_with_memory,
     curve_sweep,
-    intercept_resend,
+    sweep_grid,
 )
 from .protocol_sim import (
     AncillaNoMemory,
     AncillaWithMemory,
+    AttackConfig,
     InsufficientSampleError,
     InterceptResend,
     NoAttack,
-    REVEALED_BASIS_MARKER,
     run_protocol,
 )
 
@@ -58,7 +56,8 @@ TRACE_HEADER = (
 
 NO_ATTACK = "none"
 ALL_STRATEGIES = "all"
-INTERCEPT_DOMAIN_MAX = 0.25
+# Eve's measurement angles shown for each phi-parameterized family
+STANDARD_PHIS = (0.0, math.pi / 4)
 
 
 class UsageError(Exception):
@@ -79,6 +78,69 @@ class SweepSpec:
     symmetrize: bool = True
     jobs: int = 1
     d_bob: float | None = None
+
+
+def _alpha_at(d_bob: float) -> float:
+    return math.acos(1.0 - 2.0 * d_bob)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the CLI knows about one attack family.
+
+    takes_phi: Eve measures at an angle phi of her own before the basis
+    reveal, i.e. the attack needs no quantum memory. swept names the
+    parameter a --grid sweeps, and default is its single-row value when
+    neither that parameter nor --grid is given (None: it is required).
+    config builds the engine config for one swept value; at_disturbance
+    gives the swept value that yields a target d_bob, or None if none does.
+    """
+
+    takes_phi: bool
+    swept: str
+    default: float | None
+    config: Callable[[SweepSpec, float], AttackConfig]
+    at_disturbance: Callable[[float], float | None]
+
+
+FAMILIES = {
+    INTERCEPT_RESEND: _Family(
+        takes_phi=True, swept="fraction", default=1.0,
+        config=lambda spec, f: InterceptResend(phi=spec.phi, fraction=f, symmetrize=spec.symmetrize),
+        # untouched rounds are error-free, so d_bob = f/4 ends at 1/4
+        at_disturbance=lambda d: 4.0 * d if 4.0 * d <= 1.0 else None,
+    ),
+    ANCILLA_NO_MEMORY: _Family(
+        takes_phi=True, swept="alpha", default=None,
+        config=lambda spec, a: AncillaNoMemory(alpha=a, phi=spec.phi, symmetrize=spec.symmetrize),
+        at_disturbance=_alpha_at,
+    ),
+    ANCILLA_WITH_MEMORY: _Family(
+        takes_phi=False, swept="alpha", default=None,
+        config=lambda spec, a: AncillaWithMemory(alpha=a), at_disturbance=_alpha_at,
+    ),
+}
+
+
+def _checked_family(spec: SweepSpec) -> tuple[_Family, float | None]:
+    """The family of spec.strategy and its swept value, after the flag checks."""
+    name = spec.strategy
+    if name not in FAMILIES:
+        raise UsageError(f"unknown strategy {name!r}")
+    family = FAMILIES[name]
+    if family.takes_phi and spec.phi is None:
+        raise UsageError(f"{name} requires --phi")
+    if not family.takes_phi and spec.phi is not None:
+        raise UsageError(f"{name} takes no --phi")
+    fixed = "alpha" if family.swept == "fraction" else "fraction"
+    if getattr(spec, fixed) is not None:
+        raise UsageError(f"{name} takes no --{fixed}")
+    return family, getattr(spec, family.swept)
+
+
+def _row_params(family: _Family, value: float | None) -> tuple[float | None, float | None]:
+    """(alpha, fraction) CSV cells for one swept value."""
+    return (value, None) if family.swept == "alpha" else (None, value)
 
 
 def parse_angle(text: str) -> float:
@@ -135,37 +197,17 @@ def cmd_analytic_curves(spec: SweepSpec) -> str:
     grid = 101 if spec.grid is None else spec.grid
     if grid < 1:
         raise UsageError(f"--grid must be at least 1, got {grid}")
-    points = []
     if spec.strategy == ALL_STRATEGIES:
         if spec.phi is not None or spec.alpha is not None or spec.fraction is not None:
             raise UsageError("--strategy all takes no phi/alpha/fraction overrides")
-        for phi in (0.0, math.pi / 4):
-            points.extend(curve_sweep(INTERCEPT_RESEND, phi, grid=grid))
-            points.extend(curve_sweep(ANCILLA_NO_MEMORY, phi, grid=grid))
-        points.extend(curve_sweep(ANCILLA_WITH_MEMORY, grid=grid))
-    elif spec.strategy == INTERCEPT_RESEND:
-        if spec.phi is None:
-            raise UsageError("intercept_resend requires --phi")
-        if spec.alpha is not None:
-            raise UsageError("intercept_resend takes no --alpha")
-        values = None if spec.fraction is None else [spec.fraction]
-        points = curve_sweep(INTERCEPT_RESEND, spec.phi, grid=grid, values=values)
-    elif spec.strategy == ANCILLA_NO_MEMORY:
-        if spec.phi is None:
-            raise UsageError("ancilla_no_memory requires --phi")
-        if spec.fraction is not None:
-            raise UsageError("fractional interception applies only to intercept_resend")
-        values = None if spec.alpha is None else [spec.alpha]
-        points = curve_sweep(ANCILLA_NO_MEMORY, spec.phi, grid=grid, values=values)
-    elif spec.strategy == ANCILLA_WITH_MEMORY:
-        if spec.phi is not None:
-            raise UsageError("ancilla_with_memory takes no --phi")
-        if spec.fraction is not None:
-            raise UsageError("fractional interception applies only to intercept_resend")
-        values = None if spec.alpha is None else [spec.alpha]
-        points = curve_sweep(ANCILLA_WITH_MEMORY, grid=grid, values=values)
+        points = []
+        for name, family in FAMILIES.items():
+            for phi in STANDARD_PHIS if family.takes_phi else (None,):
+                points.extend(curve_sweep(name, phi, grid=grid))
     else:
-        raise UsageError(f"unknown strategy {spec.strategy!r}")
+        _, value = _checked_family(spec)
+        values = None if value is None else [value]
+        points = curve_sweep(spec.strategy, spec.phi, grid=grid, values=values)
 
     points.sort(key=_sort_key)
     rows = [[p.strategy, p.phi, p.alpha, p.fraction, p.d_bob, p.i_eve, p.i_bob] for p in points]
@@ -184,67 +226,28 @@ def _attack_rows(spec: SweepSpec) -> list[tuple]:
             raise UsageError("--strategy none has nothing to sweep")
         return [(NoAttack(), None, None, None)]
 
-    if spec.strategy == INTERCEPT_RESEND:
-        if spec.phi is None:
-            raise UsageError("intercept_resend requires --phi")
-        if spec.alpha is not None:
-            raise UsageError("intercept_resend takes no --alpha")
-        if spec.grid is not None:
-            if spec.fraction is not None:
-                raise UsageError("give either --fraction or --grid, not both")
-            fractions = np.linspace(0.0, 1.0, spec.grid)
-        else:
-            fractions = [1.0 if spec.fraction is None else spec.fraction]
-        return [
-            (InterceptResend(phi=spec.phi, fraction=float(f), symmetrize=spec.symmetrize),
-             spec.phi, None, float(f))
-            for f in fractions
-        ]
-
-    if spec.fraction is not None:
-        raise UsageError("fractional interception applies only to intercept_resend")
-
-    if spec.strategy == ANCILLA_NO_MEMORY:
-        if spec.phi is None:
-            raise UsageError("ancilla_no_memory requires --phi")
-    elif spec.strategy == ANCILLA_WITH_MEMORY:
-        if spec.phi is not None:
-            raise UsageError("ancilla_with_memory takes no --phi")
-    else:
-        raise UsageError(f"unknown strategy {spec.strategy!r}")
-
+    family, value = _checked_family(spec)
     if spec.grid is not None:
-        if spec.alpha is not None:
-            raise UsageError("give either --alpha or --grid, not both")
-        alphas = np.linspace(0.0, math.pi / 2, spec.grid)
+        if value is not None:
+            raise UsageError(f"give either --{family.swept} or --grid, not both")
+        values = sweep_grid(spec.strategy, spec.grid)
     else:
-        if spec.alpha is None:
-            raise UsageError(f"{spec.strategy} requires --alpha (or --grid to sweep it)")
-        alphas = [spec.alpha]
-
-    rows = []
-    for a in alphas:
-        a = float(a)
-        if spec.strategy == ANCILLA_NO_MEMORY:
-            attack = AncillaNoMemory(alpha=a, phi=spec.phi, symmetrize=spec.symmetrize)
-        else:
-            attack = AncillaWithMemory(alpha=a)
-        rows.append((attack, spec.phi, a, None))
-    return rows
+        values = [family.default if value is None else value]
+        if values[0] is None:
+            raise UsageError(f"{spec.strategy} requires --{family.swept} (or --grid to sweep it)")
+    return [
+        (family.config(spec, float(v)), spec.phi, *_row_params(family, float(v)))
+        for v in values
+    ]
 
 
 def _trace_document(records) -> str:
     rows = []
     for r in records:
-        if not r.eve_acted:
-            basis = outcome = guess = None
-        else:
-            basis = r.eve_basis if r.eve_basis == REVEALED_BASIS_MARKER else float(r.eve_basis)
-            outcome = r.eve_outcome.name.lower()
-            guess = r.eve_guess
+        outcome = r.eve_outcome.name.lower() if r.eve_acted else None
         rows.append(
-            [r.round_index, r.alice_basis, r.alice_bit, r.eve_acted, basis, outcome,
-             guess, r.bob_basis, r.bob_bit, r.sifted]
+            [r.round_index, r.alice_basis, r.alice_bit, r.eve_acted, r.eve_basis, outcome,
+             r.eve_guess, r.bob_basis, r.bob_bit, r.sifted]
         )
     return _document(TRACE_HEADER, rows)
 
@@ -270,6 +273,8 @@ def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, str
         raise UsageError(str(exc)) from exc
     if keep_trace and len(attack_rows) != 1:
         raise UsageError("--trace requires a single-point run, not a sweep")
+    if spec.seed + len(attack_rows) - 1 >= 2**64:
+        raise UsageError(f"--seed must leave {len(attack_rows)} row seeds below 2**64, got {spec.seed}")
 
     rows = []
     trace_doc = None
@@ -293,100 +298,43 @@ def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, str
 # --- compare -----------------------------------------------------------------
 
 
-@dataclass
-class _CompareRow:
-    strategy: str
-    phi: float | None
-    alpha: float | None
-    fraction: float | None
-    d_bob: float
-    i_eve: float | None
-    in_domain: bool
-    memoryless: bool
-
-
 def cmd_compare(spec: SweepSpec) -> str:
     """Rank the strategies at one target disturbance.
 
-    Emits intercept/resend rows at phi 0 and pi/4 plus the best phi on the
-    grid (via fractional interception, defined only up to d_bob = 1/4), the
-    same three rows for the no-memory ancilla at the alpha matching the
-    disturbance, and the with-memory ancilla. The best memoryless row is
-    flagged; out-of-domain intercept/resend rows carry no information value.
+    Emits intercept/resend rows at phi 0 and pi/4 (via fractional
+    interception, defined only up to d_bob = 1/4), the same two rows for the
+    no-memory ancilla at the alpha matching the disturbance, and the
+    with-memory ancilla. Each phi family also gets an _opt row at its
+    optimal angle, which is phi = 0 (proof in the README). The best
+    memoryless row is flagged; out-of-domain intercept/resend rows carry no
+    information value.
     """
     d = spec.d_bob
     if d is None or not (0.0 < d <= 0.5):
         raise UsageError("--d-bob must lie in (0, 0.5]")
-    grid = 101 if spec.grid is None else spec.grid
-    if grid < 1:
-        raise UsageError(f"--grid must be at least 1, got {grid}")
-    phi_grid = np.linspace(0.0, math.pi / 4, grid)
 
-    rows: list[_CompareRow] = []
-
-    ir_in_domain = d <= INTERCEPT_DOMAIN_MAX
-    fraction = 4.0 * d if ir_in_domain else None
-
-    def ir_info(phi: float) -> float:
-        return fraction * intercept_resend(phi).eve_avg_info
-
-    for phi in (0.0, math.pi / 4):
-        rows.append(
-            _CompareRow(
-                INTERCEPT_RESEND, phi, None, fraction, d,
-                ir_info(phi) if ir_in_domain else None, ir_in_domain, True,
-            )
-        )
-    if ir_in_domain:
-        ir_values = [ir_info(float(phi)) for phi in phi_grid]
-        best = int(np.argmax(ir_values))
-        best_phi, best_info = float(phi_grid[best]), ir_values[best]
-    else:
-        best_phi, best_info = None, None
-    rows.append(
-        _CompareRow(
-            INTERCEPT_RESEND + "_opt", best_phi, None, fraction, d,
-            best_info, ir_in_domain, True,
-        )
-    )
-
-    alpha = math.acos(1.0 - 2.0 * d)
-    for phi in (0.0, math.pi / 4):
-        rows.append(
-            _CompareRow(
-                ANCILLA_NO_MEMORY, phi, alpha, None, d,
-                ancilla_no_memory(alpha, phi).eve_avg_info, True, True,
-            )
-        )
-    nm_values = [ancilla_no_memory(alpha, float(phi)).eve_avg_info for phi in phi_grid]
-    best = int(np.argmax(nm_values))
-    rows.append(
-        _CompareRow(
-            ANCILLA_NO_MEMORY + "_opt", float(phi_grid[best]), alpha, None, d,
-            nm_values[best], True, True,
-        )
-    )
-    rows.append(
-        _CompareRow(
-            ANCILLA_WITH_MEMORY, None, alpha, None, d,
-            ancilla_with_memory(alpha).eve_avg_info, True, False,
-        )
-    )
-
-    rows.sort(key=lambda r: (r.strategy, -1.0 if r.phi is None else r.phi))
-    candidates = [r.i_eve for r in rows if r.memoryless and r.in_domain and r.i_eve is not None]
-    best_value = max(candidates) if candidates else None
-    flagged = False
-    out = []
-    for r in rows:
-        if not r.memoryless:
-            flag = None
+    rows = []
+    for name, family in FAMILIES.items():
+        value = family.at_disturbance(d)
+        in_domain = value is not None
+        if family.takes_phi:
+            angles = [(name, phi) for phi in STANDARD_PHIS]
+            angles.append((name + "_opt", 0.0 if in_domain else None))
         else:
-            is_best = (not flagged) and r.in_domain and r.i_eve is not None and r.i_eve == best_value
-            flagged = flagged or is_best
-            flag = is_best
-        out.append([r.strategy, r.phi, r.alpha, r.fraction, r.d_bob, r.i_eve, r.in_domain, flag])
-    return _document(COMPARE_HEADER, out)
+            angles = [(name, None)]
+        for label, phi in angles:
+            i_eve = curve_sweep(name, phi, values=[value])[0].i_eve if in_domain else None
+            # COMPARE_HEADER cells; the last says "memoryless" until it becomes the flag
+            rows.append(
+                [label, phi, *_row_params(family, value), d, i_eve, in_domain, family.takes_phi]
+            )
+
+    rows.sort(key=lambda r: (r[0], -1.0 if r[1] is None else r[1]))
+    # max keeps the first of equal values, so ties go to the first row in sort order
+    best = max((r for r in rows if r[7] and r[5] is not None), key=lambda r: r[5], default=None)
+    for row in rows:
+        row[7] = row is best if row[7] else None
+    return _document(COMPARE_HEADER, rows)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -411,11 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="write CSV here instead of stdout")
 
     p_analytic = sub.add_parser("analytic", help="closed-form curve points as CSV")
-    common(p_analytic, (*STRATEGIES, ALL_STRATEGIES),
+    common(p_analytic, (*FAMILIES, ALL_STRATEGIES),
            grid_help="points per curve family (default 101)")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol runs as CSV")
-    common(p_sim, (NO_ATTACK, *STRATEGIES),
+    common(p_sim, (NO_ATTACK, *FAMILIES),
            grid_help="sweep the natural parameter over this many points")
     p_sim.add_argument("--rounds", type=int, required=True, help="protocol rounds per row")
     p_sim.add_argument("--seed", type=int, default=0, help="base seed; row i uses seed + i")
@@ -429,8 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="rank strategies at one disturbance")
     p_cmp.add_argument("--d-bob", dest="d_bob", type=float, required=True,
                        help="target disturbance in (0, 0.5]")
-    p_cmp.add_argument("--grid", type=int, default=None,
-                       help="phi grid size for the optimized rows (default 101)")
     p_cmp.add_argument("--out", type=Path, default=None)
     return parser
 
@@ -441,7 +387,7 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         phi=getattr(args, "phi", None),
         alpha=getattr(args, "alpha", None),
         fraction=getattr(args, "fraction", None),
-        grid=args.grid,
+        grid=getattr(args, "grid", None),
         rounds=getattr(args, "rounds", None),
         seed=getattr(args, "seed", 0),
         symmetrize=not getattr(args, "no_symmetrize", False),
@@ -476,9 +422,10 @@ def main(argv=None) -> int:
                 args.trace.write_text(trace)
         else:
             _write(cmd_compare(spec), args.out)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         # range checks in the strategy and engine layers raise ValueError
-        # for out-of-domain parameters, which is a usage problem here
+        # for out-of-domain parameters, which is a usage problem here, and
+        # so is an --out or --trace path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientSampleError as exc:

@@ -320,6 +320,25 @@ class TestStrategyReportInvariants:
         assert report.eve_avg_info == pytest.approx(average, abs=1e-12)
 
 
+class TestOptimalAngle:
+    """phi = 0 maximises Eve's information for both phi families.
+
+    Per basis she holds 1 - h((1 + x)/2) = sum_k x^(2k) / (2k(2k-1) ln 2)
+    at x = s cos(phi) and x = s sin(phi); the k = 1 terms add up to a value
+    free of phi and every higher term carries cos^(2k) + sin^(2k) <= 1.
+    """
+
+    @given(alphas, angles)
+    def test_no_memory_info_peaks_at_phi_zero(self, alpha, phi):
+        peak = ancilla_no_memory(alpha, 0.0).eve_avg_info
+        assert peak >= ancilla_no_memory(alpha, phi).eve_avg_info - 1e-15
+
+    @given(angles)
+    def test_interception_info_peaks_at_phi_zero(self, phi):
+        peak = intercept_resend(0.0).eve_avg_info
+        assert peak >= intercept_resend(phi).eve_avg_info - 1e-15
+
+
 class TestCurveSweep:
     def test_strategy_labels(self):
         assert STRATEGIES == (

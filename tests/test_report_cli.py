@@ -238,6 +238,23 @@ class TestCompareCommand:
                 if row[0] != "ancilla_with_memory" and row[5] != "":
                     assert float(row[5]) <= stored + 1e-12
 
+    def test_tiny_disturbance_opt_row_sits_at_phi_zero(self):
+        # a phi grid search lands on rounding noise here; the optimum is phi = 0
+        by_key = {(r[0], r[1]): r for r in rows_of(cmd_compare(SweepSpec(strategy="all", d_bob=1e-9)))}
+        opt = by_key[("ancilla_no_memory_opt", "0")]
+        assert opt[5] == by_key[("ancilla_no_memory", "0")][5]
+
+    def test_opt_rows_repeat_the_phi_zero_rows(self):
+        for d_bob in (1e-6, 0.05, 0.25, 0.4):
+            rows = rows_of(cmd_compare(SweepSpec(strategy="all", d_bob=d_bob)))
+            by_name = {}
+            for r in rows:
+                if r[1] in ("0", ""):
+                    by_name.setdefault(r[0], r)
+            for family in ("intercept_resend", "ancilla_no_memory"):
+                opt, aligned = by_name[family + "_opt"], by_name[family]
+                assert opt[2:7] == aligned[2:7]
+
     def test_rejects_out_of_range_disturbance(self):
         from bb84eve.report_cli import UsageError
 
@@ -321,6 +338,28 @@ class TestMainEntryPoint:
         for argv in cases:
             assert main(argv) == EXIT_USAGE, argv
             capsys.readouterr()
+
+    def test_compare_takes_no_grid(self, capsys):
+        assert main(["compare", "--d-bob", "0.1", "--grid", "5"]) == EXIT_USAGE
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, flag):
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000"]
+        assert main(argv + [flag, str(tmp_path / "missing" / "run.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_seed_range_checked_before_any_row(self, monkeypatch, capsys):
+        import bb84eve.report_cli as report_cli
+
+        calls = []
+        monkeypatch.setattr(report_cli, "run_protocol", lambda *a, **k: calls.append(a))
+        argv = ["simulate", "--strategy", "intercept_resend", "--phi", "0", "--grid", "3",
+                "--rounds", "1000", "--seed", str(2**64 - 2)]
+        assert main(argv) == EXIT_USAGE
+        assert calls == []
+        capsys.readouterr()
 
     def test_small_sample_exits_three(self, capsys):
         code = main(
