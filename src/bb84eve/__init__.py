@@ -17,9 +17,6 @@ from .quantum_core import (
     joint_outcome_probabilities,
     make_bb84_state,
     outcome_probabilities,
-    project,
-    sample_joint_outcome,
-    sample_outcome,
 )
 from .infotheory import JointCounts, binary_entropy, info_from_fidelity, mutual_information
 from .analytic_strategies import (
@@ -40,9 +37,8 @@ from .protocol_sim import (
     InterceptResend,
     NoAttack,
     SimEstimate,
-    TrialRecord,
+    Trace,
     estimate,
-    interpret_outcome,
     run_protocol,
 )
 
@@ -63,7 +59,7 @@ __all__ = [
     "PureState",
     "SimEstimate",
     "StrategyReport",
-    "TrialRecord",
+    "Trace",
     "ancilla_no_memory",
     "ancilla_with_memory",
     "apply_eve_unitary",
@@ -73,13 +69,9 @@ __all__ = [
     "info_from_fidelity",
     "intercept_resend",
     "intercept_resend_curve",
-    "interpret_outcome",
     "joint_outcome_probabilities",
     "make_bb84_state",
     "mutual_information",
     "outcome_probabilities",
-    "project",
     "run_protocol",
-    "sample_joint_outcome",
-    "sample_outcome",
 ]

@@ -15,6 +15,13 @@ Eve's angle slot (phi or its companion pi/2 - phi) comes from column 4
 under symmetrization and is 0 without it; for the stored probe, which is
 read in the revealed basis, the slot comes from column 0.
 
+Each round leaves one round code, a uint16 below N_CODES = 384 that packs
+the fields of ROUND_FIELDS (acted, slot, eve_bit, guess, the two bases and
+the two key bits); unpack decodes it. A run's only accumulator is the
+histogram of its codes, one bincount per chunk, and every estimate derives
+from that histogram. A trace keeps the codes themselves, so estimating
+from a trace reproduces the run's estimate exactly.
+
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
 closed-form module, which keeps the two routes independent for
@@ -24,6 +31,7 @@ cross-validation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -115,29 +123,6 @@ AttackConfig = NoAttack | InterceptResend | AncillaNoMemory | AncillaWithMemory
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One protocol round. eve_basis / eve_outcome / eve_guess exist iff Eve acted."""
-
-    round_index: int
-    alice_basis: str
-    alice_bit: int
-    eve_acted: bool
-    eve_basis: float | str | None
-    eve_outcome: Outcome | None
-    eve_guess: int | None
-    bob_basis: str
-    bob_bit: int
-    sifted: bool
-
-    def __post_init__(self) -> None:
-        if self.sifted != (self.alice_basis == self.bob_basis):
-            raise ValueError("sifted flag must match basis agreement")
-        present = (self.eve_basis is not None, self.eve_outcome is not None, self.eve_guess is not None)
-        if any(present) != self.eve_acted or not (all(present) == any(present)):
-            raise ValueError("eve fields must be present exactly when eve acted")
-
-
-@dataclass(frozen=True)
 class SimEstimate:
     """Empirical counterparts of the analytic quantities, over sifted rounds.
 
@@ -166,91 +151,48 @@ class SimEstimate:
     eve_fidelity_y_se: float | None
 
 
-@dataclass
-class RoundCounts:
-    """Order-insensitive integer accumulators for a (partial) run.
+# --- the round code ----------------------------------------------------------
 
-    guess_counts is indexed [acted, t, revealed_basis, alice_bit, guess],
-    where t distinguishes Eve's coin-chosen measurement basis (0 also covers
-    the revealed-basis and untouched cases). Only sifted rounds are counted.
+# Every round is one integer: these fields in mixed radix, the first field
+# most significant. slot is Eve's angle slot and eve_bit her outcome bit, both
+# 0 on rounds she left alone; guess is her key-bit guess, which untouched
+# rounds draw from the guess coin, or NO_GUESS when there is no eavesdropper.
+ROUND_FIELDS = (
+    ("acted", 2), ("slot", 2), ("eve_bit", 2), ("guess", 3),
+    ("alice_basis", 2), ("alice_bit", 2), ("bob_basis", 2), ("bob_bit", 2),
+)
+_SHAPE = tuple(size for _, size in ROUND_FIELDS)
+N_CODES = math.prod(_SHAPE)
+NO_GUESS = 2
+
+
+def _pack(*values):
+    """Round code(s) of field values given in ROUND_FIELDS order."""
+    code = 0
+    for value, size in zip(values, _SHAPE):
+        code = np.asarray(code * size + value, dtype=np.uint16)
+    return code
+
+
+def unpack(codes) -> dict[str, np.ndarray]:
+    """Field name -> value(s) of one round code or an array of them."""
+    return dict(zip((name for name, _ in ROUND_FIELDS), np.unravel_index(codes, _SHAPE)))
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Every round of a run as its round code, in round order.
+
+    eve_labels[slot] names Eve's measurement basis on the rounds she acted
+    on: an angle in radians, or "revealed" for the probe read in the
+    revealed basis.
     """
 
-    n_rounds: int
-    n_sifted_by_basis: np.ndarray
-    n_errors_by_basis: np.ndarray
-    guess_counts: np.ndarray
+    codes: np.ndarray
+    eve_labels: tuple
 
-    @classmethod
-    def zeros(cls) -> "RoundCounts":
-        return cls(
-            n_rounds=0,
-            n_sifted_by_basis=np.zeros(2, dtype=np.int64),
-            n_errors_by_basis=np.zeros(2, dtype=np.int64),
-            guess_counts=np.zeros((2, 2, 2, 2, 2), dtype=np.int64),
-        )
-
-    def merge(self, other: "RoundCounts") -> None:
-        self.n_rounds += other.n_rounds
-        self.n_sifted_by_basis += other.n_sifted_by_basis
-        self.n_errors_by_basis += other.n_errors_by_basis
-        self.guess_counts += other.guess_counts
-
-    @property
-    def n_sifted(self) -> int:
-        return int(self.n_sifted_by_basis.sum())
-
-
-def _ml_decision(eve_angle: float, revealed_angle: float, correlation_scale: float) -> int:
-    """Maximum-likelihood interpretation of an equatorial outcome.
-
-    The correlation between Eve's outcome bit at angle t and the key bit in
-    the revealed angle-rho basis is scale * cos(t - rho). Returns +1 (guess
-    the outcome bit), -1 (guess its complement), or 0 (exact tie).
-    """
-    corr = correlation_scale * math.cos(eve_angle - revealed_angle)
-    if corr > TIE_TOL:
-        return 1
-    if corr < -TIE_TOL:
-        return -1
-    return 0
-
-
-def interpret_outcome(
-    eve_basis,
-    eve_outcome: Outcome,
-    revealed_basis,
-    *,
-    correlation_scale: float = 1.0,
-    tie_coin: float | None = None,
-) -> int:
-    """Convert Eve's stored outcome into a bit guess after the basis reveal.
-
-    eve_basis is an EquatorBasis, a plain angle, or the marker "revealed"
-    (stored-ancilla attack: she measured in the revealed basis itself).
-    revealed_basis is "x", "y", or an EquatorBasis. correlation_scale is 1
-    for direct interception and sin(alpha) for ancilla outcomes. Exact ties
-    need tie_coin, a uniform from the round's stream.
-    """
-    if isinstance(revealed_basis, EquatorBasis):
-        revealed_angle = revealed_basis.phi
-    elif revealed_basis in BASIS_LABELS:
-        revealed_angle = BASIS_ANGLES[BASIS_LABELS.index(revealed_basis)]
-    else:
-        raise ValueError(f"revealed_basis must be 'x', 'y', or an EquatorBasis, got {revealed_basis!r}")
-    if eve_basis == REVEALED_BASIS_MARKER:
-        eve_angle = revealed_angle
-    elif isinstance(eve_basis, EquatorBasis):
-        eve_angle = eve_basis.phi
-    else:
-        eve_angle = float(eve_basis)
-    decision = _ml_decision(eve_angle, revealed_angle, correlation_scale)
-    if decision == 1:
-        return eve_outcome.bit
-    if decision == -1:
-        return 1 - eve_outcome.bit
-    if tie_coin is None:
-        raise ValueError("outcome carries no information about this basis; a tie_coin is required")
-    return int(tie_coin >= 0.5)
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 # --- Born-rule tables for the vectorized sampler ---------------------------
@@ -307,10 +249,14 @@ class _EngineTables:
 
 
 def _decisions(angles, correlation_scale: float) -> np.ndarray:
-    return np.array(
-        [[_ml_decision(angle, rho, correlation_scale) for rho in BASIS_ANGLES] for angle in angles],
-        dtype=np.int64,
-    )
+    """Maximum-likelihood reading of Eve's outcome, per angle and revealed basis.
+
+    The correlation between her outcome bit at angle t and the key bit in
+    the revealed angle-rho basis is scale * cos(t - rho): +1 means guess the
+    outcome bit, -1 its complement, and 0 (an exact tie) the tie-break coin.
+    """
+    corr = [[correlation_scale * math.cos(angle - rho) for rho in BASIS_ANGLES] for angle in angles]
+    return np.array([[(c > TIE_TOL) - (c < -TIE_TOL) for c in row] for row in corr], dtype=np.int8)
 
 
 def _build_tables(attack: AttackConfig) -> _EngineTables:
@@ -383,12 +329,16 @@ def _chunk_uniforms(seed: int, start: int, size: int) -> np.ndarray:
 
 
 def _joint_draw(cdf_rows: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cell = np.minimum((u[:, None] >= cdf_rows).sum(axis=1), 3)
+    cell = np.minimum((u[:, None] >= cdf_rows).sum(axis=1, dtype=np.uint8), 3)
     return cell >> 1, cell & 1
 
 
 def _resolve_guess(decisions: np.ndarray, e: np.ndarray, coin: np.ndarray) -> np.ndarray:
     return np.where(decisions == 1, e, np.where(decisions == -1, 1 - e, coin))
+
+
+def _bits(column: np.ndarray) -> np.ndarray:
+    return (column >= 0.5).view(np.uint8)
 
 
 def _slots(tables: _EngineTables, u: np.ndarray, ab: np.ndarray):
@@ -397,79 +347,32 @@ def _slots(tables: _EngineTables, u: np.ndarray, ab: np.ndarray):
         return 0
     if tables.slot_column == _ALICE_BASIS_COLUMN:
         return ab
-    return (u[:, tables.slot_column] >= 0.5).astype(np.int64)
+    return _bits(u[:, tables.slot_column])
 
 
-def _run_chunk(
-    tables: _EngineTables, seed: int, start: int, size: int, keep_trace: bool
-) -> tuple[RoundCounts, list[TrialRecord] | None]:
+def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> np.ndarray:
+    """The round codes of rounds start .. start + size - 1, as uint16."""
     u = _chunk_uniforms(seed, start, size)
-    ab = (u[:, 0] >= 0.5).astype(np.int64)
-    abit = (u[:, 1] >= 0.5).astype(np.int64)
-    bb = (u[:, 2] >= 0.5).astype(np.int64)
-    coin = (u[:, 7] >= 0.5).astype(np.int64)
+    ab, abit, bb, coin = (_bits(u[:, c]) for c in (0, 1, 2, 7))
     k = e = 0  # scalars until drawn: no per-round arrays when Eve is absent
 
     if tables.joint_cdf is None:
-        acted = u[:, 3] < tables.fraction if tables.fraction > 0 else np.zeros(size, dtype=bool)
+        acted = u[:, 3] < tables.fraction if tables.fraction > 0 else False
         p_bob = tables.p_direct[ab, abit, bb]
-        guess = coin if tables.decisions is not None else np.full(size, -1, dtype=np.int64)
-        if acted.any():  # Eve's draw only where she can have intercepted
+        guess = coin if tables.decisions is not None else NO_GUESS
+        if np.any(acted):  # Eve's draw only where she can have intercepted
             k = _slots(tables, u, ab)
-            e = (u[:, 5] >= tables.p_eve[k, ab, abit]).astype(np.int64)
+            e = (u[:, 5] >= tables.p_eve[k, ab, abit]).view(np.uint8)
             p_bob = np.where(acted, tables.p_forward[k, e, bb], p_bob)
             guess = np.where(acted, _resolve_guess(tables.decisions[k, ab], e, coin), coin)
-        bob_bit = (u[:, 6] >= p_bob).astype(np.int64)
+            k, e = np.where(acted, k, np.uint8(0)), e & acted  # both 0 on untouched rounds
+        bob_bit = (u[:, 6] >= p_bob).view(np.uint8)
     else:
-        acted = np.ones(size, dtype=bool)
+        acted = True
         k = _slots(tables, u, ab)
         bob_bit, e = _joint_draw(tables.joint_cdf[k, ab, abit, bb], u[:, 5])
         guess = _resolve_guess(tables.decisions[k, ab], e, coin)
-
-    sifted = ab == bb
-    counts = RoundCounts.zeros()
-    counts.n_rounds = size
-    counts.n_sifted_by_basis += np.bincount(ab[sifted], minlength=2)
-    errors = sifted & (bob_bit != abit)
-    counts.n_errors_by_basis += np.bincount(ab[errors], minlength=2)
-
-    recorded = sifted & (guess >= 0)
-    if np.any(recorded):
-        acted_i = acted.astype(np.int64)
-        t_acc = np.where(acted, k, 0)  # untouched rounds all share stratum t=0
-        flat = ((((acted_i * 2 + t_acc) * 2 + ab) * 2 + abit) * 2 + guess)[recorded]
-        counts.guess_counts += np.bincount(flat, minlength=32).reshape(2, 2, 2, 2, 2)
-
-    trace = None
-    if keep_trace:
-        trace = []
-        acted_list = acted.tolist()
-        slots = np.broadcast_to(k, size)
-        for i in range(size):
-            is_acted = acted_list[i]
-            if is_acted:
-                eve_basis = tables.eve_labels[int(slots[i])]
-                eve_outcome = Outcome.from_bit(int(e[i]))
-                eve_guess = int(guess[i])
-            else:
-                eve_basis = None
-                eve_outcome = None
-                eve_guess = None
-            trace.append(
-                TrialRecord(
-                    round_index=start + i,
-                    alice_basis=BASIS_LABELS[int(ab[i])],
-                    alice_bit=int(abit[i]),
-                    eve_acted=is_acted,
-                    eve_basis=eve_basis,
-                    eve_outcome=eve_outcome,
-                    eve_guess=eve_guess,
-                    bob_basis=BASIS_LABELS[int(bb[i])],
-                    bob_bit=int(bob_bit[i]),
-                    sifted=bool(sifted[i]),
-                )
-            )
-    return counts, trace
+    return _pack(acted, k, e, guess, ab, abit, bb, bob_bit)
 
 
 def run_protocol(
@@ -480,14 +383,14 @@ def run_protocol(
     keep_trace: bool = False,
     workers: int = 1,
     chunk_rounds: int = _DEFAULT_CHUNK,
-) -> tuple[SimEstimate, list[TrialRecord] | None]:
+) -> tuple[SimEstimate, Trace | None]:
     """Run BB84 rounds under an attack and estimate the observable statistics.
 
     Deterministic: the per-round stream depends only on (seed, round index),
-    and accumulation is integer-valued and merged in chunk order, so the
-    result is bit-identical for any workers/chunk_rounds combination.
-    keep_trace materializes one TrialRecord per round (memory-bound; meant
-    for small runs).
+    and each chunk's histogram of round codes is integer-valued and summed in
+    chunk order, so the result is bit-identical for any workers/chunk_rounds
+    combination. At most min(workers, chunks, CPUs) threads run. keep_trace
+    also returns every round's code (2 bytes per round).
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds!r}")
@@ -498,21 +401,22 @@ def run_protocol(
 
     tables = _build_tables(attack)
     spans = [(s, min(chunk_rounds, n_rounds - s)) for s in range(0, n_rounds, chunk_rounds)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda sp: _run_chunk(tables, seed, sp[0], sp[1], keep_trace), spans)
-            )
-    else:
-        results = [_run_chunk(tables, seed, s, m, keep_trace) for s, m in spans]
 
-    totals = RoundCounts.zeros()
-    trace: list[TrialRecord] | None = [] if keep_trace else None
-    for counts, chunk_trace in results:  # chunk order, not completion order
-        totals.merge(counts)
-        if keep_trace:
-            trace.extend(chunk_trace)
-    return _estimate_from_counts(totals), trace
+    def run(span):
+        codes = _run_chunk(tables, seed, *span)
+        return np.bincount(codes, minlength=N_CODES), codes if keep_trace else None
+
+    threads = min(workers, len(spans), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, spans))
+    else:
+        results = [run(span) for span in spans]
+    hist = sum(chunk_hist for chunk_hist, _ in results)  # chunk order
+    trace = None
+    if keep_trace:
+        trace = Trace(np.concatenate([codes for _, codes in results]), tables.eve_labels)
+    return _estimate_from_counts(hist), trace
 
 
 # --- estimation -------------------------------------------------------------
@@ -558,18 +462,25 @@ def _stratified_mi(strata: np.ndarray) -> tuple[float | None, float | None]:
     return point, math.sqrt(variance / n)
 
 
-def _estimate_from_counts(counts: RoundCounts) -> SimEstimate:
-    n_sifted = counts.n_sifted
+def _estimate_from_counts(hist: np.ndarray) -> SimEstimate:
+    """Estimates from a histogram of round codes."""
+    # sifted[rb]: rounds with both bases rb, over acted, slot, eve_bit, guess, alice_bit, bob_bit
+    h = hist.reshape(_SHAPE)
+    sifted = np.stack([h[..., rb, :, rb, :] for rb in (0, 1)])
+    n_sifted_by_basis = sifted.sum(axis=(1, 2, 3, 4, 5, 6))
+    n_errors_by_basis = (sifted[..., 0, 1] + sifted[..., 1, 0]).sum(axis=(1, 2, 3, 4))
+    n_sifted = int(n_sifted_by_basis.sum())
     if n_sifted < MIN_SIFTED:
         raise InsufficientSampleError(
             f"need at least {MIN_SIFTED} sifted rounds to report standard errors, got {n_sifted}"
         )
-    n_err = int(counts.n_errors_by_basis.sum())
+    n_err = int(n_errors_by_basis.sum())
     qber, qber_se = _rate(n_err, n_sifted)
-    qber_x, _ = _rate(int(counts.n_errors_by_basis[0]), int(counts.n_sifted_by_basis[0]))
-    qber_y, _ = _rate(int(counts.n_errors_by_basis[1]), int(counts.n_sifted_by_basis[1]))
+    qber_x, _ = _rate(int(n_errors_by_basis[0]), int(n_sifted_by_basis[0]))
+    qber_y, _ = _rate(int(n_errors_by_basis[1]), int(n_sifted_by_basis[1]))
 
-    gc = counts.guess_counts
+    # gc[acted, t, rb, alice_bit, guess], t = Eve's slot; rounds without a guess drop out
+    gc = sifted[:, :, :, :, :NO_GUESS].sum(axis=(3, 6)).transpose(1, 2, 0, 4, 3)
     mi_full, mi_full_se = _stratified_mi(gc.reshape(8, 2, 2))
     mi_int, mi_int_se = _stratified_mi(gc[1].reshape(4, 2, 2))
 
@@ -582,7 +493,7 @@ def _estimate_from_counts(counts: RoundCounts) -> SimEstimate:
         fid[rb] = _rate(n_correct, n_basis)
 
     return SimEstimate(
-        n_rounds=counts.n_rounds,
+        n_rounds=int(hist.sum()),
         n_sifted=n_sifted,
         n_intercepted=int(acted.sum()),
         qber=qber,
@@ -600,43 +511,10 @@ def _estimate_from_counts(counts: RoundCounts) -> SimEstimate:
     )
 
 
-def _counts_from_trace(records, coin_seed: int) -> RoundCounts:
-    """Rebuild accumulators from a trace.
-
-    Untouched sifted rounds need fair-coin guesses that TrialRecord cannot
-    carry (its eve fields exist only when Eve acted), so they are drawn from
-    a dedicated Philox stream keyed by coin_seed. Full-key MI from a trace
-    of a fractional interception run therefore matches the engine's value in
-    distribution, not bit-for-bit; every other statistic matches exactly.
-    """
-    rng = np.random.Generator(np.random.Philox(key=coin_seed))
-    counts = RoundCounts.zeros()
-    label_to_t: dict[float | str, int] = {}
-    for record in records:
-        counts.n_rounds += 1
-        if not record.sifted:
-            continue
-        rb = BASIS_LABELS.index(record.alice_basis)
-        counts.n_sifted_by_basis[rb] += 1
-        if record.bob_bit != record.alice_bit:
-            counts.n_errors_by_basis[rb] += 1
-        if record.eve_acted:
-            t = label_to_t.setdefault(record.eve_basis, len(label_to_t))
-            if t > 1:
-                raise ValueError("trace contains more than two Eve measurement angles")
-            counts.guess_counts[1, t, rb, record.alice_bit, record.eve_guess] += 1
-        else:
-            guess = int(rng.random() >= 0.5)
-            counts.guess_counts[0, 0, rb, record.alice_bit, guess] += 1
-    return counts
-
-
-def estimate(source, *, coin_seed: int = 0) -> SimEstimate:
-    """Estimate statistics from RoundCounts accumulators or a TrialRecord trace.
+def estimate(trace: Trace) -> SimEstimate:
+    """Re-estimate a run from its trace; the result equals the run's own estimate.
 
     Refuses to report when fewer than 100 sifted rounds are available, since
     the normal-approximation standard errors would be meaningless.
     """
-    if isinstance(source, RoundCounts):
-        return _estimate_from_counts(source)
-    return _estimate_from_counts(_counts_from_trace(source, coin_seed))
+    return _estimate_from_counts(np.bincount(trace.codes, minlength=N_CODES))

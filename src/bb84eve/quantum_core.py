@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORM_TOL = 1e-12
-PROB_SUM_TOL = 1e-9
-ZERO_PROB_TOL = 1e-15
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -108,14 +106,6 @@ class EquatorBasis:
     def y(cls) -> "EquatorBasis":
         return cls(math.pi / 2)
 
-    @classmethod
-    def intermediate(cls) -> "EquatorBasis":
-        return cls(math.pi / 4)
-
-    def conjugate_basis(self) -> "EquatorBasis":
-        """The companion basis at phi' = pi/2 - phi (x and y swap roles)."""
-        return EquatorBasis(math.pi / 2 - self.phi)
-
     def eigenstate(self, outcome: Outcome) -> PureState:
         phase = complex(math.cos(self.phi), math.sin(self.phi))
         return PureState([_INV_SQRT2, outcome.sign * phase * _INV_SQRT2])
@@ -136,19 +126,6 @@ def outcome_probabilities(state: PureState, basis: EquatorBasis) -> tuple[float,
         raise ValueError("outcome_probabilities takes a single-qubit state")
     p_plus = basis.eigenstate(Outcome.PLUS).overlap_probability(state)
     return p_plus, 1.0 - p_plus
-
-
-def project(state: PureState, basis: EquatorBasis, outcome: Outcome) -> PureState:
-    """Post-measurement state: the basis eigenstate matching the outcome.
-
-    Raises if the outcome has (numerically) zero probability, since asking for
-    that collapse indicates a logic error in the caller.
-    """
-    p_plus, p_minus = outcome_probabilities(state, basis)
-    p = p_plus if outcome is Outcome.PLUS else p_minus
-    if p <= ZERO_PROB_TOL:
-        raise ValueError(f"outcome {outcome} has zero probability in this basis")
-    return basis.eigenstate(outcome)
 
 
 def apply_eve_unitary(state: PureState, alpha: float) -> PureState:
@@ -184,38 +161,3 @@ def joint_outcome_probabilities(
             amp = np.kron(bra_b, bra_e) @ state.amplitudes
             table[b_out.bit, e_out.bit] = _clamp01(abs(amp) ** 2)
     return table
-
-
-def _check_distribution(probs: np.ndarray) -> None:
-    if np.any(probs < -PROB_SUM_TOL):
-        raise ValueError("probabilities must be non-negative")
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
-
-
-def sample_outcome(probabilities, rng: np.random.Generator) -> Outcome:
-    """Inverse-CDF draw of a single outcome from (p_plus, p_minus)."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.shape != (2,):
-        raise ValueError("expected a pair (p_plus, p_minus)")
-    _check_distribution(probs)
-    u = rng.random()
-    return Outcome.PLUS if u < probs[0] else Outcome.MINUS
-
-
-def sample_joint_outcome(table, rng: np.random.Generator) -> tuple[Outcome, Outcome]:
-    """Inverse-CDF draw of (signal outcome, ancilla outcome) from a 2x2 table.
-
-    Cells are flattened row-major: (+,+), (+,-), (-,+), (-,-). The same
-    ordering is used by the vectorized protocol engine so the two sampling
-    paths are interchangeable for a shared uniform draw.
-    """
-    probs = np.asarray(table, dtype=np.float64)
-    if probs.shape != (2, 2):
-        raise ValueError("expected a 2x2 probability table")
-    _check_distribution(probs)
-    cdf = np.cumsum(probs.reshape(4))
-    u = rng.random()
-    idx = min(int(np.searchsorted(cdf, u, side="right")), 3)
-    return Outcome.from_bit(idx >> 1), Outcome.from_bit(idx & 1)

@@ -30,14 +30,18 @@ from .analytic_strategies import (
     sweep_grid,
 )
 from .protocol_sim import (
+    BASIS_LABELS,
     AncillaNoMemory,
     AncillaWithMemory,
     AttackConfig,
     InsufficientSampleError,
     InterceptResend,
     NoAttack,
+    Trace,
     run_protocol,
+    unpack,
 )
+from .quantum_core import Outcome
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -241,15 +245,20 @@ def _attack_rows(spec: SweepSpec) -> list[tuple]:
     ]
 
 
-def _trace_document(records) -> str:
-    rows = []
-    for r in records:
-        outcome = r.eve_outcome.name.lower() if r.eve_acted else None
-        rows.append(
-            [r.round_index, r.alice_basis, r.alice_bit, r.eve_acted, r.eve_basis, outcome,
-             r.eve_guess, r.bob_basis, r.bob_bit, r.sifted]
-        )
-    return _document(TRACE_HEADER, rows)
+def _trace_document(trace: Trace) -> str:
+    """One TRACE_HEADER row per round; each distinct round code is formatted once."""
+    rows = {}
+    for code in np.unique(trace.codes).tolist():
+        f = unpack(code)
+        acted = bool(f["acted"])
+        eve = [None] * 3
+        if acted:
+            eve = [trace.eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
+        cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], acted, *eve,
+                 BASIS_LABELS[f["bob_basis"]], f["bob_bit"], bool(f["alice_basis"] == f["bob_basis"])]
+        rows[code] = ",".join(_fmt(cell) for cell in cells)
+    lines = [TRACE_HEADER, *(f"{i},{rows[code]}" for i, code in enumerate(trace.codes.tolist()))]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, str | None]:
@@ -368,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rounds", type=int, required=True, help="protocol rounds per row")
     p_sim.add_argument("--seed", type=int, default=0, help="base seed; row i uses seed + i")
     p_sim.add_argument("--jobs", type=int, default=1,
-                       help="worker threads (output is identical for any value)")
+                       help="worker threads, at most one per chunk and per CPU "
+                            "(output is identical for any value)")
     p_sim.add_argument("--no-symmetrize", action="store_true",
                        help="always measure at phi instead of coin-flipping with its companion")
     p_sim.add_argument("--trace", type=Path, default=None,

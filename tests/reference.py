@@ -1,0 +1,114 @@
+"""Single-shot quantum helpers used only as test references.
+
+The engine samples whole chunks from precomputed Born tables; these helpers
+draw, collapse and interpret one round at a time, so tests can re-derive a
+round without going through any of the engine's code.
+"""
+
+import math
+
+import numpy as np
+
+from bb84eve.protocol_sim import BASIS_ANGLES, BASIS_LABELS, REVEALED_BASIS_MARKER, TIE_TOL
+from bb84eve.quantum_core import EquatorBasis, Outcome, PureState, outcome_probabilities
+
+PROB_SUM_TOL = 1e-9
+ZERO_PROB_TOL = 1e-15
+
+
+def intermediate_basis() -> EquatorBasis:
+    """The basis at phi = pi/4, halfway between x and y."""
+    return EquatorBasis(math.pi / 4)
+
+
+def conjugate_basis(basis: EquatorBasis) -> EquatorBasis:
+    """The companion basis at phi' = pi/2 - phi (x and y swap roles)."""
+    return EquatorBasis(math.pi / 2 - basis.phi)
+
+
+def project(state: PureState, basis: EquatorBasis, outcome: Outcome) -> PureState:
+    """Post-measurement state: the basis eigenstate matching the outcome.
+
+    Raises if the outcome has (numerically) zero probability, since asking for
+    that collapse indicates a logic error in the caller.
+    """
+    p_plus, p_minus = outcome_probabilities(state, basis)
+    p = p_plus if outcome is Outcome.PLUS else p_minus
+    if p <= ZERO_PROB_TOL:
+        raise ValueError(f"outcome {outcome} has zero probability in this basis")
+    return basis.eigenstate(outcome)
+
+
+def _check_distribution(probs: np.ndarray) -> None:
+    if np.any(probs < -PROB_SUM_TOL):
+        raise ValueError("probabilities must be non-negative")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+
+
+def sample_outcome(probabilities, rng: np.random.Generator) -> Outcome:
+    """Inverse-CDF draw of a single outcome from (p_plus, p_minus)."""
+    probs = np.asarray(probabilities, dtype=np.float64)
+    if probs.shape != (2,):
+        raise ValueError("expected a pair (p_plus, p_minus)")
+    _check_distribution(probs)
+    u = rng.random()
+    return Outcome.PLUS if u < probs[0] else Outcome.MINUS
+
+
+def sample_joint_outcome(table, rng: np.random.Generator) -> tuple[Outcome, Outcome]:
+    """Inverse-CDF draw of (signal outcome, ancilla outcome) from a 2x2 table.
+
+    Cells are flattened row-major: (+,+), (+,-), (-,+), (-,-). The same
+    ordering is used by the vectorized protocol engine so the two sampling
+    paths are interchangeable for a shared uniform draw.
+    """
+    probs = np.asarray(table, dtype=np.float64)
+    if probs.shape != (2, 2):
+        raise ValueError("expected a 2x2 probability table")
+    _check_distribution(probs)
+    cdf = np.cumsum(probs.reshape(4))
+    u = rng.random()
+    idx = min(int(np.searchsorted(cdf, u, side="right")), 3)
+    return Outcome.from_bit(idx >> 1), Outcome.from_bit(idx & 1)
+
+
+def interpret_outcome(
+    eve_basis,
+    eve_outcome: Outcome,
+    revealed_basis,
+    *,
+    correlation_scale: float = 1.0,
+    tie_coin: float | None = None,
+) -> int:
+    """Convert Eve's stored outcome into a bit guess after the basis reveal.
+
+    eve_basis is an EquatorBasis, a plain angle, or the marker "revealed"
+    (stored-ancilla attack: she measured in the revealed basis itself).
+    revealed_basis is "x", "y", or an EquatorBasis. correlation_scale is 1
+    for direct interception and sin(alpha) for ancilla outcomes. The
+    correlation between her outcome bit and the key bit is
+    scale * cos(eve angle - revealed angle); exact ties need tie_coin, a
+    uniform from the round's stream.
+    """
+    if isinstance(revealed_basis, EquatorBasis):
+        revealed_angle = revealed_basis.phi
+    elif revealed_basis in BASIS_LABELS:
+        revealed_angle = BASIS_ANGLES[BASIS_LABELS.index(revealed_basis)]
+    else:
+        raise ValueError(f"revealed_basis must be 'x', 'y', or an EquatorBasis, got {revealed_basis!r}")
+    if eve_basis == REVEALED_BASIS_MARKER:
+        eve_angle = revealed_angle
+    elif isinstance(eve_basis, EquatorBasis):
+        eve_angle = eve_basis.phi
+    else:
+        eve_angle = float(eve_basis)
+    corr = correlation_scale * math.cos(eve_angle - revealed_angle)
+    if corr > TIE_TOL:
+        return eve_outcome.bit
+    if corr < -TIE_TOL:
+        return 1 - eve_outcome.bit
+    if tie_coin is None:
+        raise ValueError("outcome carries no information about this basis; a tie_coin is required")
+    return int(tie_coin >= 0.5)

@@ -15,6 +15,7 @@ import pytest
 
 import conftest
 import oracles
+from reference import project
 from bb84eve.analytic_strategies import (
     ancilla_no_memory,
     ancilla_with_memory,
@@ -35,7 +36,6 @@ from bb84eve.quantum_core import (
     joint_outcome_probabilities,
     make_bb84_state,
     outcome_probabilities,
-    project,
 )
 from bb84eve.report_cli import main as cli_main
 

