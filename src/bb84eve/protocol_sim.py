@@ -337,8 +337,9 @@ def _resolve_guess(decisions: np.ndarray, e: np.ndarray, coin: np.ndarray) -> np
     return np.where(decisions == 1, e, np.where(decisions == -1, 1 - e, coin))
 
 
-def _bits(column: np.ndarray) -> np.ndarray:
-    return (column >= 0.5).view(np.uint8)
+def _bits(column: np.ndarray, threshold=0.5) -> np.ndarray:
+    """Per-round outcome bits (u >= threshold) as a uint8 view."""
+    return (column >= threshold).view(np.uint8)
 
 
 def _slots(tables: _EngineTables, u: np.ndarray, ab: np.ndarray):
@@ -362,11 +363,11 @@ def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> np.nd
         guess = coin if tables.decisions is not None else NO_GUESS
         if np.any(acted):  # Eve's draw only where she can have intercepted
             k = _slots(tables, u, ab)
-            e = (u[:, 5] >= tables.p_eve[k, ab, abit]).view(np.uint8)
+            e = _bits(u[:, 5], tables.p_eve[k, ab, abit])
             p_bob = np.where(acted, tables.p_forward[k, e, bb], p_bob)
             guess = np.where(acted, _resolve_guess(tables.decisions[k, ab], e, coin), coin)
             k, e = np.where(acted, k, np.uint8(0)), e & acted  # both 0 on untouched rounds
-        bob_bit = (u[:, 6] >= p_bob).view(np.uint8)
+        bob_bit = _bits(u[:, 6], p_bob)
     else:
         acted = True
         k = _slots(tables, u, ab)
