@@ -15,12 +15,17 @@ Eve's angle slot (phi or its companion pi/2 - phi) comes from column 4
 under symmetrization and is 0 without it; for the stored probe, which is
 read in the revealed basis, the slot comes from column 0.
 
-Each round leaves one round code, a uint16 below N_CODES = 384 that packs
-the fields of ROUND_FIELDS (acted, slot, eve_bit, guess, the two bases and
-the two key bits); unpack decodes it. A run's only accumulator is the
-histogram of its codes, one bincount per chunk, and every estimate derives
-from that histogram. A trace keeps the codes themselves, so estimating
-from a trace reproduces the run's estimate exactly.
+Chunk execution: one u >= 0.5 pass over a chunk gives every fair-coin
+bit. Each draw against a Born-rule threshold (interception, Eve's outcome,
+Bob's outcome, the joint cell) overwrites its column's bit, and reads its
+threshold from a flat per-run table with one take on the round key, the
+byte that gathers the round's 8 column bits. A chunk accumulates only the
+bincount of its keys. One 256-entry table per run maps each key to its
+round code, a uint16 below N_CODES = 384 that packs the fields of
+ROUND_FIELDS (acted, slot, eve_bit, guess, the two bases and the two key
+bits); unpack decodes it. Every estimate derives from the run's histogram
+of codes, and a trace keeps the codes themselves, so estimating from a
+trace reproduces the run's estimate exactly.
 
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
@@ -52,7 +57,7 @@ UNIFORMS_PER_ROUND = 8
 # row is exactly 2 blocks; advancing 2*start blocks aligns a chunk with the
 # corresponding rows of a one-shot draw.
 _BLOCKS_PER_ROUND = 2
-_DEFAULT_CHUNK = 1 << 18
+_DEFAULT_CHUNK = 1 << 16
 
 TIE_TOL = 1e-12
 MIN_SIFTED = 100
@@ -205,46 +210,54 @@ def _protocol_states():
     ]
 
 
-def _direct_bob_table() -> np.ndarray:
-    """p_plus[alice_basis, alice_bit, bob_basis] for an untouched qubit."""
-    states = _protocol_states()
-    table = np.empty((2, 2, 2), dtype=np.float64)
-    for ab in (0, 1):
-        for abit in (0, 1):
-            for bb in (0, 1):
-                table[ab, abit, bb] = outcome_probabilities(
-                    states[ab][abit], EquatorBasis(BASIS_ANGLES[bb])
-                )[0]
-    return table
+def _p_plus(states, angles) -> np.ndarray:
+    """p[i, j, t]: the probability of PLUS for states[i][j] measured at angles[t]."""
+    return np.array(
+        [[[outcome_probabilities(s, EquatorBasis(t))[0] for t in angles] for s in row] for row in states]
+    )
 
 
-_SYMMETRIZE_COLUMN = 4
-_ALICE_BASIS_COLUMN = 0
+# --- the round key and the tables it indexes -------------------------------
+
+# The kernel reads each round through one byte, its round key: bit c is the
+# round's bit in uniform column c, u >= 0.5 or, in the columns a draw
+# replaces, the drawn bit (3: acted, 5: Eve's outcome, 6: Bob's outcome). The
+# tables have one entry per key and ignore the bits their mode does not use.
+N_KEYS = 256
+_KEYS = np.arange(N_KEYS)
+# Multiplying a little-endian word whose 8 bytes are each 0 or 1 by this
+# constant puts byte c at bit 56 + c; the partial products below bit 56 never
+# overlap, so none carries into the top byte.
+_GATHER = np.uint64(0x0102040810204080)
 
 
-@dataclass
+def _keys(bits: np.ndarray) -> np.ndarray:
+    """Round keys of an (n, 8) uint8 array of 0/1 bits, as int64 indices."""
+    return ((bits.view("<u8")[:, 0] * _GATHER) >> np.uint64(56)).view(np.int64)
+
+
+@dataclass(frozen=True)
 class _EngineTables:
-    """Born-rule sampling tables in one of the engine's two modes.
+    """The tables of one run, indexed by round key, in one of two modes.
 
-    Sequential mode (joint_cdf None): on a fraction of rounds Eve measures
-    the flying qubit with p_eve[k, ab, abit] and Bob measures her forwarded
-    eigenstate with p_forward[k, e, bb]; every other round Bob measures the
-    untouched qubit with p_direct. Joint mode: Eve acts every round and one
-    draw on joint_cdf[k, ab, abit, bb] gives Bob's and Eve's outcomes.
+    codes[key] is the round code of a finished key; it applies Eve's
+    maximum-likelihood reading of her outcome, so the kernel never guesses.
+    eve_labels[slot] is the trace label of Eve's angle slot.
 
-    k is Eve's angle slot, read from slot_column (always 0 when None);
-    eve_labels[k] is its trace label and decisions[k, revealed basis] its
-    maximum-likelihood reading. Without decisions there is no eavesdropper
-    and untouched rounds record no guess.
+    Sequential mode (joint_cdf None): rounds with u3 < fraction are
+    intercepted, Eve's outcome is u5 >= p_eve[key] and Bob's u6 >= p_bob[key];
+    p_bob reads Eve's forwarded eigenstate on intercepted rounds and the
+    untouched qubit on the others. Joint mode: Eve acts every round, and the
+    joint cell, whose high bit is Bob's outcome and low bit Eve's, counts the
+    j < 3 with u5 >= joint_cdf[j, key]. joint_cdf[:, key] is the cumulative
+    distribution of the cell, so that count is the cell u5 falls in.
     """
 
-    fraction: float = 1.0
-    slot_column: int | None = None
+    codes: np.ndarray
     eve_labels: tuple = ()
-    decisions: np.ndarray | None = None
-    p_direct: np.ndarray | None = None
+    fraction: float = 0.0
     p_eve: np.ndarray | None = None
-    p_forward: np.ndarray | None = None
+    p_bob: np.ndarray | None = None
     joint_cdf: np.ndarray | None = None
 
 
@@ -261,61 +274,55 @@ def _decisions(angles, correlation_scale: float) -> np.ndarray:
 
 def _build_tables(attack: AttackConfig) -> _EngineTables:
     states = _protocol_states()
+    ab, abit, bb, acted, slot, e, bob_bit, coin = (_KEYS >> c & 1 for c in range(UNIFORMS_PER_ROUND))
     if isinstance(attack, NoAttack):
-        return _EngineTables(fraction=0.0, p_direct=_direct_bob_table())
+        p_bob = _p_plus(states, BASIS_ANGLES)[ab, abit, bb]
+        return _EngineTables(_pack(0, 0, 0, NO_GUESS, ab, abit, bb, bob_bit), p_bob=p_bob)
 
     if isinstance(attack, InterceptResend):
-        angles = (attack.phi, math.pi / 2 - attack.phi)
-        p_eve = np.empty((2, 2, 2), dtype=np.float64)
-        p_forward = np.empty((2, 2, 2), dtype=np.float64)
-        for k, angle in enumerate(angles):
-            basis = EquatorBasis(angle)
-            for ab in (0, 1):
-                for abit in (0, 1):
-                    p_eve[k, ab, abit] = outcome_probabilities(states[ab][abit], basis)[0]
-            for e in (0, 1):
-                forwarded = basis.eigenstate(Outcome.from_bit(e))
-                for bb in (0, 1):
-                    p_forward[k, e, bb] = outcome_probabilities(
-                        forwarded, EquatorBasis(BASIS_ANGLES[bb])
-                    )[0]
-        return _EngineTables(
-            fraction=attack.fraction,
-            slot_column=_SYMMETRIZE_COLUMN if attack.symmetrize else None,
-            eve_labels=angles,
-            decisions=_decisions(angles, 1.0),
-            p_direct=_direct_bob_table(),
-            p_eve=p_eve,
-            p_forward=p_forward,
-        )
-
-    if isinstance(attack, AncillaNoMemory):
         angles = labels = (attack.phi, math.pi / 2 - attack.phi)
-        slot_column = _SYMMETRIZE_COLUMN if attack.symmetrize else None
-    elif isinstance(attack, AncillaWithMemory):
-        # the stored probe is read in the revealed basis, i.e. Alice's
-        angles = BASIS_ANGLES
-        labels = (REVEALED_BASIS_MARKER, REVEALED_BASIS_MARKER)
-        slot_column = _ALICE_BASIS_COLUMN
+        k = slot if attack.symmetrize else 0  # Eve's angle slot
+        forwarded = [[EquatorBasis(t).eigenstate(Outcome.from_bit(bit)) for bit in (0, 1)] for t in angles]
+        acted = acted if attack.fraction > 0 else 0  # the kernel writes column 3 only then
+        scale = 1.0
+        p_forward = _p_plus(forwarded, BASIS_ANGLES)[k, e, bb]
+        thresholds = dict(
+            fraction=attack.fraction,
+            p_eve=_p_plus(states, angles)[ab, abit, k],
+            p_bob=np.where(acted, p_forward, _p_plus(states, BASIS_ANGLES)[ab, abit, bb]),
+        )
     else:
-        raise ValueError(f"unsupported attack config: {attack!r}")
-    cdf = np.empty((2, 2, 2, 2, 4), dtype=np.float64)
-    for k, angle in enumerate(angles):
-        eve_basis = EquatorBasis(angle)
-        for ab in (0, 1):
-            for abit in (0, 1):
-                entangled = apply_eve_unitary(states[ab][abit], attack.alpha)
-                for bb in (0, 1):
-                    table = joint_outcome_probabilities(
-                        entangled, EquatorBasis(BASIS_ANGLES[bb]), eve_basis
-                    )
-                    cdf[k, ab, abit, bb] = np.cumsum(table.reshape(4))
-    return _EngineTables(
-        slot_column=slot_column,
-        eve_labels=labels,
-        decisions=_decisions(angles, math.sin(attack.alpha)),
-        joint_cdf=cdf,
-    )
+        if isinstance(attack, AncillaNoMemory):
+            angles = labels = (attack.phi, math.pi / 2 - attack.phi)
+            k = slot if attack.symmetrize else 0
+        elif isinstance(attack, AncillaWithMemory):
+            # the stored probe is read in the revealed basis, i.e. Alice's
+            angles = BASIS_ANGLES
+            labels = (REVEALED_BASIS_MARKER, REVEALED_BASIS_MARKER)
+            k = ab
+        else:
+            raise ValueError(f"unsupported attack config: {attack!r}")
+        cdf = np.empty((2, 2, 2, 2, 4), dtype=np.float64)
+        for t, angle in enumerate(angles):
+            eve_basis = EquatorBasis(angle)
+            for a in (0, 1):
+                for bit in (0, 1):
+                    entangled = apply_eve_unitary(states[a][bit], attack.alpha)
+                    for b in (0, 1):
+                        table = joint_outcome_probabilities(
+                            entangled, EquatorBasis(BASIS_ANGLES[b]), eve_basis
+                        )
+                        cdf[t, a, bit, b] = np.cumsum(table.reshape(4))
+        # the kernel's three compares count the cell only on nondecreasing rows
+        assert np.all(np.diff(cdf) >= 0), "a joint CDF row decreases"
+        acted = 1
+        scale = math.sin(attack.alpha)
+        thresholds = dict(joint_cdf=np.ascontiguousarray(cdf[k, ab, abit, bb].T))
+
+    d = _decisions(angles, scale)[k, ab]
+    guess = np.where(acted, np.where(d == 1, e, np.where(d == -1, 1 - e, coin)), coin)
+    codes = _pack(acted, k * acted, e * acted, guess, ab, abit, bb, bob_bit)
+    return _EngineTables(codes, labels, **thresholds)
 
 
 # --- chunk execution --------------------------------------------------------
@@ -328,52 +335,22 @@ def _chunk_uniforms(seed: int, start: int, size: int) -> np.ndarray:
     return np.random.Generator(gen).random((size, UNIFORMS_PER_ROUND))
 
 
-def _joint_draw(cdf_rows: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cell = np.minimum((u[:, None] >= cdf_rows).sum(axis=1, dtype=np.uint8), 3)
-    return cell >> 1, cell & 1
-
-
-def _resolve_guess(decisions: np.ndarray, e: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    return np.where(decisions == 1, e, np.where(decisions == -1, 1 - e, coin))
-
-
-def _bits(column: np.ndarray, threshold=0.5) -> np.ndarray:
-    """Per-round outcome bits (u >= threshold) as a uint8 view."""
-    return (column >= threshold).view(np.uint8)
-
-
-def _slots(tables: _EngineTables, u: np.ndarray, ab: np.ndarray):
-    """Eve's angle slot per round, or the scalar 0 without a slot column."""
-    if tables.slot_column is None:
-        return 0
-    if tables.slot_column == _ALICE_BASIS_COLUMN:
-        return ab
-    return _bits(u[:, tables.slot_column])
-
-
 def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> np.ndarray:
-    """The round codes of rounds start .. start + size - 1, as uint16."""
+    """The round keys of rounds start .. start + size - 1, as int64."""
     u = _chunk_uniforms(seed, start, size)
-    ab, abit, bb, coin = (_bits(u[:, c]) for c in (0, 1, 2, 7))
-    k = e = 0  # scalars until drawn: no per-round arrays when Eve is absent
-
+    bits = (u >= 0.5).view(np.uint8)
     if tables.joint_cdf is None:
-        acted = u[:, 3] < tables.fraction if tables.fraction > 0 else False
-        p_bob = tables.p_direct[ab, abit, bb]
-        guess = coin if tables.decisions is not None else NO_GUESS
-        if np.any(acted):  # Eve's draw only where she can have intercepted
-            k = _slots(tables, u, ab)
-            e = _bits(u[:, 5], tables.p_eve[k, ab, abit])
-            p_bob = np.where(acted, tables.p_forward[k, e, bb], p_bob)
-            guess = np.where(acted, _resolve_guess(tables.decisions[k, ab], e, coin), coin)
-            k, e = np.where(acted, k, np.uint8(0)), e & acted  # both 0 on untouched rounds
-        bob_bit = _bits(u[:, 6], p_bob)
+        if tables.fraction > 0:
+            np.less(u[:, 3], tables.fraction, out=bits[:, 3])
+            if bits[:, 3].any():  # Eve's draw only where she can have intercepted
+                np.greater_equal(u[:, 5], tables.p_eve.take(_keys(bits)), out=bits[:, 5])
+        np.greater_equal(u[:, 6], tables.p_bob.take(_keys(bits)), out=bits[:, 6])
     else:
-        acted = True
-        k = _slots(tables, u, ab)
-        bob_bit, e = _joint_draw(tables.joint_cdf[k, ab, abit, bb], u[:, 5])
-        guess = _resolve_guess(tables.decisions[k, ab], e, coin)
-    return _pack(acted, k, e, guess, ab, abit, bb, bob_bit)
+        keys = _keys(bits)
+        cell = sum((u[:, 5] >= cdf.take(keys)).view(np.uint8) for cdf in tables.joint_cdf[:3])
+        bits[:, 5] = cell & 1
+        bits[:, 6] = cell >> 1
+    return _keys(bits)
 
 
 def run_protocol(
@@ -388,10 +365,12 @@ def run_protocol(
     """Run BB84 rounds under an attack and estimate the observable statistics.
 
     Deterministic: the per-round stream depends only on (seed, round index),
-    and each chunk's histogram of round codes is integer-valued and summed in
-    chunk order, so the result is bit-identical for any workers/chunk_rounds
-    combination. At most min(workers, chunks, CPUs) threads run. keep_trace
-    also returns every round's code (2 bytes per round).
+    and histograms of round keys are integer-valued, so the result is
+    bit-identical for any workers/chunk_rounds combination. At most
+    min(workers, chunks, CPUs) threads run, each over every threads-th
+    chunk and with one running histogram, so memory does not grow with
+    n_rounds unless keep_trace, which also returns every round's code
+    (2 bytes per round).
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds!r}")
@@ -401,22 +380,30 @@ def run_protocol(
         raise ValueError(f"chunk_rounds must be at least 1, got {chunk_rounds!r}")
 
     tables = _build_tables(attack)
-    spans = [(s, min(chunk_rounds, n_rounds - s)) for s in range(0, n_rounds, chunk_rounds)]
+    starts = range(0, n_rounds, chunk_rounds)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
 
-    def run(span):
-        codes = _run_chunk(tables, seed, *span)
-        return np.bincount(codes, minlength=N_CODES), codes if keep_trace else None
+    def run(first):
+        """Key histogram and codes of chunks first, first + threads, ..."""
+        key_hist, parts = np.zeros(N_KEYS, dtype=np.int64), []
+        for start in starts[first::threads]:
+            keys = _run_chunk(tables, seed, start, min(chunk_rounds, n_rounds - start))
+            key_hist += np.bincount(keys, minlength=N_KEYS)
+            if keep_trace:
+                parts.append(tables.codes.take(keys))
+        return key_hist, parts
 
-    threads = min(workers, len(spans), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, spans))
+            results = list(pool.map(run, range(threads)))
     else:
-        results = [run(span) for span in spans]
-    hist = sum(chunk_hist for chunk_hist, _ in results)  # chunk order
+        results = [run(0)]
+    hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
+    np.add.at(hist, tables.codes, sum(key_hist for key_hist, _ in results))
     trace = None
-    if keep_trace:
-        trace = Trace(np.concatenate([codes for _, codes in results]), tables.eve_labels)
+    if keep_trace:  # chunk i is the (i // threads)-th chunk run by thread i % threads
+        codes = [results[i % threads][1][i // threads] for i in range(len(starts))]
+        trace = Trace(np.concatenate(codes), tables.eve_labels)
     return _estimate_from_counts(hist), trace
 
 

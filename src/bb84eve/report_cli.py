@@ -19,6 +19,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -245,24 +246,34 @@ def _attack_rows(spec: SweepSpec) -> list[tuple]:
     ]
 
 
-def _trace_document(trace: Trace) -> str:
-    """One TRACE_HEADER row per round; each distinct round code is formatted once."""
+def _trace_cells(code: int, eve_labels: tuple) -> str:
+    """The TRACE_HEADER cells after the round index, for one round code."""
+    f = unpack(code)
+    acted = bool(f["acted"])
+    eve = [None] * 3
+    if acted:
+        eve = [eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
+    cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], acted, *eve,
+             BASIS_LABELS[f["bob_basis"]], f["bob_bit"], bool(f["alice_basis"] == f["bob_basis"])]
+    return ",".join(_fmt(cell) for cell in cells)
+
+
+def _write_trace(trace: Trace, out: TextIO, block_rounds: int = 1 << 16) -> None:
+    """Write one TRACE_HEADER row per round, block_rounds rows at a time.
+
+    Each distinct round code is formatted once, where it first occurs.
+    """
     rows = {}
-    for code in np.unique(trace.codes).tolist():
-        f = unpack(code)
-        acted = bool(f["acted"])
-        eve = [None] * 3
-        if acted:
-            eve = [trace.eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
-        cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], acted, *eve,
-                 BASIS_LABELS[f["bob_basis"]], f["bob_bit"], bool(f["alice_basis"] == f["bob_basis"])]
-        rows[code] = ",".join(_fmt(cell) for cell in cells)
-    lines = [TRACE_HEADER, *(f"{i},{rows[code]}" for i, code in enumerate(trace.codes.tolist()))]
-    return "\n".join(lines) + "\n"
+    out.write(TRACE_HEADER + "\n")
+    for start in range(0, len(trace), block_rounds):
+        block = trace.codes[start : start + block_rounds].tolist()
+        for code in set(block).difference(rows):
+            rows[code] = _trace_cells(code, trace.eve_labels)
+        out.write("".join(f"{i},{rows[code]}\n" for i, code in enumerate(block, start)))
 
 
-def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, str | None]:
-    """Run the engine for each grid point; returns (CSV, optional trace CSV).
+def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, Trace | None]:
+    """Run the engine for each grid point; returns (CSV, optional trace).
 
     Each row uses seed + row_index so sweeps stay reproducible row by row.
     Tracing is limited to single-row runs because a trace belongs to exactly
@@ -286,7 +297,6 @@ def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, str
         raise UsageError(f"--seed must leave {len(attack_rows)} row seeds below 2**64, got {spec.seed}")
 
     rows = []
-    trace_doc = None
     for index, (attack, phi, alpha, fraction) in enumerate(attack_rows):
         row_seed = spec.seed + index
         est, trace = run_protocol(
@@ -299,9 +309,7 @@ def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, str
                 est.eve_fidelity_x, est.eve_fidelity_y, est.n_sifted,
             ]
         )
-        if keep_trace:
-            trace_doc = _trace_document(trace)
-    return _document(SIMULATE_HEADER, rows), trace_doc
+    return _document(SIMULATE_HEADER, rows), trace
 
 
 # --- compare -----------------------------------------------------------------
@@ -428,8 +436,9 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             csv, trace = cmd_simulate(spec, keep_trace=args.trace is not None)
             _write(csv, args.out)
-            if args.trace is not None:
-                args.trace.write_text(trace)
+            if trace is not None:
+                with args.trace.open("w") as stream:
+                    _write_trace(trace, stream)
         else:
             _write(cmd_compare(spec), args.out)
     except (UsageError, ValueError, OSError) as exc:

@@ -9,17 +9,19 @@ round, not just in aggregate.
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bb84eve
 import oracles
 from reference import interpret_outcome
 from bb84eve import protocol_sim
 from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, intercept_resend
-from bb84eve.infotheory import info_from_fidelity
 from bb84eve.protocol_sim import (
     BASIS_ANGLES,
     BASIS_LABELS,
@@ -134,6 +136,22 @@ def replay_round(attack, u: np.ndarray) -> dict:
         bob_bit=bob_bit,
         eve_basis=eve_basis,
     )
+
+
+def assert_codes_replay(attack, codes: np.ndarray, eve_labels: tuple, uniforms: np.ndarray) -> None:
+    """Every field of every round code equals the scalar replay of its uniforms."""
+    fields = unpack(codes)
+    for index, u in enumerate(uniforms):
+        expected = replay_round(attack, u)
+        for name, _ in ROUND_FIELDS:
+            assert fields[name][index] == expected[name], (index, name)
+        if expected["eve_basis"] is None:
+            continue
+        label = eve_labels[fields["slot"][index]]
+        if isinstance(expected["eve_basis"], str):
+            assert label == expected["eve_basis"]
+        else:
+            assert label == pytest.approx(expected["eve_basis"])
 
 
 class TestAttackConfigs:
@@ -284,19 +302,53 @@ class TestScalarReplay:
         uniforms = raw_uniforms(seed, n)
         assert trace is not None and len(trace) == n
         assert trace.codes.dtype == np.uint16
-        fields = unpack(trace.codes)
-        for index in range(n):
-            expected = replay_round(attack, uniforms[index])
-            for name, _ in ROUND_FIELDS:
-                assert fields[name][index] == expected[name], (index, name)
-            if expected["eve_basis"] is None:
-                continue
-            label = trace.eve_labels[fields["slot"][index]]
-            if isinstance(expected["eve_basis"], str):
-                assert label == expected["eve_basis"]
-            else:
-                assert label == pytest.approx(expected["eve_basis"])
+        assert_codes_replay(attack, trace.codes, trace.eve_labels, uniforms)
         assert estimate(trace) == est
+
+
+_ALPHAS = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2))
+_PHIS = st.one_of(st.sampled_from([0.0, math.pi / 4]), st.floats(0.0, math.pi / 4))
+_FRACTIONS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(0.0, 1e-6), st.floats(0.0, 1.0)
+)
+_JOINT_ATTACKS = st.one_of(
+    st.builds(AncillaNoMemory, alpha=_ALPHAS, phi=_PHIS, symmetrize=st.booleans()),
+    st.builds(AncillaWithMemory, alpha=_ALPHAS),
+)
+_ATTACKS = st.one_of(
+    st.just(NoAttack()),
+    st.builds(InterceptResend, phi=_PHIS, fraction=_FRACTIONS, symmetrize=st.booleans()),
+    _JOINT_ATTACKS,
+)
+
+
+class TestKernelProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        attack=_ATTACKS,
+        seed=st.one_of(st.integers(2**64 - 8, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        start=st.integers(1, 600),
+        size=st.integers(1, 48),
+        chunk=st.integers(1, 48),
+    )
+    @example(attack=InterceptResend(phi=0.2, fraction=0.0), seed=2**64 - 1, start=3, size=40, chunk=7)
+    @example(attack=InterceptResend(phi=0.2, fraction=5e-324), seed=0, start=1, size=40, chunk=48)
+    def test_chunks_at_any_start_match_scalar_replay(self, attack, seed, start, size, chunk):
+        tables = protocol_sim._build_tables(attack)
+        stop = start + size
+        keys = np.concatenate(
+            [protocol_sim._run_chunk(tables, seed, s, min(chunk, stop - s)) for s in range(start, stop, chunk)]
+        )
+        uniforms = raw_uniforms(seed, stop)[start:]
+        assert_codes_replay(attack, tables.codes[keys], tables.eve_labels, uniforms)
+
+    @settings(max_examples=30)
+    @given(_JOINT_ATTACKS)
+    def test_joint_cdf_rows_are_nondecreasing(self, attack):
+        # the premise of counting the joint cell with three compares
+        cdf = protocol_sim._build_tables(attack).joint_cdf
+        assert cdf.shape == (4, protocol_sim.N_KEYS)
+        assert np.all(np.diff(cdf, axis=0) >= 0)
 
 
 class TestEstimates:
@@ -414,6 +466,20 @@ class TestTraceEstimation:
         _, chunked = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True, workers=3, chunk_rounds=64)
         assert len(whole) == 1_000
         assert np.array_equal(whole.codes, chunked.codes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_chunks(self, workers):
+        # one histogram or one future per chunk kept until the end would
+        # hold several MB here
+        attack = InterceptResend(phi=0.3, fraction=0.5)
+        run_protocol(400, attack, seed=1, chunk_rounds=1, workers=workers)  # warm-up
+        tracemalloc.start()
+        try:
+            run_protocol(2_000, attack, seed=1, chunk_rounds=1, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_no_trace_by_default(self):
         _, trace = run_protocol(1_000, NoAttack(), seed=2)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its CSV contracts."""
 
+import io
 import math
 import os
 import subprocess
@@ -19,6 +20,9 @@ from bb84eve.report_cli import (
     SIMULATE_HEADER,
     TRACE_HEADER,
     SweepSpec,
+    _build_parser,
+    _spec_from_args,
+    _write_trace,
     cmd_analytic_curves,
     cmd_compare,
     cmd_simulate,
@@ -164,7 +168,9 @@ class TestSimulateCommand:
         )
         csv_text, trace = cmd_simulate(spec, keep_trace=True)
         assert csv_text.splitlines()[0] == SIMULATE_HEADER
-        trace_lines = trace.splitlines()
+        stream = io.StringIO()
+        _write_trace(trace, stream)
+        trace_lines = stream.getvalue().splitlines()
         assert trace_lines[0] == TRACE_HEADER
         assert len(trace_lines) == 401
         first = trace_lines[1].split(",")
@@ -428,6 +434,16 @@ class TestTraceCsv:
             # Eve's cells are filled exactly on the rounds she acted on
             assert all(row[4:7]) == (row[3] == "true") == any(row[4:7])
             assert row[9] == ("true" if row[1] == row[7] else "false")
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_blocked_write_matches_golden(self, name):
+        # 7-round blocks split the 1000 rounds unevenly and meet new codes
+        # in later blocks; the bytes must still be the golden's
+        args = _build_parser().parse_args(["simulate", *self.GOLDENS[name], "--rounds", "1000", "--seed", "7"])
+        _, trace = cmd_simulate(_spec_from_args(args), keep_trace=True)
+        stream = io.StringIO(newline="")
+        _write_trace(trace, stream, block_rounds=7)
+        assert stream.getvalue().encode() == (GOLDEN / name).read_bytes()
 
     def test_no_attack_trace_leaves_eve_cells_empty(self, tmp_path, capsys):
         trace = tmp_path / "none.csv"
