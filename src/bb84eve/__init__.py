@@ -9,69 +9,43 @@ memory). Closed forms live in ``analytic_strategies``; the simulator in
 two routes stay independent.
 """
 
-from .quantum_core import (
-    EquatorBasis,
-    Outcome,
-    PureState,
-    apply_eve_unitary,
-    joint_outcome_probabilities,
-    make_bb84_state,
-    outcome_probabilities,
-)
-from .infotheory import JointCounts, binary_entropy, info_from_fidelity, mutual_information
-from .analytic_strategies import (
-    BasisStats,
-    CurvePoint,
-    StrategyReport,
-    ancilla_no_memory,
-    ancilla_with_memory,
-    curve_sweep,
-    intercept_resend,
-    intercept_resend_curve,
-)
-from .protocol_sim import (
-    AncillaNoMemory,
-    AncillaWithMemory,
-    AttackConfig,
-    InsufficientSampleError,
-    InterceptResend,
-    NoAttack,
-    SimEstimate,
-    Trace,
-    estimate,
-    run_protocol,
-)
+import importlib
+
+# public name -> submodule defining it; __getattr__ imports the submodule on
+# first access, so `import bb84eve` loads neither numpy nor the engine
+_MODULE_OF = {
+    **dict.fromkeys(
+        ("EquatorBasis", "Outcome", "PureState", "apply_eve_unitary",
+         "joint_outcome_probabilities", "make_bb84_state", "outcome_probabilities"),
+        "quantum_core",
+    ),
+    **dict.fromkeys(
+        ("JointCounts", "binary_entropy", "info_from_fidelity", "mutual_information"), "infotheory"
+    ),
+    **dict.fromkeys(
+        ("BasisStats", "CurvePoint", "StrategyReport", "ancilla_no_memory", "ancilla_with_memory",
+         "curve_sweep", "intercept_resend", "intercept_resend_curve"),
+        "analytic_strategies",
+    ),
+    **dict.fromkeys(
+        ("AncillaNoMemory", "AncillaWithMemory", "AttackConfig", "InsufficientSampleError",
+         "InterceptResend", "NoAttack", "SimEstimate", "Trace", "estimate", "run_protocol"),
+        "protocol_sim",
+    ),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AncillaNoMemory",
-    "AncillaWithMemory",
-    "AttackConfig",
-    "BasisStats",
-    "CurvePoint",
-    "EquatorBasis",
-    "InsufficientSampleError",
-    "InterceptResend",
-    "JointCounts",
-    "NoAttack",
-    "Outcome",
-    "PureState",
-    "SimEstimate",
-    "StrategyReport",
-    "Trace",
-    "ancilla_no_memory",
-    "ancilla_with_memory",
-    "apply_eve_unitary",
-    "binary_entropy",
-    "curve_sweep",
-    "estimate",
-    "info_from_fidelity",
-    "intercept_resend",
-    "intercept_resend_curve",
-    "joint_outcome_probabilities",
-    "make_bb84_state",
-    "mutual_information",
-    "outcome_probabilities",
-    "run_protocol",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .infotheory import info_from_fidelity
 
 INTERCEPT_RESEND = "intercept_resend"
@@ -200,13 +198,18 @@ def _ancilla_point(strategy: str, alpha: float, phi: float | None) -> CurvePoint
     )
 
 
-def sweep_grid(strategy: str, grid: int) -> np.ndarray:
+def sweep_grid(strategy: str, grid: int) -> list[float]:
     """Evenly spaced values of a strategy's swept parameter over its range.
 
     The intercepted fraction in [0, 1] for intercept/resend, alpha in
-    [0, pi/2] for the ancilla attacks.
+    [0, pi/2] for the ancilla attacks. The values are those of
+    ``numpy.linspace(0, stop, grid)``, bit for bit: i * step, then stop.
     """
-    return np.linspace(0.0, 1.0 if strategy == INTERCEPT_RESEND else ALPHA_MAX, grid)
+    stop = 1.0 if strategy == INTERCEPT_RESEND else ALPHA_MAX
+    if grid <= 1:
+        return [0.0] * grid
+    step = stop / (grid - 1)
+    return [i * step for i in range(grid - 1)] + [stop]
 
 
 def curve_sweep(strategy: str, phi: float | None = None, *, grid: int = 101, values=None) -> list[CurvePoint]:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 taken as 0."""
@@ -42,6 +40,8 @@ class JointCounts:
     counts: np.ndarray = field(repr=False)
 
     def __init__(self, counts) -> None:
+        import numpy as np  # here, so the closed forms load without numpy
+
         table = np.array(counts, dtype=np.int64, copy=True)
         if table.shape != (2, 2):
             raise ValueError(f"counts must be a 2x2 table, got shape {table.shape}")

@@ -13,15 +13,17 @@ simulation produced too few sifted rounds for standard errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import math
+import numbers
+import os
 import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, TextIO
 
 from .analytic_strategies import (
     ANCILLA_NO_MEMORY,
@@ -30,19 +32,20 @@ from .analytic_strategies import (
     curve_sweep,
     sweep_grid,
 )
-from .protocol_sim import (
-    BASIS_LABELS,
-    AncillaNoMemory,
-    AncillaWithMemory,
-    AttackConfig,
-    InsufficientSampleError,
-    InterceptResend,
-    NoAttack,
-    Trace,
-    run_protocol,
-    unpack,
-)
-from .quantum_core import Outcome
+
+if TYPE_CHECKING:
+    from .protocol_sim import AttackConfig, Trace
+
+# The engine names simulate uses, and their modules. They load with numpy
+# only when the engine runs, so analytic, compare and --help import neither.
+_ENGINE_NAMES = {
+    **dict.fromkeys(
+        ("BASIS_LABELS", "AncillaNoMemory", "AncillaWithMemory", "InsufficientSampleError",
+         "InterceptResend", "NoAttack", "run_protocol", "unpack"),
+        "protocol_sim",
+    ),
+    "Outcome": "quantum_core",
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,6 +70,20 @@ STANDARD_PHIS = (0.0, math.pi / 4)
 
 class UsageError(Exception):
     """Invalid flag combination or out-of-range configuration."""
+
+
+def _load_engine() -> None:
+    """Bind the engine names here; a name already bound (say, wrapped) is kept."""
+    for name, module in _ENGINE_NAMES.items():
+        source = importlib.import_module(f".{module}", __package__)
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_engine()
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -173,7 +190,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return format(float(value), ".12g")
 
@@ -279,6 +296,7 @@ def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, Tra
     Tracing is limited to single-row runs because a trace belongs to exactly
     one (attack, seed) pair.
     """
+    _load_engine()
     if spec.rounds is None or spec.rounds < 1:
         raise UsageError("--rounds must be a positive integer")
     if spec.grid is not None and spec.grid < 1:
@@ -414,11 +432,30 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     )
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A text stream that replaces path only once the block completes.
+
+    The stream writes a temporary file beside path, which os.replace
+    renames over path; on failure it is removed and path is left as it was.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    stream = open(temp, "x")
+    try:
+        with stream:
+            yield stream
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _write(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        with _replacing(out) as stream:
+            stream.write(text)
 
 
 def main(argv=None) -> int:
@@ -434,10 +471,16 @@ def main(argv=None) -> int:
         if args.command == "analytic":
             _write(cmd_analytic_curves(spec), args.out)
         elif args.command == "simulate":
-            csv, trace = cmd_simulate(spec, keep_trace=args.trace is not None)
+            # loaded before the try, whose except clause names an engine class
+            _load_engine()
+            try:
+                csv, trace = cmd_simulate(spec, keep_trace=args.trace is not None)
+            except InsufficientSampleError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_INSUFFICIENT_SAMPLE
             _write(csv, args.out)
             if trace is not None:
-                with args.trace.open("w") as stream:
+                with _replacing(args.trace) as stream:
                     _write_trace(trace, stream)
         else:
             _write(cmd_compare(spec), args.out)
@@ -447,9 +490,6 @@ def main(argv=None) -> int:
         # so is an --out or --trace path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InsufficientSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_SAMPLE
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ from bb84eve.analytic_strategies import (
     curve_sweep,
     intercept_resend,
     intercept_resend_curve,
+    sweep_grid,
 )
 from bb84eve.infotheory import info_from_fidelity
 from bb84eve.quantum_core import (
@@ -339,6 +340,38 @@ class TestOptimalAngle:
         assert peak >= intercept_resend(phi).eve_avg_info - 1e-15
 
 
+def fggnp_bound(d_bob: float) -> float:
+    """Most information an individual attack on BB84 gives Eve at d_bob.
+
+    Fuchs, Gisin, Griffiths, Niu & Peres, PRA 56, 1163 (1997):
+    I_eve <= 1 - h(1/2 + sqrt(D (1 - D))), written out here so that it
+    shares no code with the package.
+    """
+    p = min(0.5 + math.sqrt(d_bob * (1.0 - d_bob)), 1.0)
+    return 1.0 if p == 1.0 else 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
+
+
+class TestFuchsGisinBound:
+    """The stored probe is the optimal individual attack; the others stay below it."""
+
+    @given(alphas)
+    def test_stored_probe_meets_the_bound(self, alpha):
+        report = ancilla_with_memory(alpha)
+        assert report.eve_avg_info == pytest.approx(
+            fggnp_bound(report.bob_overall.disturbance), abs=1e-12
+        )
+
+    @given(alphas, angles)
+    def test_memoryless_probe_stays_below(self, alpha, phi):
+        report = ancilla_no_memory(alpha, phi)
+        assert report.eve_avg_info <= fggnp_bound(report.bob_overall.disturbance) + 1e-12
+
+    @given(angles, st.floats(min_value=0.0, max_value=1.0))
+    def test_interception_stays_below(self, phi, fraction):
+        (point,) = intercept_resend_curve(phi, [fraction])
+        assert point.i_eve <= fggnp_bound(point.d_bob) + 1e-12
+
+
 class TestCurveSweep:
     def test_strategy_labels(self):
         assert STRATEGIES == (
@@ -378,6 +411,12 @@ class TestCurveSweep:
         points = curve_sweep(INTERCEPT_RESEND, 0.1, values=[0.5])
         assert len(points) == 1
         assert points[0].fraction == 0.5
+
+    @pytest.mark.parametrize("strategy", [INTERCEPT_RESEND, ANCILLA_WITH_MEMORY])
+    def test_grid_equals_linspace_bit_for_bit(self, strategy):
+        stop = 1.0 if strategy == INTERCEPT_RESEND else ALPHA_MAX
+        for grid in range(2001):
+            assert sweep_grid(strategy, grid) == np.linspace(0.0, stop, grid).tolist()
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):

@@ -384,6 +384,41 @@ class TestMainEntryPoint:
         assert code == EXIT_INSUFFICIENT_SAMPLE
         capsys.readouterr()
 
+    def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        out.write_text("previous\n")
+        argv = ["simulate", "--strategy", "none", "--rounds", "60", "--out", str(out)]
+        assert main(argv) == EXIT_INSUFFICIENT_SAMPLE
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["run.csv"]
+        capsys.readouterr()
+
+    def test_failed_trace_write_keeps_existing_trace(self, tmp_path, monkeypatch, capsys):
+        import bb84eve.report_cli as report_cli
+
+        trace = tmp_path / "trace.csv"
+        trace.write_text("previous\n")
+
+        def fail(code, eve_labels):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(report_cli, "_trace_cells", fail)
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000", "--trace", str(trace)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert trace.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["trace.csv"]
+
+    def test_written_files_leave_no_temporary_behind(self, tmp_path, capsys):
+        out, trace = tmp_path / "run.csv", tmp_path / "trace.csv"
+        out.write_text("previous\n")
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000",
+                "--out", str(out), "--trace", str(trace)]
+        assert main(argv) == EXIT_OK
+        assert out.read_text().splitlines()[0] == SIMULATE_HEADER
+        assert trace.read_text().splitlines()[0] == TRACE_HEADER
+        assert sorted(os.listdir(tmp_path)) == ["run.csv", "trace.csv"]
+
     def test_compare_to_stdout(self, capsys):
         assert main(["compare", "--d-bob", "0.25"]) == EXIT_OK
         captured = capsys.readouterr()
@@ -413,6 +448,83 @@ class TestMainEntryPoint:
         """The environment with the imported bb84eve first on PYTHONPATH."""
         paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+class TestLazyEngine:
+    """Only simulate imports numpy and the engine."""
+
+    HEAVY = ("numpy", "bb84eve.protocol_sim", "bb84eve.quantum_core")
+    PROBE = (
+        "import contextlib, io, sys\n"
+        "from bb84eve.report_cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in {heavy!r} if m in sys.modules))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, loads_engine",
+        [
+            (["analytic", "--strategy", "all", "--grid", "3"], False),
+            (["compare", "--d-bob", "0.1"], False),
+            (["--help"], False),
+            (["simulate", "--strategy", "none", "--rounds", "1000"], True),
+        ],
+    )
+    def test_engine_modules_load_only_for_simulate(self, argv, loads_engine):
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(heavy=self.HEAVY), *argv],
+            capture_output=True, text=True, env=TestMainEntryPoint.package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", *(sorted(self.HEAVY) if loads_engine else [])]
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("cmd_analytic_curves", ["analytic", "--strategy", "all"]),
+            ("cmd_compare", ["compare", "--d-bob", "0.1"]),
+        ],
+    )
+    def test_unexpected_error_propagates_as_itself(self, monkeypatch, command, argv):
+        import bb84eve.report_cli as report_cli
+
+        # as in a fresh process: no engine name bound yet
+        for name in report_cli._ENGINE_NAMES:
+            monkeypatch.delitem(vars(report_cli), name, raising=False)
+
+        def fail(spec):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(report_cli, command, fail)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(argv)
+
+    def test_loading_keeps_a_name_bound_before_it(self, monkeypatch, capsys):
+        import bb84eve.protocol_sim as protocol_sim
+        import bb84eve.report_cli as report_cli
+
+        for name in report_cli._ENGINE_NAMES:
+            monkeypatch.delitem(vars(report_cli), name, raising=False)
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return protocol_sim.run_protocol(*args, **kwargs)
+
+        monkeypatch.setitem(vars(report_cli), "run_protocol", wrapped)
+        assert main(["simulate", "--strategy", "none", "--rounds", "1000"]) == EXIT_OK
+        assert len(calls) == 1 and report_cli.run_protocol is wrapped
+        capsys.readouterr()
+
+    def test_engine_names_resolve_as_module_attributes(self):
+        import bb84eve.protocol_sim as protocol_sim
+        import bb84eve.report_cli as report_cli
+
+        assert report_cli.run_protocol is protocol_sim.run_protocol
+        assert report_cli.Outcome is bb84eve.Outcome
+        with pytest.raises(AttributeError):
+            report_cli.intercept_resend
 
 
 class TestTraceCsv:
