@@ -14,24 +14,19 @@ import importlib
 # public name -> submodule defining it; __getattr__ imports the submodule on
 # first access, so `import bb84eve` loads neither numpy nor the engine
 _MODULE_OF = {
-    **dict.fromkeys(
-        ("EquatorBasis", "Outcome", "PureState", "apply_eve_unitary",
-         "joint_outcome_probabilities", "make_bb84_state", "outcome_probabilities"),
-        "quantum_core",
-    ),
-    **dict.fromkeys(
-        ("JointCounts", "binary_entropy", "info_from_fidelity", "mutual_information"), "infotheory"
-    ),
-    **dict.fromkeys(
-        ("BasisStats", "CurvePoint", "StrategyReport", "ancilla_no_memory", "ancilla_with_memory",
-         "curve_sweep", "intercept_resend", "intercept_resend_curve"),
-        "analytic_strategies",
-    ),
-    **dict.fromkeys(
-        ("AncillaNoMemory", "AncillaWithMemory", "AttackConfig", "InsufficientSampleError",
-         "InterceptResend", "NoAttack", "SimEstimate", "Trace", "estimate", "run_protocol"),
-        "protocol_sim",
-    ),
+    name: module
+    for module, names in {
+        "quantum_core": ("EquatorBasis", "Outcome", "PureState", "apply_eve_unitary",
+                         "joint_outcome_probabilities", "make_bb84_state", "outcome_probabilities"),
+        "infotheory": ("JointCounts", "binary_entropy", "info_from_fidelity", "mutual_information"),
+        "analytic_strategies": ("BasisStats", "CurvePoint", "StrategyReport", "ancilla_no_memory",
+                                "ancilla_with_memory", "curve_sweep", "intercept_resend",
+                                "intercept_resend_curve"),
+        "protocol_sim": ("AncillaNoMemory", "AncillaWithMemory", "AttackConfig",
+                         "InsufficientSampleError", "InterceptResend", "NoAttack", "SimEstimate",
+                         "Trace", "estimate", "run_protocol"),
+    }.items()
+    for name in names
 }
 
 __version__ = "0.1.0"

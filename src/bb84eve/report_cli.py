@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import math
 import numbers
 import os
 import re
+import stat
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -36,16 +36,10 @@ from .analytic_strategies import (
 if TYPE_CHECKING:
     from .protocol_sim import AttackConfig, Trace
 
-# The engine names simulate uses, and their modules. They load with numpy
-# only when the engine runs, so analytic, compare and --help import neither.
-_ENGINE_NAMES = {
-    **dict.fromkeys(
-        ("BASIS_LABELS", "AncillaNoMemory", "AncillaWithMemory", "InsufficientSampleError",
-         "InterceptResend", "NoAttack", "run_protocol", "unpack"),
-        "protocol_sim",
-    ),
-    "Outcome": "quantum_core",
-}
+# The engine names simulate uses, all reachable through protocol_sim. They load
+# with numpy only when the engine runs, so analytic, compare and --help import neither.
+_ENGINE_NAMES = ("BASIS_LABELS", "AncillaNoMemory", "AncillaWithMemory", "InsufficientSampleError",
+                 "InterceptResend", "NoAttack", "Outcome", "run_protocol", "unpack")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,9 +68,10 @@ class UsageError(Exception):
 
 def _load_engine() -> None:
     """Bind the engine names here; a name already bound (say, wrapped) is kept."""
-    for name, module in _ENGINE_NAMES.items():
-        source = importlib.import_module(f".{module}", __package__)
-        globals().setdefault(name, getattr(source, name))
+    from . import protocol_sim
+
+    for name in _ENGINE_NAMES:
+        globals().setdefault(name, getattr(protocol_sim, name))
 
 
 def __getattr__(name: str):
@@ -434,17 +429,30 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
 
 @contextlib.contextmanager
 def _replacing(path: Path):
-    """A text stream that replaces path only once the block completes.
+    """A text stream to path that replaces a new or regular file atomically.
 
-    The stream writes a temporary file beside path, which os.replace
-    renames over path; on failure it is removed and path is left as it was.
+    It writes a temporary file beside the file path resolves to, renamed over
+    it with the old mode or removed on failure; a device or FIFO is written directly.
     """
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    stream = open(temp, "x")
+    old = os.stat(path) if os.path.exists(path) else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w") as stream:
+            yield stream
+        return
+    if old is not None:
+        open(path, "a").close()  # a file that cannot be written stays as it is
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        stream = open(temp, "x")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with stream:
+            if old is not None:
+                os.chmod(temp, stat.S_IMODE(old.st_mode))
             yield stream
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -357,6 +358,7 @@ class TestMainEntryPoint:
         assert main(argv + [flag, str(tmp_path / "missing" / "run.csv")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.rstrip().endswith("run.csv'") and ".tmp" not in err
 
     def test_seed_range_checked_before_any_row(self, monkeypatch, capsys):
         import bb84eve.report_cli as report_cli
@@ -384,14 +386,18 @@ class TestMainEntryPoint:
         assert code == EXIT_INSUFFICIENT_SAMPLE
         capsys.readouterr()
 
-    def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
+    def test_failed_out_write_keeps_existing_output(self, tmp_path, monkeypatch, capsys):
+        import bb84eve.report_cli as report_cli
+
         out = tmp_path / "run.csv"
         out.write_text("previous\n")
-        argv = ["simulate", "--strategy", "none", "--rounds", "60", "--out", str(out)]
-        assert main(argv) == EXIT_INSUFFICIENT_SAMPLE
+        # a lone surrogate cannot be encoded, so the write fails after the
+        # output file was opened; a truncating open would leave it empty
+        monkeypatch.setattr(report_cli, "cmd_analytic_curves", lambda spec: "partial\n\ud800")
+        assert main(["analytic", "--strategy", "all", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
         assert out.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["run.csv"]
-        capsys.readouterr()
 
     def test_failed_trace_write_keeps_existing_trace(self, tmp_path, monkeypatch, capsys):
         import bb84eve.report_cli as report_cli
@@ -418,6 +424,56 @@ class TestMainEntryPoint:
         assert out.read_text().splitlines()[0] == SIMULATE_HEADER
         assert trace.read_text().splitlines()[0] == TRACE_HEADER
         assert sorted(os.listdir(tmp_path)) == ["run.csv", "trace.csv"]
+
+    def test_fifo_output_is_written_through(self, tmp_path, capsys):
+        argv = ["analytic", "--strategy", "intercept_resend", "--phi", "0", "--grid", "5"]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a non-blocking reader lets the writer open at once; the output fits
+        # in the pipe buffer, so no thread is needed to drain it
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(argv + ["--out", str(fifo)]) == EXIT_OK
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert received == expected
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_symlinked_output_updates_its_target(self, tmp_path, capsys):
+        real_dir, link_dir = tmp_path / "real", tmp_path / "links"
+        real_dir.mkdir()
+        link_dir.mkdir()
+        target, link = real_dir / "run.csv", link_dir / "run.csv"
+        target.write_text("previous\n")
+        link.symlink_to(target)
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000"]
+        assert main(argv + ["--out", str(link), "--trace", str(link_dir / "new.csv")]) == EXIT_OK
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text().splitlines()[0] == SIMULATE_HEADER
+        assert os.listdir(real_dir) == ["run.csv"]
+        assert sorted(os.listdir(link_dir)) == ["new.csv", "run.csv"]
+
+    def test_replaced_output_keeps_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        out.write_text("previous\n")
+        out.chmod(0o640)
+        assert main(["compare", "--d-bob", "0.1", "--out", str(out)]) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text().splitlines()[0] == COMPARE_HEADER
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any file")
+    def test_read_only_output_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        out.write_text("previous\n")
+        out.chmod(0o444)
+        assert main(["compare", "--d-bob", "0.1", "--out", str(out)]) == EXIT_USAGE
+        assert "run.csv" in capsys.readouterr().err
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["run.csv"]
 
     def test_compare_to_stdout(self, capsys):
         assert main(["compare", "--d-bob", "0.25"]) == EXIT_OK
