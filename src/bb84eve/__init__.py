@@ -4,7 +4,8 @@ independent Monte Carlo protocol engine that cross-validates them.
 The package models three attacks on the four-state protocol: intercept/resend
 in an adjustable equatorial basis, and an ancilla interaction measured either
 immediately (no quantum memory) or after the public basis reveal (with
-memory). Closed forms live in ``analytic_strategies``; the simulator in
+memory). The attack configs and families live in ``attacks``, which both
+routes read. Closed forms live in ``analytic_strategies``; the simulator in
 ``protocol_sim`` re-derives every probability from raw state vectors so the
 two routes stay independent.
 """
@@ -19,12 +20,13 @@ _MODULE_OF = {
         "quantum_core": ("EquatorBasis", "Outcome", "PureState", "apply_eve_unitary",
                          "joint_outcome_probabilities", "make_bb84_state", "outcome_probabilities"),
         "infotheory": ("JointCounts", "binary_entropy", "info_from_fidelity", "mutual_information"),
+        "attacks": ("AncillaNoMemory", "AncillaWithMemory", "AttackConfig", "InterceptResend",
+                    "NoAttack"),
         "analytic_strategies": ("BasisStats", "CurvePoint", "StrategyReport", "ancilla_no_memory",
-                                "ancilla_with_memory", "curve_sweep", "intercept_resend",
-                                "intercept_resend_curve"),
-        "protocol_sim": ("AncillaNoMemory", "AncillaWithMemory", "AttackConfig",
-                         "InsufficientSampleError", "InterceptResend", "NoAttack", "SimEstimate",
-                         "Trace", "estimate", "run_protocol"),
+                                "ancilla_with_memory", "closed_form", "curve_sweep",
+                                "intercept_resend"),
+        "protocol_sim": ("InsufficientSampleError", "SimEstimate", "Trace", "estimate",
+                         "run_protocol"),
     }.items()
     for name in names
 }

@@ -30,7 +30,7 @@ trace reproduces the run's estimate exactly.
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
 closed-form module, which keeps the two routes independent for
-cross-validation.
+cross-validation. The attack configs it takes are defined in ``attacks``.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attacks import AncillaNoMemory, AncillaWithMemory, AttackConfig, InterceptResend, NoAttack
 from .infotheory import mutual_information
 from .quantum_core import (
     EquatorBasis,
@@ -66,65 +67,9 @@ BASIS_LABELS = ("x", "y")
 BASIS_ANGLES = (0.0, math.pi / 2)
 REVEALED_BASIS_MARKER = "revealed"
 
-_PHI_MAX = math.pi / 4
-_ALPHA_MAX = math.pi / 2
-
 
 class InsufficientSampleError(Exception):
     """Raised when too few sifted rounds exist to report standard errors."""
-
-
-def _check_range(name: str, value: float, lo: float, hi: float) -> None:
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} must lie in [{lo!r}, {hi!r}], got {value!r}")
-
-
-@dataclass(frozen=True)
-class NoAttack:
-    """Eve stays out of the channel entirely."""
-
-
-@dataclass(frozen=True)
-class InterceptResend:
-    """Measure a fraction of the qubits at angle phi and forward the eigenstate.
-
-    With symmetrize on, each intercepted round measures at phi or its
-    companion pi/2 - phi on a fair coin.
-    """
-
-    phi: float
-    fraction: float = 1.0
-    symmetrize: bool = True
-
-    def __post_init__(self) -> None:
-        _check_range("phi", self.phi, 0.0, _PHI_MAX)
-        _check_range("fraction", self.fraction, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class AncillaNoMemory:
-    """Entangle every qubit, measure the ancilla immediately at angle phi."""
-
-    alpha: float
-    phi: float
-    symmetrize: bool = True
-
-    def __post_init__(self) -> None:
-        _check_range("alpha", self.alpha, 0.0, _ALPHA_MAX)
-        _check_range("phi", self.phi, 0.0, _PHI_MAX)
-
-
-@dataclass(frozen=True)
-class AncillaWithMemory:
-    """Entangle every qubit, store the ancilla, measure in the revealed basis."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _check_range("alpha", self.alpha, 0.0, _ALPHA_MAX)
-
-
-AttackConfig = NoAttack | InterceptResend | AncillaNoMemory | AncillaWithMemory
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ header row, UNIX newlines, and 12-significant-digit numbers, so identical
 invocations are byte-identical and suitable for golden-file testing.
 
 Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
-simulation produced too few sifted rounds for standard errors.
+simulation produced too few sifted rounds for standard errors. Every --out
+and --trace path is opened before any work, and on exit 2 or 3 stdout holds
+no CSV and an existing output file is left as it was.
 """
 
 from __future__ import annotations
@@ -20,26 +22,18 @@ import os
 import re
 import stat
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
-from .analytic_strategies import (
-    ANCILLA_NO_MEMORY,
-    ANCILLA_WITH_MEMORY,
-    INTERCEPT_RESEND,
-    curve_sweep,
-    sweep_grid,
-)
+from .analytic_strategies import at_disturbance, closed_form
+from .attacks import FAMILIES, PARAMETERS, AttackConfig, NoAttack, parameters, sweep_grid
 
 if TYPE_CHECKING:
-    from .protocol_sim import AttackConfig, Trace
+    from .protocol_sim import Trace
 
 # The engine names simulate uses, all reachable through protocol_sim. They load
 # with numpy only when the engine runs, so analytic, compare and --help import neither.
-_ENGINE_NAMES = ("BASIS_LABELS", "AncillaNoMemory", "AncillaWithMemory", "InsufficientSampleError",
-                 "InterceptResend", "NoAttack", "Outcome", "run_protocol", "unpack")
+_ENGINE_NAMES = ("BASIS_LABELS", "InsufficientSampleError", "Outcome", "run_protocol", "unpack")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,83 +75,55 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parsed request for one subcommand run."""
+def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackConfig]:
+    """The attack of each CSV row, after the flag checks analytic and simulate share.
 
-    strategy: str
-    phi: float | None = None
-    alpha: float | None = None
-    fraction: float | None = None
-    grid: int | None = None
-    rounds: int | None = None
-    seed: int = 0
-    symmetrize: bool = True
-    jobs: int = 1
-    d_bob: float | None = None
-
-
-def _alpha_at(d_bob: float) -> float:
-    return math.acos(1.0 - 2.0 * d_bob)
-
-
-@dataclass(frozen=True)
-class _Family:
-    """What the CLI knows about one attack family.
-
-    takes_phi: Eve measures at an angle phi of her own before the basis
-    reveal, i.e. the attack needs no quantum memory. swept names the
-    parameter a --grid sweeps, and default is its single-row value when
-    neither that parameter nor --grid is given (None: it is required).
-    config builds the engine config for one swept value; at_disturbance
-    gives the swept value that yields a target d_bob, or None if none does.
+    Without a swept value or --grid, analytic sweeps default_grid points and
+    simulate runs the family's default value, or asks for one.
     """
+    grid = args.grid
+    if grid is not None and grid < 1:
+        raise UsageError(f"--grid must be at least 1, got {grid}")
+    # adding 0.0 reads -0.0 as 0.0, which the CSV then prints as 0
+    given = {p: None if getattr(args, p) is None else getattr(args, p) + 0.0 for p in PARAMETERS}
+    name = args.strategy
+    if name in (NO_ATTACK, ALL_STRATEGIES):
+        if any(value is not None for value in given.values()):
+            raise UsageError("--strategy none takes no attack parameters" if name == NO_ATTACK
+                             else "--strategy all takes no phi/alpha/fraction overrides")
+        if name == NO_ATTACK:
+            if grid is not None:
+                raise UsageError("--strategy none has nothing to sweep")
+            return [NoAttack()]
+        curves = [(family, phi) for family in FAMILIES.values()
+                  for phi in (STANDARD_PHIS if family.takes_phi else (None,))]
+    else:
+        family = FAMILIES[name]
+        if family.takes_phi and given["phi"] is None:
+            raise UsageError(f"{name} requires --phi")
+        if not family.takes_phi and given["phi"] is not None:
+            raise UsageError(f"{name} takes no --phi")
+        fixed = "alpha" if family.swept == "fraction" else "fraction"
+        if given[fixed] is not None:
+            raise UsageError(f"{name} takes no --{fixed}")
+        curves = [(family, given["phi"])]
 
-    takes_phi: bool
-    swept: str
-    default: float | None
-    config: Callable[[SweepSpec, float], AttackConfig]
-    at_disturbance: Callable[[float], float | None]
-
-
-FAMILIES = {
-    INTERCEPT_RESEND: _Family(
-        takes_phi=True, swept="fraction", default=1.0,
-        config=lambda spec, f: InterceptResend(phi=spec.phi, fraction=f, symmetrize=spec.symmetrize),
-        # untouched rounds are error-free, so d_bob = f/4 ends at 1/4
-        at_disturbance=lambda d: 4.0 * d if 4.0 * d <= 1.0 else None,
-    ),
-    ANCILLA_NO_MEMORY: _Family(
-        takes_phi=True, swept="alpha", default=None,
-        config=lambda spec, a: AncillaNoMemory(alpha=a, phi=spec.phi, symmetrize=spec.symmetrize),
-        at_disturbance=_alpha_at,
-    ),
-    ANCILLA_WITH_MEMORY: _Family(
-        takes_phi=False, swept="alpha", default=None,
-        config=lambda spec, a: AncillaWithMemory(alpha=a), at_disturbance=_alpha_at,
-    ),
-}
-
-
-def _checked_family(spec: SweepSpec) -> tuple[_Family, float | None]:
-    """The family of spec.strategy and its swept value, after the flag checks."""
-    name = spec.strategy
-    if name not in FAMILIES:
-        raise UsageError(f"unknown strategy {name!r}")
-    family = FAMILIES[name]
-    if family.takes_phi and spec.phi is None:
-        raise UsageError(f"{name} requires --phi")
-    if not family.takes_phi and spec.phi is not None:
-        raise UsageError(f"{name} takes no --phi")
-    fixed = "alpha" if family.swept == "fraction" else "fraction"
-    if getattr(spec, fixed) is not None:
-        raise UsageError(f"{name} takes no --{fixed}")
-    return family, getattr(spec, family.swept)
-
-
-def _row_params(family: _Family, value: float | None) -> tuple[float | None, float | None]:
-    """(alpha, fraction) CSV cells for one swept value."""
-    return (value, None) if family.swept == "alpha" else (None, value)
+    symmetrize = not getattr(args, "no_symmetrize", False)
+    attacks = []
+    for family, phi in curves:
+        value = given[family.swept]
+        if value is not None and grid is not None:
+            raise UsageError(f"give either --{family.swept} or --grid, not both")
+        if value is not None:
+            values = [value]
+        elif grid or default_grid:
+            values = sweep_grid(family.name, grid or default_grid)
+        elif family.default is not None:
+            values = [family.default]
+        else:
+            raise UsageError(f"{family.name} requires --{family.swept} (or --grid to sweep it)")
+        attacks += [family.config(phi, value, symmetrize) for value in values]
+    return attacks
 
 
 def parse_angle(text: str) -> float:
@@ -209,53 +175,14 @@ def _sort_key(point):
 # --- analytic ----------------------------------------------------------------
 
 
-def cmd_analytic_curves(spec: SweepSpec) -> str:
+def cmd_analytic_curves(args: argparse.Namespace) -> str:
     """CSV of curve points for one strategy family or the five standard ones."""
-    grid = 101 if spec.grid is None else spec.grid
-    if grid < 1:
-        raise UsageError(f"--grid must be at least 1, got {grid}")
-    if spec.strategy == ALL_STRATEGIES:
-        if spec.phi is not None or spec.alpha is not None or spec.fraction is not None:
-            raise UsageError("--strategy all takes no phi/alpha/fraction overrides")
-        points = []
-        for name, family in FAMILIES.items():
-            for phi in STANDARD_PHIS if family.takes_phi else (None,):
-                points.extend(curve_sweep(name, phi, grid=grid))
-    else:
-        _, value = _checked_family(spec)
-        values = None if value is None else [value]
-        points = curve_sweep(spec.strategy, spec.phi, grid=grid, values=values)
-
-    points.sort(key=_sort_key)
+    points = sorted(map(closed_form, _attacks(args, default_grid=101)), key=_sort_key)
     rows = [[p.strategy, p.phi, p.alpha, p.fraction, p.d_bob, p.i_eve, p.i_bob] for p in points]
     return _document(ANALYTIC_HEADER, rows)
 
 
 # --- simulate ----------------------------------------------------------------
-
-
-def _attack_rows(spec: SweepSpec) -> list[tuple]:
-    """(attack, phi, alpha, fraction) per CSV row, honoring an optional sweep."""
-    if spec.strategy == NO_ATTACK:
-        if spec.phi is not None or spec.alpha is not None or spec.fraction is not None:
-            raise UsageError("--strategy none takes no attack parameters")
-        if spec.grid is not None:
-            raise UsageError("--strategy none has nothing to sweep")
-        return [(NoAttack(), None, None, None)]
-
-    family, value = _checked_family(spec)
-    if spec.grid is not None:
-        if value is not None:
-            raise UsageError(f"give either --{family.swept} or --grid, not both")
-        values = sweep_grid(spec.strategy, spec.grid)
-    else:
-        values = [family.default if value is None else value]
-        if values[0] is None:
-            raise UsageError(f"{spec.strategy} requires --{family.swept} (or --grid to sweep it)")
-    return [
-        (family.config(spec, float(v)), spec.phi, *_row_params(family, float(v)))
-        for v in values
-    ]
 
 
 def _trace_cells(code: int, eve_labels: tuple) -> str:
@@ -284,7 +211,7 @@ def _write_trace(trace: Trace, out: TextIO, block_rounds: int = 1 << 16) -> None
         out.write("".join(f"{i},{rows[code]}\n" for i, code in enumerate(block, start)))
 
 
-def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, Trace | None]:
+def cmd_simulate(args: argparse.Namespace, *, keep_trace: bool = False) -> tuple[str, Trace | None]:
     """Run the engine for each grid point; returns (CSV, optional trace).
 
     Each row uses seed + row_index so sweeps stay reproducible row by row.
@@ -292,32 +219,25 @@ def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, Tra
     one (attack, seed) pair.
     """
     _load_engine()
-    if spec.rounds is None or spec.rounds < 1:
+    if args.rounds < 1:
         raise UsageError("--rounds must be a positive integer")
-    if spec.grid is not None and spec.grid < 1:
-        raise UsageError(f"--grid must be at least 1, got {spec.grid}")
-    if spec.seed < 0:
+    if args.seed < 0:
         raise UsageError("--seed must be non-negative")
-    if spec.jobs < 1:
+    if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    try:
-        attack_rows = _attack_rows(spec)
-    except ValueError as exc:  # out-of-range attack parameters
-        raise UsageError(str(exc)) from exc
-    if keep_trace and len(attack_rows) != 1:
+    attacks = _attacks(args, default_grid=None)
+    if keep_trace and len(attacks) != 1:
         raise UsageError("--trace requires a single-point run, not a sweep")
-    if spec.seed + len(attack_rows) - 1 >= 2**64:
-        raise UsageError(f"--seed must leave {len(attack_rows)} row seeds below 2**64, got {spec.seed}")
+    if args.seed + len(attacks) - 1 >= 2**64:
+        raise UsageError(f"--seed must leave {len(attacks)} row seeds below 2**64, got {args.seed}")
 
     rows = []
-    for index, (attack, phi, alpha, fraction) in enumerate(attack_rows):
-        row_seed = spec.seed + index
-        est, trace = run_protocol(
-            spec.rounds, attack, row_seed, keep_trace=keep_trace, workers=spec.jobs
-        )
+    for index, attack in enumerate(attacks):
+        row_seed = args.seed + index
+        est, trace = run_protocol(args.rounds, attack, row_seed, keep_trace=keep_trace, workers=args.jobs)
         rows.append(
             [
-                spec.strategy, phi, alpha, fraction, spec.rounds, row_seed,
+                args.strategy, *parameters(attack), args.rounds, row_seed,
                 est.qber, est.qber_se, est.eve_mutual_info, est.eve_mutual_info_se,
                 est.eve_fidelity_x, est.eve_fidelity_y, est.n_sifted,
             ]
@@ -328,7 +248,7 @@ def cmd_simulate(spec: SweepSpec, *, keep_trace: bool = False) -> tuple[str, Tra
 # --- compare -----------------------------------------------------------------
 
 
-def cmd_compare(spec: SweepSpec) -> str:
+def cmd_compare(args: argparse.Namespace) -> str:
     """Rank the strategies at one target disturbance.
 
     Emits intercept/resend rows at phi 0 and pi/4 (via fractional
@@ -339,13 +259,13 @@ def cmd_compare(spec: SweepSpec) -> str:
     memoryless row is flagged; out-of-domain intercept/resend rows carry no
     information value.
     """
-    d = spec.d_bob
-    if d is None or not (0.0 < d <= 0.5):
+    d = args.d_bob
+    if not (0.0 < d <= 0.5):
         raise UsageError("--d-bob must lie in (0, 0.5]")
 
     rows = []
     for name, family in FAMILIES.items():
-        value = family.at_disturbance(d)
+        value = at_disturbance(name, d)
         in_domain = value is not None
         if family.takes_phi:
             angles = [(name, phi) for phi in STANDARD_PHIS]
@@ -353,11 +273,12 @@ def cmd_compare(spec: SweepSpec) -> str:
         else:
             angles = [(name, None)]
         for label, phi in angles:
-            i_eve = curve_sweep(name, phi, values=[value])[0].i_eve if in_domain else None
+            cells = [phi, None, None, None]
+            if in_domain:
+                point = closed_form(family.config(phi, value))
+                cells = [point.phi, point.alpha, point.fraction, point.i_eve]
             # COMPARE_HEADER cells; the last says "memoryless" until it becomes the flag
-            rows.append(
-                [label, phi, *_row_params(family, value), d, i_eve, in_domain, family.takes_phi]
-            )
+            rows.append([label, *cells[:3], d, cells[3], in_domain, family.takes_phi])
 
     rows.sort(key=lambda r: (r[0], -1.0 if r[1] is None else r[1]))
     # max keeps the first of equal values, so ties go to the first row in sort order
@@ -412,21 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    return SweepSpec(
-        strategy=getattr(args, "strategy", ""),
-        phi=getattr(args, "phi", None),
-        alpha=getattr(args, "alpha", None),
-        fraction=getattr(args, "fraction", None),
-        grid=getattr(args, "grid", None),
-        rounds=getattr(args, "rounds", None),
-        seed=getattr(args, "seed", 0),
-        symmetrize=not getattr(args, "no_symmetrize", False),
-        jobs=getattr(args, "jobs", 1),
-        d_bob=getattr(args, "d_bob", None),
-    )
-
-
 @contextlib.contextmanager
 def _replacing(path: Path):
     """A text stream to path that replaces a new or regular file atomically.
@@ -458,14 +364,6 @@ def _replacing(path: Path):
         raise
 
 
-def _write(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _replacing(out) as stream:
-            stream.write(text)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -474,28 +372,35 @@ def main(argv=None) -> int:
         # argparse exits on its own for bad flags or --help; fold that into
         # the return-code contract so callers never see the exception
         return int(exc.code or 0)
-    spec = _spec_from_args(args)
+    too_few_sifted = ()
+    if args.command == "simulate":
+        _load_engine()  # the except clause below names an engine class
+        too_few_sifted = InsufficientSampleError
     try:
-        if args.command == "analytic":
-            _write(cmd_analytic_curves(spec), args.out)
-        elif args.command == "simulate":
-            # loaded before the try, whose except clause names an engine class
-            _load_engine()
-            try:
-                csv, trace = cmd_simulate(spec, keep_trace=args.trace is not None)
-            except InsufficientSampleError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INSUFFICIENT_SAMPLE
-            _write(csv, args.out)
-            if trace is not None:
-                with _replacing(args.trace) as stream:
-                    _write_trace(trace, stream)
-        else:
-            _write(cmd_compare(spec), args.out)
+        with contextlib.ExitStack() as outputs:
+            # every output opens before any work, so an unwritable path fails
+            # first; an error below removes the temporaries and keeps old files
+            out, trace_out = (None if path is None else outputs.enter_context(_replacing(path))
+                              for path in (args.out, getattr(args, "trace", None)))
+            if args.command == "analytic":
+                text = cmd_analytic_curves(args)
+            elif args.command == "simulate":
+                text, trace = cmd_simulate(args, keep_trace=trace_out is not None)
+                if trace is not None:
+                    _write_trace(trace, trace_out)
+            else:
+                text = cmd_compare(args)
+            if out is not None:
+                out.write(text)
+        if out is None:
+            sys.stdout.write(text)
+    except too_few_sifted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INSUFFICIENT_SAMPLE
     except (UsageError, ValueError, OSError) as exc:
-        # range checks in the strategy and engine layers raise ValueError
-        # for out-of-domain parameters, which is a usage problem here, and
-        # so is an --out or --trace path that cannot be written
+        # range checks in the attack model raise ValueError for out-of-domain
+        # parameters, which is a usage problem here, and so is an --out or
+        # --trace path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

@@ -19,16 +19,12 @@ from reference import project
 from bb84eve.analytic_strategies import (
     ancilla_no_memory,
     ancilla_with_memory,
+    closed_form,
     intercept_resend,
-    intercept_resend_curve,
 )
+from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend
 from bb84eve.infotheory import info_from_fidelity
-from bb84eve.protocol_sim import (
-    AncillaNoMemory,
-    AncillaWithMemory,
-    InterceptResend,
-    run_protocol,
-)
+from bb84eve.protocol_sim import run_protocol
 from bb84eve.quantum_core import (
     EquatorBasis,
     Outcome,
@@ -103,12 +99,14 @@ def test_criterion_3_intermediate_basis_value():
 @criterion(4, "partial interception scales information linearly in the fraction")
 def test_criterion_4_fractional_linearity():
     for phi_index, phi in enumerate((0.0, math.pi / 4)):
-        per_round = intercept_resend(phi).eve_avg_info
+        report = intercept_resend(phi)
+        per_round, disturbance = report.eve_avg_info, report.bob_overall.disturbance
         for step in range(1, 11):
             fraction = step / 10.0
             seed = 400 + 20 * phi_index + step
             attack = InterceptResend(phi=phi, fraction=fraction)
             est, _ = run_protocol(N_ROUNDS, attack, seed=seed)
+            assert abs(est.qber - fraction * disturbance) <= 4.0 * est.qber_se, (phi, fraction, est.qber)
             target = fraction * per_round
             assert within_mc(est.eve_mutual_info, target, est.eve_mutual_info_se), (
                 phi,
@@ -130,6 +128,11 @@ def test_criterion_5_stored_probe_curve():
     assert within_mc(est.eve_fidelity_x, oracles.FID_MEMORY_PI3, est.eve_fidelity_x_se)
     assert within_mc(est.eve_fidelity_y, oracles.FID_MEMORY_PI3, est.eve_fidelity_y_se)
     assert within_mc(est.eve_mutual_info, oracles.INFO_MEMORY_PI3, est.eve_mutual_info_se)
+    # the full swap hands Eve every bit: her guesses never miss
+    est, _ = run_protocol(N_ROUNDS, AncillaWithMemory(alpha=math.pi / 2), seed=502)
+    assert abs(est.qber - 0.5) <= 4.0 * est.qber_se
+    assert est.eve_fidelity_x == est.eve_fidelity_y == 1.0
+    assert abs(est.eve_mutual_info - 1.0) <= 4.0 * est.eve_mutual_info_se
 
 
 @criterion(6, "an immediately read full-swap probe is a direct interception")
@@ -149,6 +152,9 @@ def test_criterion_6_swap_equals_interception():
         direct_est, _ = run_protocol(
             N_ROUNDS, InterceptResend(phi=phi), seed=611 + phi_index
         )
+        for est, report in ((probe_est, ancilla_no_memory(math.pi / 2, phi)), (direct_est, intercept_resend(phi))):
+            assert abs(est.qber - report.bob_overall.disturbance) <= 4.0 * est.qber_se, (phi, est.qber)
+            assert within_mc(est.eve_mutual_info, report.eve_avg_info, est.eve_mutual_info_se), phi
         pairs = [
             (
                 probe_est.eve_mutual_info,
@@ -181,7 +187,7 @@ def test_criterion_7_memoryless_hierarchy():
     for d_bob in d_grid:
         fraction = 4.0 * d_bob
         best_intercept = max(
-            intercept_resend_curve(phi, [fraction])[0].i_eve for phi in phi_grid
+            closed_form(InterceptResend(phi, fraction)).i_eve for phi in phi_grid
         )
         alpha = math.acos(1.0 - 2.0 * d_bob)
         best_probe = max(

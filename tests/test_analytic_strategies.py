@@ -15,20 +15,27 @@ from hypothesis import strategies as st
 import oracles
 from reference import project
 from bb84eve.analytic_strategies import (
-    ALPHA_MAX,
-    ANCILLA_NO_MEMORY,
-    ANCILLA_WITH_MEMORY,
-    INTERCEPT_RESEND,
-    PHI_MAX,
-    STRATEGIES,
     BasisStats,
     CurvePoint,
     StrategyReport,
     ancilla_no_memory,
     ancilla_with_memory,
+    closed_form,
     curve_sweep,
     intercept_resend,
-    intercept_resend_curve,
+)
+from bb84eve.attacks import (
+    ALPHA_MAX,
+    ANCILLA_NO_MEMORY,
+    ANCILLA_WITH_MEMORY,
+    FAMILIES,
+    INTERCEPT_RESEND,
+    PHI_MAX,
+    AncillaNoMemory,
+    AncillaWithMemory,
+    InterceptResend,
+    NoAttack,
+    parameters,
     sweep_grid,
 )
 from bb84eve.infotheory import info_from_fidelity
@@ -142,18 +149,18 @@ class TestInterceptResend:
 
 class TestInterceptResendCurve:
     def test_full_interception_aligned(self):
-        (point,) = intercept_resend_curve(0.0, [1.0])
+        point = closed_form(InterceptResend(0.0, 1.0))
         assert point.d_bob == 0.25
         assert point.i_eve == 0.5
         assert point.strategy == INTERCEPT_RESEND
 
     def test_no_interception_is_free(self):
-        (point,) = intercept_resend_curve(0.3, [0.0])
+        point = closed_form(InterceptResend(0.3, 0.0))
         assert point.d_bob == 0.0
         assert point.i_eve == 0.0
 
     def test_half_interception_intermediate(self):
-        (point,) = intercept_resend_curve(PHI_MAX, [0.5])
+        point = closed_form(InterceptResend(PHI_MAX, 0.5))
         assert point.d_bob == pytest.approx(0.125, abs=1e-15)
         assert point.i_eve == pytest.approx(
             oracles.INFO_INTERMEDIATE_HALF, abs=1e-15
@@ -161,20 +168,20 @@ class TestInterceptResendCurve:
 
     def test_disturbance_scales_linearly(self):
         fractions = np.linspace(0.0, 1.0, 11)
-        points = intercept_resend_curve(0.2, fractions)
+        points = [closed_form(InterceptResend(0.2, f)) for f in fractions]
         for point, fraction in zip(points, fractions):
             assert point.d_bob == pytest.approx(fraction / 4.0, abs=1e-15)
             assert point.fraction == fraction
 
     def test_bob_info_reflects_fractional_disturbance(self):
-        (point,) = intercept_resend_curve(0.0, [0.5])
+        point = closed_form(InterceptResend(0.0, 0.5))
         assert point.i_bob == pytest.approx(
             info_from_fidelity(1.0 - 0.125), abs=1e-12
         )
 
     def test_rejects_fraction_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            intercept_resend_curve(0.0, [1.5])
+            closed_form(InterceptResend(0.0, 1.5))
 
 
 class TestAncillaWithMemory:
@@ -368,13 +375,34 @@ class TestFuchsGisinBound:
 
     @given(angles, st.floats(min_value=0.0, max_value=1.0))
     def test_interception_stays_below(self, phi, fraction):
-        (point,) = intercept_resend_curve(phi, [fraction])
+        point = closed_form(InterceptResend(phi, fraction))
         assert point.i_eve <= fggnp_bound(point.d_bob) + 1e-12
+
+
+class TestClosedForm:
+    @given(alphas, angles, st.floats(min_value=0.0, max_value=1.0))
+    def test_agrees_with_each_family_function(self, alpha, phi, fraction):
+        # intercepting a fraction f scales the full interception's values by f
+        cases = [
+            (INTERCEPT_RESEND, InterceptResend(phi, fraction), intercept_resend(phi), fraction),
+            (ANCILLA_NO_MEMORY, AncillaNoMemory(alpha, phi), ancilla_no_memory(alpha, phi), 1.0),
+            (ANCILLA_WITH_MEMORY, AncillaWithMemory(alpha), ancilla_with_memory(alpha), 1.0),
+        ]
+        for name, attack, report, scale in cases:
+            point = closed_form(attack)
+            assert (point.strategy, point.phi, point.alpha, point.fraction) == (name, *parameters(attack))
+            assert point.d_bob == pytest.approx(scale * report.bob_overall.disturbance, abs=1e-12)
+            assert point.i_eve == scale * report.eve_avg_info
+            assert point.i_bob == pytest.approx(info_from_fidelity(1.0 - point.d_bob), abs=1e-12)
+
+    def test_clean_channel_has_no_curve(self):
+        with pytest.raises(ValueError):
+            closed_form(NoAttack())
 
 
 class TestCurveSweep:
     def test_strategy_labels(self):
-        assert STRATEGIES == (
+        assert tuple(FAMILIES) == (
             INTERCEPT_RESEND,
             ANCILLA_NO_MEMORY,
             ANCILLA_WITH_MEMORY,

@@ -9,6 +9,9 @@ round, not just in aggregate.
 import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +25,7 @@ import oracles
 from reference import interpret_outcome
 from bb84eve import protocol_sim
 from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, intercept_resend
+from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend, NoAttack
 from bb84eve.protocol_sim import (
     BASIS_ANGLES,
     BASIS_LABELS,
@@ -30,11 +34,7 @@ from bb84eve.protocol_sim import (
     REVEALED_BASIS_MARKER,
     ROUND_FIELDS,
     UNIFORMS_PER_ROUND,
-    AncillaNoMemory,
-    AncillaWithMemory,
     InsufficientSampleError,
-    InterceptResend,
-    NoAttack,
     _pack,
     estimate,
     run_protocol,
@@ -537,3 +537,24 @@ class TestRouteSeparation:
                 imported.update(alias.name for alias in node.names)
         names = {part for name in imported for part in name.split(".")}
         assert not names & {"analytic_strategies", "report_cli"}
+
+    def test_attack_model_imports_only_the_standard_library(self):
+        tree = ast.parse(Path(bb84eve.__file__).with_name("attacks.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "attacks imports a package module"
+                assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
+
+    def test_configs_load_without_numpy(self):
+        probe = (
+            "import sys\n"
+            "from bb84eve import InterceptResend\n"
+            "print(sorted(m for m in ('numpy', 'bb84eve.protocol_sim') if m in sys.modules))\n"
+        )
+        paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.stdout == "[]\n", result.stderr

@@ -20,9 +20,7 @@ from bb84eve.report_cli import (
     EXIT_USAGE,
     SIMULATE_HEADER,
     TRACE_HEADER,
-    SweepSpec,
     _build_parser,
-    _spec_from_args,
     _write_trace,
     cmd_analytic_curves,
     cmd_compare,
@@ -32,6 +30,11 @@ from bb84eve.report_cli import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def parse(*argv: str):
+    """The parsed arguments of one command line."""
+    return _build_parser().parse_args(argv)
 
 
 def rows_of(csv_text: str) -> list[list[str]]:
@@ -67,57 +70,55 @@ class TestParseAngle:
 
 class TestAnalyticCommand:
     def test_golden_all_strategies(self):
-        spec = SweepSpec(strategy="all")
-        produced = cmd_analytic_curves(spec)
+        args = parse("analytic", "--strategy", "all")
+        produced = cmd_analytic_curves(args)
         assert produced == (GOLDEN / "analytic_curves_101.csv").read_text()
 
     def test_header_and_shape(self):
-        spec = SweepSpec(strategy="all")
-        lines = cmd_analytic_curves(spec).splitlines()
+        args = parse("analytic", "--strategy", "all")
+        lines = cmd_analytic_curves(args).splitlines()
         assert lines[0] == ANALYTIC_HEADER
         assert len(lines) == 1 + 5 * 101
 
     def test_intercept_grid_collapses_to_given_fraction(self):
-        spec = SweepSpec(strategy="intercept_resend", phi=0.0, fraction=1.0)
-        lines = cmd_analytic_curves(spec).splitlines()
+        args = parse("analytic", "--strategy", "intercept_resend", "--phi", "0", "--fraction", "1")
+        lines = cmd_analytic_curves(args).splitlines()
         assert len(lines) == 2
         assert lines[1] == "intercept_resend,0,,1,0.25,0.5,0.188721875541"
 
     def test_with_memory_needs_no_angles(self):
         # the sweep is uniform in alpha, so grid=3 lands on 0, pi/4, pi/2
-        spec = SweepSpec(strategy="ancilla_with_memory", grid=3)
-        rows = rows_of(cmd_analytic_curves(spec))
+        args = parse("analytic", "--strategy", "ancilla_with_memory", "--grid", "3")
+        rows = rows_of(cmd_analytic_curves(args))
         assert [r[4] for r in rows] == ["0", "0.146446609407", "0.5"]
         assert [r[5] for r in rows] == ["0", "0.399123963307", "1"]
         assert all(r[1] == "" and r[3] == "" for r in rows)
 
     def test_with_memory_single_point_at_pi_third(self):
-        spec = SweepSpec(strategy="ancilla_with_memory", alpha=math.pi / 3)
-        rows = rows_of(cmd_analytic_curves(spec))
+        args = parse("analytic", "--strategy", "ancilla_with_memory", "--alpha", "pi/3")
+        rows = rows_of(cmd_analytic_curves(args))
         assert len(rows) == 1
         assert float(rows[0][4]) == pytest.approx(0.25, abs=1e-12)
         assert float(rows[0][5]) == pytest.approx(oracles.INFO_MEMORY_PI3, abs=1e-12)
 
     def test_no_memory_single_point(self):
-        spec = SweepSpec(
-            strategy="ancilla_no_memory", phi=math.pi / 4, alpha=math.pi / 2
-        )
-        rows = rows_of(cmd_analytic_curves(spec))
+        args = parse("analytic", "--strategy", "ancilla_no_memory", "--phi", "pi/4", "--alpha", "pi/2")
+        rows = rows_of(cmd_analytic_curves(args))
         assert len(rows) == 1
         assert float(rows[0][5]) == pytest.approx(
             oracles.INFO_INTERMEDIATE, abs=1e-12
         )
 
     def test_rows_sorted_by_disturbance_within_strategy(self):
-        spec = SweepSpec(strategy="intercept_resend", phi=0.1, grid=17)
-        rows = rows_of(cmd_analytic_curves(spec))
+        args = parse("analytic", "--strategy", "intercept_resend", "--phi", "0.1", "--grid", "17")
+        rows = rows_of(cmd_analytic_curves(args))
         d_values = [float(r[4]) for r in rows]
         assert d_values == sorted(d_values)
 
     def test_document_round_trips_byte_identically(self):
-        spec = SweepSpec(strategy="all")
-        first = cmd_analytic_curves(spec)
-        second = cmd_analytic_curves(spec)
+        args = parse("analytic", "--strategy", "all")
+        first = cmd_analytic_curves(args)
+        second = cmd_analytic_curves(args)
         assert first == second
         assert first.endswith("\n")
         assert "\r" not in first
@@ -125,49 +126,36 @@ class TestAnalyticCommand:
 
 class TestSimulateCommand:
     def test_golden_intercept_run(self):
-        spec = SweepSpec(
-            strategy="intercept_resend",
-            phi=math.pi / 4,
-            rounds=20_000,
-            seed=7,
-        )
-        produced, trace = cmd_simulate(spec)
+        args = parse("simulate", "--strategy", "intercept_resend", "--phi", "pi/4", "--rounds", "20000", "--seed", "7")
+        produced, trace = cmd_simulate(args)
         assert trace is None
         assert produced == (GOLDEN / "simulate_intercept_20k.csv").read_text()
 
     def test_header(self):
-        spec = SweepSpec(strategy="none", rounds=5_000, seed=0)
-        lines = cmd_simulate(spec)[0].splitlines()
+        args = parse("simulate", "--strategy", "none", "--rounds", "5000", "--seed", "0")
+        lines = cmd_simulate(args)[0].splitlines()
         assert lines[0] == SIMULATE_HEADER
 
     def test_clean_channel_row(self):
-        spec = SweepSpec(strategy="none", rounds=5_000, seed=0)
-        row = rows_of(cmd_simulate(spec)[0])[0]
+        args = parse("simulate", "--strategy", "none", "--rounds", "5000", "--seed", "0")
+        row = rows_of(cmd_simulate(args)[0])[0]
         assert row[0] == "none"
         assert row[6] == "0"  # qber
         assert row[8] == ""  # no eavesdropper, no mutual information
         assert row[10] == "" and row[11] == ""
 
     def test_fraction_sweep_uses_per_row_seeds(self):
-        spec = SweepSpec(
-            strategy="intercept_resend",
-            phi=0.0,
-            grid=3,
-            rounds=5_000,
-            seed=100,
+        args = parse(
+            "simulate", "--strategy", "intercept_resend", "--phi", "0", "--grid", "3",
+            "--rounds", "5000", "--seed", "100",
         )
-        rows = rows_of(cmd_simulate(spec)[0])
+        rows = rows_of(cmd_simulate(args)[0])
         assert [r[3] for r in rows] == ["0", "0.5", "1"]
         assert [r[5] for r in rows] == ["100", "101", "102"]
 
     def test_trace_output_shape(self):
-        spec = SweepSpec(
-            strategy="ancilla_with_memory",
-            alpha=1.0,
-            rounds=400,
-            seed=3,
-        )
-        csv_text, trace = cmd_simulate(spec, keep_trace=True)
+        args = parse("simulate", "--strategy", "ancilla_with_memory", "--alpha", "1", "--rounds", "400", "--seed", "3")
+        csv_text, trace = cmd_simulate(args, keep_trace=True)
         assert csv_text.splitlines()[0] == SIMULATE_HEADER
         stream = io.StringIO()
         _write_trace(trace, stream)
@@ -183,31 +171,28 @@ class TestSimulateCommand:
 
         with pytest.raises(UsageError):
             cmd_simulate(
-                SweepSpec(strategy="none", phi=0.1, rounds=1_000, seed=0)
+                parse("simulate", "--strategy", "none", "--phi", "0.1", "--rounds", "1000")
             )
         with pytest.raises(UsageError):
             cmd_simulate(
-                SweepSpec(
-                    strategy="intercept_resend",
-                    phi=0.0,
-                    alpha=0.5,
-                    rounds=1_000,
-                    seed=0,
+                parse(
+                    "simulate", "--strategy", "intercept_resend", "--phi", "0", "--alpha", "0.5",
+                    "--rounds", "1000",
                 )
             )
 
 
 class TestCompareCommand:
     def test_header_and_row_count(self):
-        spec = SweepSpec(strategy="all", d_bob=0.25)
-        lines = cmd_compare(spec).splitlines()
+        args = parse("compare", "--d-bob", "0.25")
+        lines = cmd_compare(args).splitlines()
         assert lines[0] == COMPARE_HEADER
         assert len(lines) == 8
 
     def test_quarter_disturbance_values(self):
-        spec = SweepSpec(strategy="all", d_bob=0.25)
+        args = parse("compare", "--d-bob", "0.25")
         by_key = {
-            (r[0], r[1]): r for r in rows_of(cmd_compare(spec))
+            (r[0], r[1]): r for r in rows_of(cmd_compare(args))
         }
         stored = by_key[("ancilla_with_memory", "")]
         assert float(stored[5]) == pytest.approx(oracles.INFO_MEMORY_PI3, abs=1e-12)
@@ -218,8 +203,8 @@ class TestCompareCommand:
         assert stored[7] == ""
 
     def test_memoryless_flag_goes_to_single_best_row(self):
-        spec = SweepSpec(strategy="all", d_bob=0.18)
-        rows = rows_of(cmd_compare(spec))
+        args = parse("compare", "--d-bob", "0.18")
+        rows = rows_of(cmd_compare(args))
         flagged = [r for r in rows if r[7] == "true"]
         assert len(flagged) == 1
         assert flagged[0][0] in ("intercept_resend", "ancilla_no_memory")
@@ -231,8 +216,8 @@ class TestCompareCommand:
         assert float(flagged[0][5]) == best
 
     def test_interception_out_of_domain_above_quarter(self):
-        spec = SweepSpec(strategy="all", d_bob=0.4)
-        rows = rows_of(cmd_compare(spec))
+        args = parse("compare", "--d-bob", "0.4")
+        rows = rows_of(cmd_compare(args))
         intercept_rows = [r for r in rows if r[0] == "intercept_resend"]
         assert intercept_rows, "interception rows must still be listed"
         for row in intercept_rows:
@@ -241,7 +226,7 @@ class TestCompareCommand:
 
     def test_stored_probe_dominates_in_domain_rows(self):
         for d_bob in (0.05, 0.125, 0.25):
-            rows = rows_of(cmd_compare(SweepSpec(strategy="all", d_bob=d_bob)))
+            rows = rows_of(cmd_compare(parse("compare", "--d-bob", repr(d_bob))))
             stored = next(float(r[5]) for r in rows if r[0] == "ancilla_with_memory")
             for row in rows:
                 if row[0] != "ancilla_with_memory" and row[5] != "":
@@ -249,13 +234,13 @@ class TestCompareCommand:
 
     def test_tiny_disturbance_opt_row_sits_at_phi_zero(self):
         # a phi grid search lands on rounding noise here; the optimum is phi = 0
-        by_key = {(r[0], r[1]): r for r in rows_of(cmd_compare(SweepSpec(strategy="all", d_bob=1e-9)))}
+        by_key = {(r[0], r[1]): r for r in rows_of(cmd_compare(parse("compare", "--d-bob", "1e-9")))}
         opt = by_key[("ancilla_no_memory_opt", "0")]
         assert opt[5] == by_key[("ancilla_no_memory", "0")][5]
 
     def test_opt_rows_repeat_the_phi_zero_rows(self):
         for d_bob in (1e-6, 0.05, 0.25, 0.4):
-            rows = rows_of(cmd_compare(SweepSpec(strategy="all", d_bob=d_bob)))
+            rows = rows_of(cmd_compare(parse("compare", "--d-bob", repr(d_bob))))
             by_name = {}
             for r in rows:
                 if r[1] in ("0", ""):
@@ -268,7 +253,7 @@ class TestCompareCommand:
         from bb84eve.report_cli import UsageError
 
         with pytest.raises(UsageError):
-            cmd_compare(SweepSpec(strategy="all", d_bob=0.75))
+            cmd_compare(parse("compare", "--d-bob", "0.75"))
 
 
 class TestMainEntryPoint:
@@ -343,6 +328,9 @@ class TestMainEntryPoint:
             ["analytic", "--strategy", "all", "--phi", "0"],
             ["analytic", "--strategy", "all", "--alpha", "0.5"],
             ["analytic", "--strategy", "all", "--fraction", "0.5"],
+            ["analytic", "--strategy", "intercept_resend", "--phi", "0", "--fraction", "0.5",
+             "--grid", "3"],
+            ["analytic", "--strategy", "ancilla_with_memory", "--alpha", "0.5", "--grid", "7"],
         ]
         for argv in cases:
             assert main(argv) == EXIT_USAGE, argv
@@ -360,6 +348,19 @@ class TestMainEntryPoint:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert err.rstrip().endswith("run.csv'") and ".tmp" not in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_output_path_checked_before_any_row(self, tmp_path, monkeypatch, capsys, flag):
+        import bb84eve.report_cli as report_cli
+
+        calls = []
+        monkeypatch.setattr(report_cli, "run_protocol", lambda *a, **k: calls.append(a))
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000", flag, str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
     def test_seed_range_checked_before_any_row(self, monkeypatch, capsys):
         import bb84eve.report_cli as report_cli
 
@@ -371,20 +372,16 @@ class TestMainEntryPoint:
         assert calls == []
         capsys.readouterr()
 
-    def test_small_sample_exits_three(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--strategy",
-                "none",
-                "--rounds",
-                "60",
-                "--seed",
-                "0",
-            ]
-        )
-        assert code == EXIT_INSUFFICIENT_SAMPLE
-        capsys.readouterr()
+    def test_small_sample_exits_three(self, tmp_path, capsys):
+        out, trace = tmp_path / "run.csv", tmp_path / "trace.csv"
+        out.write_text("previous\n")
+        argv = ["simulate", "--strategy", "none", "--rounds", "60", "--seed", "0",
+                "--out", str(out), "--trace", str(trace)]
+        assert main(argv) == EXIT_INSUFFICIENT_SAMPLE
+        assert capsys.readouterr().out == ""
+        # both outputs were open during the run; neither is left changed
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["run.csv"]
 
     def test_failed_out_write_keeps_existing_output(self, tmp_path, monkeypatch, capsys):
         import bb84eve.report_cli as report_cli
@@ -393,7 +390,7 @@ class TestMainEntryPoint:
         out.write_text("previous\n")
         # a lone surrogate cannot be encoded, so the write fails after the
         # output file was opened; a truncating open would leave it empty
-        monkeypatch.setattr(report_cli, "cmd_analytic_curves", lambda spec: "partial\n\ud800")
+        monkeypatch.setattr(report_cli, "cmd_analytic_curves", lambda args: "partial\n\ud800")
         assert main(["analytic", "--strategy", "all", "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert out.read_text() == "previous\n"
@@ -475,6 +472,22 @@ class TestMainEntryPoint:
         assert out.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["run.csv"]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analytic", "--strategy", "ancilla_with_memory"], "--alpha"),
+            (["analytic", "--strategy", "intercept_resend", "--phi", "0"], "--fraction"),
+            (["simulate", "--strategy", "intercept_resend", "--fraction", "0.5", "--rounds", "1000"],
+             "--phi"),
+        ],
+    )
+    def test_negative_zero_reads_as_zero(self, capsys, argv, flag):
+        printed = []
+        for zero in ("-0.0", "0"):
+            assert main(argv + [flag, zero]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     def test_compare_to_stdout(self, capsys):
         assert main(["compare", "--d-bob", "0.25"]) == EXIT_OK
         captured = capsys.readouterr()
@@ -549,7 +562,7 @@ class TestLazyEngine:
         for name in report_cli._ENGINE_NAMES:
             monkeypatch.delitem(vars(report_cli), name, raising=False)
 
-        def fail(spec):
+        def fail(args):
             raise RuntimeError("unexpected")
 
         monkeypatch.setattr(report_cli, command, fail)
@@ -608,7 +621,7 @@ class TestTraceCsv:
         # 7-round blocks split the 1000 rounds unevenly and meet new codes
         # in later blocks; the bytes must still be the golden's
         args = _build_parser().parse_args(["simulate", *self.GOLDENS[name], "--rounds", "1000", "--seed", "7"])
-        _, trace = cmd_simulate(_spec_from_args(args), keep_trace=True)
+        _, trace = cmd_simulate(args, keep_trace=True)
         stream = io.StringIO(newline="")
         _write_trace(trace, stream, block_rounds=7)
         assert stream.getvalue().encode() == (GOLDEN / name).read_bytes()
