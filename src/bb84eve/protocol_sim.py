@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,6 +338,8 @@ def run_protocol(
         return key_hist, parts
 
     if threads > 1:
+        # imported only here, so one-thread runs, such as every sweep row, skip its ~8 ms import
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, range(threads)))
     else:

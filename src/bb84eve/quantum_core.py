@@ -18,12 +18,14 @@ raw amplitudes, so global phase is irrelevant throughout.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 NORM_TOL = 1e-12
+_MEMO_SIZE = 256  # entries per memo; a sweep uses a few angles, and any number stays bounded
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -106,7 +108,9 @@ class EquatorBasis:
     def y(cls) -> "EquatorBasis":
         return cls(math.pi / 2)
 
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
     def eigenstate(self, outcome: Outcome) -> PureState:
+        """|+-phi>, memoized per (phi, outcome); a PureState is read-only, so callers share it."""
         phase = complex(math.cos(self.phi), math.sin(self.phi))
         return PureState([_INV_SQRT2, outcome.sign * phase * _INV_SQRT2])
 
@@ -153,11 +157,15 @@ def joint_outcome_probabilities(
     """
     if len(state) != 4:
         raise ValueError("joint_outcome_probabilities takes a two-qubit state")
-    table = np.empty((2, 2), dtype=np.float64)
-    for b_out in Outcome:
-        bra_b = np.conj(bob_basis.eigenstate(b_out).amplitudes)
-        for e_out in Outcome:
-            bra_e = np.conj(eve_basis.eigenstate(e_out).amplitudes)
-            amp = np.kron(bra_b, bra_e) @ state.amplitudes
-            table[b_out.bit, e_out.bit] = _clamp01(abs(amp) ** 2)
-    return table
+    bras = _product_bras(bob_basis.phi, eve_basis.phi)
+    return np.array([[_clamp01(abs(bra @ state.amplitudes) ** 2) for bra in row] for row in bras])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _product_bras(bob_phi: float, eve_phi: float) -> tuple:
+    """bras[b][e] = <b| (x) <e|, read-only, for Bob's bit b at bob_phi and Eve's e at eve_phi."""
+    bob, eve = ([np.conj(EquatorBasis(phi).eigenstate(out).amplitudes) for out in Outcome]
+                for phi in (bob_phi, eve_phi))
+    bras = np.array([[np.kron(bra_b, bra_e) for bra_e in eve] for bra_b in bob])
+    bras.setflags(write=False)
+    return tuple(map(tuple, bras))

@@ -7,9 +7,11 @@ header row, UNIX newlines, and 12-significant-digit numbers, so identical
 invocations are byte-identical and suitable for golden-file testing.
 
 Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
-simulation produced too few sifted rounds for standard errors. Every --out
-and --trace path is opened before any work, and on exit 2 or 3 stdout holds
-no CSV and an existing output file is left as it was.
+simulation produced too few sifted rounds for standard errors, 130 on
+Ctrl-C, and 141, silently, when the reader of an output pipe closed it.
+Every --out and --trace path is opened before any work, on exit 2 or 3
+stdout holds no CSV, and on any nonzero exit an existing output file is
+left as it was.
 """
 
 from __future__ import annotations
@@ -25,19 +27,22 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
-from .analytic_strategies import at_disturbance, closed_form
 from .attacks import FAMILIES, PARAMETERS, AttackConfig, NoAttack, parameters, sweep_grid
 
 if TYPE_CHECKING:
     from .protocol_sim import Trace
 
 # The engine names simulate uses, all reachable through protocol_sim. They load
-# with numpy only when the engine runs, so analytic, compare and --help import neither.
+# with numpy only when the engine runs, so analytic, compare and --help import
+# neither; simulate and --help in turn never import the closed forms.
 _ENGINE_NAMES = ("BASIS_LABELS", "InsufficientSampleError", "Outcome", "run_protocol", "unpack")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT_SAMPLE = 3
+EXIT_INTERRUPTED = 130  # the shell's codes for a process killed by SIGINT
+EXIT_BROKEN_PIPE = 141  # and by SIGPIPE
+MAX_GRID = 10_000  # points per swept family; analytic holds every row in memory
 
 ANALYTIC_HEADER = "strategy,phi,alpha,fraction,d_bob,i_eve,i_bob"
 SIMULATE_HEADER = (
@@ -82,8 +87,8 @@ def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackC
     simulate runs the family's default value, or asks for one.
     """
     grid = args.grid
-    if grid is not None and grid < 1:
-        raise UsageError(f"--grid must be at least 1, got {grid}")
+    if grid is not None and not 1 <= grid <= MAX_GRID:
+        raise UsageError(f"--grid must lie in [1, {MAX_GRID}], got {grid}")
     # adding 0.0 reads -0.0 as 0.0, which the CSV then prints as 0
     given = {p: None if getattr(args, p) is None else getattr(args, p) + 0.0 for p in PARAMETERS}
     name = args.strategy
@@ -177,6 +182,7 @@ def _sort_key(point):
 
 def cmd_analytic_curves(args: argparse.Namespace) -> str:
     """CSV of curve points for one strategy family or the five standard ones."""
+    from .analytic_strategies import closed_form
     points = sorted(map(closed_form, _attacks(args, default_grid=101)), key=_sort_key)
     rows = [[p.strategy, p.phi, p.alpha, p.fraction, p.d_bob, p.i_eve, p.i_bob] for p in points]
     return _document(ANALYTIC_HEADER, rows)
@@ -259,6 +265,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
     memoryless row is flagged; out-of-domain intercept/resend rows carry no
     information value.
     """
+    from .analytic_strategies import at_disturbance, closed_form
     d = args.d_bob
     if not (0.0 < d <= 0.5):
         raise UsageError("--d-bob must lie in (0, 0.5]")
@@ -311,11 +318,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analytic = sub.add_parser("analytic", help="closed-form curve points as CSV")
     common(p_analytic, (*FAMILIES, ALL_STRATEGIES),
-           grid_help="points per curve family (default 101)")
+           grid_help=f"points per curve family, at most {MAX_GRID} (default 101)")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol runs as CSV")
     common(p_sim, (NO_ATTACK, *FAMILIES),
-           grid_help="sweep the natural parameter over this many points")
+           grid_help=f"sweep the natural parameter over this many points, at most {MAX_GRID}")
     p_sim.add_argument("--rounds", type=int, required=True, help="protocol rounds per row")
     p_sim.add_argument("--seed", type=int, default=0, help="base seed; row i uses seed + i")
     p_sim.add_argument("--jobs", type=int, default=1,
@@ -373,10 +380,10 @@ def main(argv=None) -> int:
         # the return-code contract so callers never see the exception
         return int(exc.code or 0)
     too_few_sifted = ()
-    if args.command == "simulate":
-        _load_engine()  # the except clause below names an engine class
-        too_few_sifted = InsufficientSampleError
     try:
+        if args.command == "simulate":
+            _load_engine()  # the except clause below names an engine class
+            too_few_sifted = InsufficientSampleError
         with contextlib.ExitStack() as outputs:
             # every output opens before any work, so an unwritable path fails
             # first; an error below removes the temporaries and keeps old files
@@ -394,6 +401,14 @@ def main(argv=None) -> int:
                 out.write(text)
         if out is None:
             sys.stdout.write(text)
+            sys.stdout.flush()  # a closed reader shows here, not at exit
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # the reader left; as the Python docs advise, the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except too_few_sifted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_SAMPLE

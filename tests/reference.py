@@ -5,12 +5,15 @@ draw, collapse and interpret one round at a time, so tests can re-derive a
 round without going through any of the engine's code.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 
+from bb84eve import protocol_sim
 from bb84eve.protocol_sim import BASIS_ANGLES, BASIS_LABELS, REVEALED_BASIS_MARKER, TIE_TOL
-from bb84eve.quantum_core import EquatorBasis, Outcome, PureState, outcome_probabilities
+from bb84eve.quantum_core import EquatorBasis, Outcome, PureState, _clamp01, outcome_probabilities
 
 PROB_SUM_TOL = 1e-9
 ZERO_PROB_TOL = 1e-15
@@ -112,3 +115,30 @@ def interpret_outcome(
     if tie_coin is None:
         raise ValueError("outcome carries no information about this basis; a tie_coin is required")
     return int(tie_coin >= 0.5)
+
+
+# fresh_eigenstate(basis, outcome) is basis.eigenstate(outcome) built anew, past its memo
+fresh_eigenstate = EquatorBasis.eigenstate.__wrapped__
+
+
+def fresh_joint_outcome_probabilities(
+    state: PureState, bob_basis: EquatorBasis, eve_basis: EquatorBasis
+) -> np.ndarray:
+    """The 2x2 joint Born table from fresh eigenstates and one np.kron per cell, with no memo."""
+    table = np.empty((2, 2), dtype=np.float64)
+    for b_out in Outcome:
+        bra_b = np.conj(fresh_eigenstate(bob_basis, b_out).amplitudes)
+        for e_out in Outcome:
+            bra_e = np.conj(fresh_eigenstate(eve_basis, e_out).amplitudes)
+            amp = np.kron(bra_b, bra_e) @ state.amplitudes
+            table[b_out.bit, e_out.bit] = _clamp01(abs(amp) ** 2)
+    return table
+
+
+def unmemoized_tables(attack):
+    """The engine's tables for attack, built with every eigenstate and bra made afresh."""
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(EquatorBasis, "eigenstate", fresh_eigenstate))
+        patches.enter_context(mock.patch.object(
+            protocol_sim, "joint_outcome_probabilities", fresh_joint_outcome_probabilities))
+        return protocol_sim._build_tables(attack)

@@ -7,6 +7,7 @@ round, not just in aggregate.
 """
 
 import ast
+import concurrent.futures
 import itertools
 import math
 import os
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 
 import bb84eve
 import oracles
-from reference import interpret_outcome
-from bb84eve import protocol_sim
+from reference import fresh_eigenstate, interpret_outcome, unmemoized_tables
+from bb84eve import protocol_sim, quantum_core
 from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, intercept_resend
 from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend, NoAttack
 from bb84eve.protocol_sim import (
@@ -351,6 +352,61 @@ class TestKernelProperties:
         assert np.all(np.diff(cdf, axis=0) >= 0)
 
 
+_MEMOS = (EquatorBasis.eigenstate, quantum_core._product_bras)
+_SIGNED_PHIS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 4]), st.floats(0.0, math.pi / 4))
+
+
+def assert_tables_equal_unmemoized(attack):
+    """The engine's tables for attack equal, bit for bit, those built with no memo."""
+    tables = protocol_sim._build_tables(attack)
+    used = [memo.cache_info() for memo in _MEMOS]
+    reference = unmemoized_tables(attack)
+    assert [memo.cache_info() for memo in _MEMOS] == used, "the reference read a memo"
+    for name in ("codes", "p_eve", "p_bob", "joint_cdf"):
+        got, want = getattr(tables, name), getattr(reference, name)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), name
+
+
+class TestBornMemo:
+    """The memoized eigenstates and product bras change no bit of the tables."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.just(NoAttack()),
+            st.builds(InterceptResend, phi=_SIGNED_PHIS, fraction=_FRACTIONS, symmetrize=st.booleans()),
+            st.builds(AncillaNoMemory, alpha=_ALPHAS, phi=_SIGNED_PHIS, symmetrize=st.booleans()),
+            st.builds(AncillaWithMemory, alpha=_ALPHAS),
+        )
+    )
+    def test_tables_equal_unmemoized_build(self, attack):
+        assert_tables_equal_unmemoized(attack)
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_negative_zero_key_changes_no_bit(self, first, second):
+        # -0.0 == 0.0 with one hash, so a build at one phi reads the memo
+        # entries the other made; the fresh states are equal to the bit
+        for outcome in Outcome:
+            zero, negative_zero = (fresh_eigenstate(EquatorBasis(phi), outcome) for phi in (0.0, -0.0))
+            assert zero.amplitudes.tobytes() == negative_zero.amplitudes.tobytes()
+        for memo in _MEMOS:
+            memo.cache_clear()
+        for phi in (first, second):
+            for symmetrize in (True, False):
+                assert_tables_equal_unmemoized(InterceptResend(phi, 0.5, symmetrize))
+                assert_tables_equal_unmemoized(AncillaNoMemory(1.0, phi, symmetrize))
+
+    def test_memos_stay_bounded(self):
+        state = apply_eve_unitary(make_bb84_state(EquatorBasis.x(), Outcome.PLUS), 1.0)
+        for phi in np.linspace(0.0, math.pi / 4, 1000):
+            joint_outcome_probabilities(state, EquatorBasis.y(), EquatorBasis(float(phi)))
+        for memo in _MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize < 1000
+
+
 class TestEstimates:
     def test_sifting_rate_is_about_half(self):
         est, _ = run_protocol(200_000, NoAttack(), seed=17)
@@ -510,7 +566,7 @@ class TestWorkerCap:
     )
     def test_threads_capped_by_chunks_and_cpus(self, monkeypatch, workers, n_chunks, cpus, threads):
         monkeypatch.setattr(_RecordingExecutor, "seen", [])
-        monkeypatch.setattr(protocol_sim, "ThreadPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: cpus)
         est, _ = run_protocol(128 * n_chunks, NoAttack(), seed=1, workers=workers, chunk_rounds=128)
         assert _RecordingExecutor.seen == [threads]
@@ -518,7 +574,7 @@ class TestWorkerCap:
 
     def test_unknown_cpu_count_runs_inline(self, monkeypatch):
         monkeypatch.setattr(_RecordingExecutor, "seen", [])
-        monkeypatch.setattr(protocol_sim, "ThreadPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: None)
         run_protocol(640, NoAttack(), seed=1, workers=4, chunk_rounds=64)
         assert _RecordingExecutor.seen == []

@@ -15,11 +15,16 @@ import oracles
 from bb84eve.report_cli import (
     ANALYTIC_HEADER,
     COMPARE_HEADER,
+    EXIT_BROKEN_PIPE,
     EXIT_INSUFFICIENT_SAMPLE,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID,
     SIMULATE_HEADER,
     TRACE_HEADER,
+    UsageError,
+    _attacks,
     _build_parser,
     _write_trace,
     cmd_analytic_curves,
@@ -336,6 +341,84 @@ class TestMainEntryPoint:
             assert main(argv) == EXIT_USAGE, argv
             capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--strategy", "intercept_resend", "--phi", "0"],
+            ["simulate", "--strategy", "ancilla_with_memory", "--rounds", "1000"],
+        ],
+    )
+    def test_grid_is_capped_before_any_row(self, monkeypatch, capsys, argv):
+        import bb84eve.report_cli as report_cli
+
+        assert len(_attacks(parse(*argv, "--grid", str(MAX_GRID)), default_grid=None)) == MAX_GRID
+        with pytest.raises(UsageError, match="--grid"):
+            _attacks(parse(*argv, "--grid", str(MAX_GRID + 1)), default_grid=None)
+
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(report_cli, "sweep_grid", no_row)
+        assert main([*argv, "--grid", str(MAX_GRID + 1)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid must lie in [1, {MAX_GRID}], got {MAX_GRID + 1}\n"
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("cmd_analytic_curves", ["analytic", "--strategy", "all"]),
+            ("cmd_simulate", ["simulate", "--strategy", "none", "--rounds", "1000"]),
+            ("cmd_compare", ["compare", "--d-bob", "0.1"]),
+        ],
+    )
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, monkeypatch, capsys, command, argv):
+        import bb84eve.report_cli as report_cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(report_cli, command, interrupted)
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        assert main([*argv, "--out", str(out)]) == EXIT_INTERRUPTED
+        assert main(argv) == EXIT_INTERRUPTED
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: interrupted\n" * 2
+        assert out.read_text() == "kept\n" and os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--strategy", "ancilla_with_memory", "--grid", "3"],
+            ["simulate", "--strategy", "none", "--rounds", "1000", "--trace", "/dev/stdout"],
+        ],
+    )
+    def test_closed_pipe_exits_141_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=write_end,
+                                    stderr=subprocess.PIPE, env=self.package_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+    def test_reader_leaving_mid_trace_exits_141_quietly(self):
+        argv = ["simulate", "--strategy", "none", "--rounds", "200000", "--trace", "/dev/stdout"]
+        proc = subprocess.Popen([sys.executable, "-m", "bb84eve", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=self.package_env())
+        try:
+            header = proc.stdout.readline()
+            proc.stdout.close()  # as `| head -1` does, long before the trace ends
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert header.decode() == TRACE_HEADER + "\n"
+        assert (code, err) == (EXIT_BROKEN_PIPE, b"")
+
     def test_compare_takes_no_grid(self, capsys):
         assert main(["compare", "--d-bob", "0.1", "--grid", "5"]) == EXIT_USAGE
         capsys.readouterr()
@@ -541,12 +624,30 @@ class TestLazyEngine:
         ],
     )
     def test_engine_modules_load_only_for_simulate(self, argv, loads_engine):
+        assert self.loaded(argv, self.HEAVY) == (sorted(self.HEAVY) if loads_engine else [])
+
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            (["--help"], ("bb84eve.analytic_strategies", "bb84eve.infotheory")),
+            # 1000 rounds are one chunk, so --jobs 2 starts no second thread
+            (["simulate", "--strategy", "none", "--rounds", "1000", "--jobs", "2"],
+             ("bb84eve.analytic_strategies", "concurrent.futures")),
+        ],
+    )
+    def test_commands_skip_modules_they_never_run(self, argv, unused):
+        assert self.loaded(argv, unused) == []
+
+    def loaded(self, argv, modules) -> list[str]:
+        """Which of modules a fresh process running main(argv) has imported."""
         result = subprocess.run(
-            [sys.executable, "-c", self.PROBE.format(heavy=self.HEAVY), *argv],
+            [sys.executable, "-c", self.PROBE.format(heavy=modules), *argv],
             capture_output=True, text=True, env=TestMainEntryPoint.package_env(),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", *(sorted(self.HEAVY) if loads_engine else [])]
+        code, *names = result.stdout.split()
+        assert code == "0"
+        return names
 
     @pytest.mark.parametrize(
         "command, argv",
