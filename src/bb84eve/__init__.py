@@ -12,19 +12,15 @@ two routes stay independent.
 
 import importlib
 
-# public name -> submodule defining it; __getattr__ imports the submodule on
-# first access, so `import bb84eve` loads neither numpy nor the engine
+# public name (the configs, closed forms and engine the CLI and README use) -> its
+# submodule; __getattr__ imports it on first access, so `import bb84eve` loads no numpy
 _MODULE_OF = {
     name: module
     for module, names in {
-        "quantum_core": ("EquatorBasis", "Outcome", "PureState", "apply_eve_unitary",
-                         "joint_outcome_probabilities", "make_bb84_state", "outcome_probabilities"),
-        "infotheory": ("JointCounts", "binary_entropy", "info_from_fidelity", "mutual_information"),
         "attacks": ("AncillaNoMemory", "AncillaWithMemory", "AttackConfig", "InterceptResend",
                     "NoAttack"),
-        "analytic_strategies": ("BasisStats", "CurvePoint", "StrategyReport", "ancilla_no_memory",
-                                "ancilla_with_memory", "closed_form", "curve_sweep",
-                                "intercept_resend"),
+        "analytic_strategies": ("CurvePoint", "StrategyReport", "ancilla_no_memory",
+                                "ancilla_with_memory", "closed_form", "intercept_resend"),
         "protocol_sim": ("InsufficientSampleError", "SimEstimate", "Trace", "estimate",
                          "run_protocol"),
     }.items()

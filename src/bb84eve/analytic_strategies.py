@@ -5,7 +5,7 @@ measured immediately in an equatorial basis (no quantum memory), and the
 probe stored and measured in the revealed preparation basis (with memory).
 Each attack gets a StrategyReport of per-basis statistics; closed_form
 places one attack config from ``attacks`` on the curve of Eve's information
-against the disturbance Bob can detect, and curve_sweep traces a family.
+against the disturbance Bob can detect.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .attacks import (
     InterceptResend,
     check_range,
     parameters,
-    sweep_grid,
 )
 from .infotheory import info_from_fidelity
 
@@ -180,21 +179,3 @@ def at_disturbance(strategy: str, d_bob: float) -> float | None:
         value = math.acos(1.0 - 2.0 * d_bob)
     return value if value <= FAMILIES[strategy].stop else None
 
-
-def curve_sweep(strategy: str, phi: float | None = None, *, grid: int = 101, values=None) -> list[CurvePoint]:
-    """Trace one strategy family as a list of curve points sorted by d_bob.
-
-    The sweep runs over the family's swept parameter, the intercepted
-    fraction in [0, 1] or alpha in [0, pi/2], giving d_bob in [0, 1/4] or
-    [0, 1/2]. ``grid`` sets the number of evenly spaced points; ``values``
-    overrides the swept values explicitly. ``phi`` is required for the two
-    phi-parameterized strategies and must be omitted for the with-memory attack.
-    """
-    if strategy not in FAMILIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {tuple(FAMILIES)}")
-    if grid < 1:
-        raise ValueError(f"grid must be at least 1, got {grid!r}")
-    family = FAMILIES[strategy]
-    if values is None:
-        values = sweep_grid(strategy, grid)
-    return sorted((closed_form(family.config(phi, float(v))) for v in values), key=lambda p: p.d_bob)

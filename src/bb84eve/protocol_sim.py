@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import AncillaNoMemory, AncillaWithMemory, AttackConfig, InterceptResend, NoAttack
-from .infotheory import mutual_information
 from .quantum_core import (
     EquatorBasis,
     Outcome,
@@ -326,11 +326,14 @@ def run_protocol(
     tables = _build_tables(attack)
     starts = range(0, n_rounds, chunk_rounds)
     threads = min(workers, len(starts), os.cpu_count() or 1)
+    stop = threading.Event()  # set when the waiting thread fails, Ctrl-C included
 
     def run(first):
-        """Key histogram and codes of chunks first, first + threads, ..."""
+        """Key histogram and codes of chunks first, first + threads, ... until stop is set."""
         key_hist, parts = np.zeros(N_KEYS, dtype=np.int64), []
         for start in starts[first::threads]:
+            if stop.is_set():
+                break
             keys = _run_chunk(tables, seed, start, min(chunk_rounds, n_rounds - start))
             key_hist += np.bincount(keys, minlength=N_KEYS)
             if keep_trace:
@@ -341,7 +344,11 @@ def run_protocol(
         # imported only here, so one-thread runs, such as every sweep row, skip its ~8 ms import
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(threads)))
+            try:
+                results = list(pool.map(run, range(threads)))
+            except BaseException:  # the pool joins its threads on exit, each after its chunk
+                stop.set()
+                raise
     else:
         results = [run(0)]
     hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
@@ -367,9 +374,10 @@ def _stratified_mi(strata: np.ndarray) -> tuple[float | None, float | None]:
     """Weighted per-stratum plug-in MI and its standard error.
 
     strata has shape (n_strata, 2, 2). The point estimate is
-    sum_s (n_s/n) MI_s; the SE is the sample standard deviation of the
-    per-round score log2(p_s(a,g)/(p_s(a) p_s(g))) over sqrt(n), which is the
-    delta-method error of that same mean and includes the weight noise.
+    sum_s (n_s/n) MI_s, where MI_s, the stratum's mean of the per-round score
+    log2(p_s(a,g)/(p_s(a) p_s(g))), is clamped into [0, 1]; the SE is the
+    sample standard deviation of that score over sqrt(n), which is the
+    delta-method error of the same mean and includes the weight noise.
     """
     totals = strata.sum(axis=(1, 2))
     n = int(totals.sum())
@@ -381,16 +389,18 @@ def _stratified_mi(strata: np.ndarray) -> tuple[float | None, float | None]:
     for table, n_s in zip(strata, totals):
         if n_s == 0:
             continue
-        point += (n_s / n) * mutual_information(table)
         p = table / n_s
         p_a = p.sum(axis=1)
         p_g = p.sum(axis=0)
+        mi = 0.0
         for a in (0, 1):
             for g in (0, 1):
                 if table[a, g] > 0:
                     score = math.log2(p[a, g] / (p_a[a] * p_g[g]))
+                    mi += p[a, g] * score
                     score_sum += table[a, g] * score
                     score_sq += table[a, g] * score * score
+        point += (n_s / n) * (0.0 if mi < 0.0 else 1.0 if mi > 1.0 else mi)
     mean = score_sum / n
     variance = max(score_sq / n - mean * mean, 0.0)
     return point, math.sqrt(variance / n)

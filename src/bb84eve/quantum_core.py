@@ -100,14 +100,6 @@ class EquatorBasis:
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
 
-    @classmethod
-    def x(cls) -> "EquatorBasis":
-        return cls(0.0)
-
-    @classmethod
-    def y(cls) -> "EquatorBasis":
-        return cls(math.pi / 2)
-
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def eigenstate(self, outcome: Outcome) -> PureState:
         """|+-phi>, memoized per (phi, outcome); a PureState is read-only, so callers share it."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import numbers
 import os
@@ -167,6 +168,24 @@ def _document(header: str, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_all(stream: TextIO, text: str) -> None:
+    """Write text to stream in full, or raise BrokenPipeError if its reader left.
+
+    A text stream drops what a pipe did not take without an error, so text
+    goes to the descriptor by os.write until every byte is taken; a stream
+    with no descriptor (in memory) takes it in one write.
+    """
+    stream.flush()
+    try:
+        fd = stream.fileno()
+    except io.UnsupportedOperation:
+        stream.write(text)
+        return
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[os.write(fd, data):]
+
+
 def _sort_key(point):
     return (
         point.strategy,
@@ -209,12 +228,12 @@ def _write_trace(trace: Trace, out: TextIO, block_rounds: int = 1 << 16) -> None
     Each distinct round code is formatted once, where it first occurs.
     """
     rows = {}
-    out.write(TRACE_HEADER + "\n")
+    _write_all(out, TRACE_HEADER + "\n")
     for start in range(0, len(trace), block_rounds):
         block = trace.codes[start : start + block_rounds].tolist()
         for code in set(block).difference(rows):
             rows[code] = _trace_cells(code, trace.eve_labels)
-        out.write("".join(f"{i},{rows[code]}\n" for i, code in enumerate(block, start)))
+        _write_all(out, "".join(f"{i},{rows[code]}\n" for i, code in enumerate(block, start)))
 
 
 def cmd_simulate(args: argparse.Namespace, *, keep_trace: bool = False) -> tuple[str, Trace | None]:
@@ -398,10 +417,9 @@ def main(argv=None) -> int:
             else:
                 text = cmd_compare(args)
             if out is not None:
-                out.write(text)
+                _write_all(out, text)
         if out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()  # a closed reader shows here, not at exit
+            _write_all(sys.stdout, text)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -1,12 +1,15 @@
-"""Single-shot quantum helpers used only as test references.
+"""Single-shot quantum helpers and oracles used only as test references.
 
 The engine samples whole chunks from precomputed Born tables; these helpers
 draw, collapse and interpret one round at a time, so tests can re-derive a
-round without going through any of the engine's code.
+round without going through any of the engine's code. The plug-in mutual
+information of a 2x2 count table is here too, written apart from the
+engine's one-pass estimator that tests check against it.
 """
 
 import contextlib
 import math
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,10 @@ from bb84eve.quantum_core import EquatorBasis, Outcome, PureState, _clamp01, out
 
 PROB_SUM_TOL = 1e-9
 ZERO_PROB_TOL = 1e-15
+
+# the two preparation bases
+X_BASIS = EquatorBasis(0.0)
+Y_BASIS = EquatorBasis(math.pi / 2)
 
 
 def intermediate_basis() -> EquatorBasis:
@@ -142,3 +149,49 @@ def unmemoized_tables(attack):
         patches.enter_context(mock.patch.object(
             protocol_sim, "joint_outcome_probabilities", fresh_joint_outcome_probabilities))
         return protocol_sim._build_tables(attack)
+
+
+@dataclass(frozen=True)
+class JointCounts:
+    """2x2 table of non-negative integer counts indexed (alice_bit, eve_guess)."""
+
+    counts: np.ndarray = field(repr=False)
+
+    def __init__(self, counts) -> None:
+        table = np.array(counts, dtype=np.int64, copy=True)
+        if table.shape != (2, 2):
+            raise ValueError(f"counts must be a 2x2 table, got shape {table.shape}")
+        if np.any(table < 0):
+            raise ValueError("counts must be non-negative")
+        table.setflags(write=False)
+        object.__setattr__(self, "counts", table)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    def __repr__(self) -> str:
+        return f"JointCounts({self.counts.tolist()!r})"
+
+
+def mutual_information(counts) -> float:
+    """Plug-in estimator I(A;E) in bits from a 2x2 count table.
+
+    Accepts a JointCounts or anything coercible to a 2x2 non-negative integer
+    array. Zero-probability cells contribute nothing; an all-zero table is an
+    error because no distribution can be estimated from it.
+    """
+    if not isinstance(counts, JointCounts):
+        counts = JointCounts(counts)
+    n = counts.total
+    if n == 0:
+        raise ValueError("cannot estimate mutual information from an empty table")
+    p = counts.counts / n
+    p_a = p.sum(axis=1)
+    p_e = p.sum(axis=0)
+    info = 0.0
+    for a in (0, 1):
+        for e in (0, 1):
+            if p[a, e] > 0.0:
+                info += p[a, e] * math.log2(p[a, e] / (p_a[a] * p_e[e]))
+    return 0.0 if info < 0.0 else 1.0 if info > 1.0 else info

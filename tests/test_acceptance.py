@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 import oracles
-from reference import project
+from reference import X_BASIS, Y_BASIS, project
 from bb84eve.analytic_strategies import (
     ancilla_no_memory,
     ancilla_with_memory,
@@ -200,7 +200,7 @@ def test_criterion_7_memoryless_hierarchy():
 
 @criterion(8, "every analytic fidelity equals an independent Born-rule probability")
 def test_criterion_8_born_rule_equivalence():
-    x_basis, y_basis = EquatorBasis.x(), EquatorBasis.y()
+    x_basis, y_basis = X_BASIS, Y_BASIS
 
     def intercept_bob(phi, prep_basis):
         probe = EquatorBasis(phi)

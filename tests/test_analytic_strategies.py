@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from reference import project
+from reference import X_BASIS, Y_BASIS, project
 from bb84eve.analytic_strategies import (
     BasisStats,
     CurvePoint,
@@ -21,7 +21,6 @@ from bb84eve.analytic_strategies import (
     ancilla_no_memory,
     ancilla_with_memory,
     closed_form,
-    curve_sweep,
     intercept_resend,
 )
 from bb84eve.attacks import (
@@ -121,10 +120,10 @@ class TestInterceptResend:
         for phi in PHI_GRID:
             report = intercept_resend(phi)
             assert report.bob_x.fidelity == pytest.approx(
-                intercept_bob_fidelity(phi, EquatorBasis.x()), abs=1e-12
+                intercept_bob_fidelity(phi, X_BASIS), abs=1e-12
             )
             assert report.bob_y.fidelity == pytest.approx(
-                intercept_bob_fidelity(phi, EquatorBasis.y()), abs=1e-12
+                intercept_bob_fidelity(phi, Y_BASIS), abs=1e-12
             )
 
     def test_eve_info_matches_symmetrized_average(self):
@@ -210,7 +209,7 @@ class TestAncillaWithMemory:
         # Eve's is the probe marginal measured in the preparation basis
         for alpha in ALPHA_GRID:
             report = ancilla_with_memory(alpha)
-            basis = EquatorBasis.y()
+            basis = Y_BASIS
             joint = apply_eve_unitary(basis.eigenstate(Outcome.PLUS), alpha)
             table = joint_outcome_probabilities(joint, basis, basis)
             assert report.bob_overall.fidelity == pytest.approx(
@@ -262,19 +261,19 @@ class TestAncillaNoMemory:
                 report = ancilla_no_memory(alpha, phi)
                 probe_basis = EquatorBasis(phi)
                 x_joint = apply_eve_unitary(
-                    EquatorBasis.x().eigenstate(Outcome.PLUS), alpha
+                    X_BASIS.eigenstate(Outcome.PLUS), alpha
                 )
                 x_table = joint_outcome_probabilities(
-                    x_joint, EquatorBasis.x(), probe_basis
+                    x_joint, X_BASIS, probe_basis
                 )
                 assert report.eve_x.fidelity == pytest.approx(
                     x_table[:, 0].sum(), abs=1e-12
                 )
                 y_joint = apply_eve_unitary(
-                    EquatorBasis.y().eigenstate(Outcome.PLUS), alpha
+                    Y_BASIS.eigenstate(Outcome.PLUS), alpha
                 )
                 y_table = joint_outcome_probabilities(
-                    y_joint, EquatorBasis.y(), probe_basis
+                    y_joint, Y_BASIS, probe_basis
                 )
                 assert report.eve_y.fidelity == pytest.approx(
                     y_table[:, 0].sum(), abs=1e-12
@@ -400,6 +399,11 @@ class TestClosedForm:
             closed_form(NoAttack())
 
 
+def sweep(strategy: str, phi=None, grid: int = 101) -> list[CurvePoint]:
+    """A family's curve the way the CLI builds it: closed_form of each config of the grid."""
+    return [closed_form(FAMILIES[strategy].config(phi, v)) for v in sweep_grid(strategy, grid)]
+
+
 class TestCurveSweep:
     def test_strategy_labels(self):
         assert tuple(FAMILIES) == (
@@ -409,14 +413,14 @@ class TestCurveSweep:
         )
 
     def test_intercept_sweep_spans_fractions(self):
-        points = curve_sweep(INTERCEPT_RESEND, 0.0, grid=11)
+        points = sweep(INTERCEPT_RESEND, 0.0, grid=11)
         assert len(points) == 11
         assert points[0].d_bob == 0.0
         assert points[-1].d_bob == 0.25
         assert all(p.phi == 0.0 for p in points)
 
     def test_no_memory_sweep_spans_alpha(self):
-        points = curve_sweep(ANCILLA_NO_MEMORY, PHI_MAX, grid=11)
+        points = sweep(ANCILLA_NO_MEMORY, PHI_MAX, grid=11)
         assert len(points) == 11
         assert points[0].d_bob == 0.0
         assert points[-1].d_bob == 0.5
@@ -425,20 +429,20 @@ class TestCurveSweep:
         )
 
     def test_with_memory_sweep_needs_no_phi(self):
-        points = curve_sweep(ANCILLA_WITH_MEMORY, grid=5)
+        points = sweep(ANCILLA_WITH_MEMORY, grid=5)
         assert points[0].i_eve == 0.0
         assert points[-1].i_eve == 1.0
         assert all(p.phi is None for p in points)
 
     def test_points_sorted_by_disturbance(self):
-        points = curve_sweep(ANCILLA_WITH_MEMORY, grid=33)
-        d_values = [p.d_bob for p in points]
-        assert d_values == sorted(d_values)
+        # d_bob rises with the swept value, so the grid's order is the curve's
+        for strategy, phi in [(INTERCEPT_RESEND, 0.1), (ANCILLA_NO_MEMORY, 0.1), (ANCILLA_WITH_MEMORY, None)]:
+            d_values = [p.d_bob for p in sweep(strategy, phi, grid=33)]
+            assert d_values == sorted(d_values), strategy
 
     def test_explicit_values_override_grid(self):
-        points = curve_sweep(INTERCEPT_RESEND, 0.1, values=[0.5])
-        assert len(points) == 1
-        assert points[0].fraction == 0.5
+        point = closed_form(FAMILIES[INTERCEPT_RESEND].config(0.1, 0.5))
+        assert (point.phi, point.fraction) == (0.1, 0.5)
 
     @pytest.mark.parametrize("strategy", [INTERCEPT_RESEND, ANCILLA_WITH_MEMORY])
     def test_grid_equals_linspace_bit_for_bit(self, strategy):
@@ -447,16 +451,16 @@ class TestCurveSweep:
             assert sweep_grid(strategy, grid) == np.linspace(0.0, stop, grid).tolist()
 
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            curve_sweep("teleport", 0.0)
+        with pytest.raises(KeyError):
+            sweep_grid("teleport", 3)
 
     def test_rejects_missing_phi(self):
-        with pytest.raises(ValueError):
-            curve_sweep(ANCILLA_NO_MEMORY)
+        with pytest.raises(ValueError, match="ancilla_no_memory requires phi"):
+            FAMILIES[ANCILLA_NO_MEMORY].config(None, 0.5)
 
     def test_rejects_phi_for_memory_strategy(self):
-        with pytest.raises(ValueError):
-            curve_sweep(ANCILLA_WITH_MEMORY, 0.1)
+        with pytest.raises(ValueError, match="ancilla_with_memory takes no phi parameter"):
+            FAMILIES[ANCILLA_WITH_MEMORY].config(0.1, 0.5)
 
     def test_curve_point_fields(self):
         point = CurvePoint(

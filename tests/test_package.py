@@ -1,7 +1,10 @@
-"""Tests for the package namespace, whose public names load on first use."""
+"""Tests for the package namespace, whose public names load on first use, and the README."""
 
+import argparse
 import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +12,36 @@ from pathlib import Path
 import pytest
 
 import bb84eve
+from bb84eve.report_cli import _build_parser
+
+README = Path(__file__).parents[1] / "README.md"
+
+# the package surface: the attack configs, the closed forms and the engine
+SURFACE = {
+    "NoAttack", "InterceptResend", "AncillaNoMemory", "AncillaWithMemory", "AttackConfig",
+    "intercept_resend", "ancilla_no_memory", "ancilla_with_memory", "closed_form",
+    "StrategyReport", "CurvePoint",
+    "run_protocol", "estimate", "Trace", "SimEstimate", "InsufficientSampleError",
+}
+# names the package once exported that stay public in their modules only
+MODULE_ONLY = {
+    "BasisStats": "analytic_strategies",
+    "binary_entropy": "infotheory",
+    "info_from_fidelity": "infotheory",
+    **{name: "quantum_core" for name in (
+        "EquatorBasis", "Outcome", "PureState", "apply_eve_unitary",
+        "joint_outcome_probabilities", "make_bb84_state", "outcome_probabilities")},
+}
 
 
-@pytest.mark.parametrize("name", bb84eve.__all__)
+@pytest.mark.parametrize("name", [*bb84eve.__all__, *MODULE_ONLY])
 def test_public_name_resolves(name):
+    if name in MODULE_ONLY:
+        assert hasattr(importlib.import_module(f"bb84eve.{MODULE_ONLY[name]}"), name)
+        assert name not in bb84eve.__all__
+        with pytest.raises(AttributeError):
+            getattr(bb84eve, name)
+        return
     module = importlib.import_module(f"bb84eve.{bb84eve._MODULE_OF[name]}")
     assert getattr(bb84eve, name) is getattr(module, name)
     namespace = {}
@@ -34,3 +63,26 @@ def test_fresh_import_lists_names_without_loading_them():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         bb84eve.no_such_name
+
+
+class TestReadme:
+    def blocks(self, language: str) -> list[str]:
+        return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+    def test_surface_is_documented(self):
+        assert set(bb84eve.__all__) == SURFACE
+        text = README.read_text()
+        assert [name for name in sorted(SURFACE) if not re.search(rf"\b{name}\b", text)] == []
+
+    def test_python_blocks_run(self):
+        blocks = self.blocks("python")
+        assert len(blocks) == 2
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
+
+    def test_command_lines_parse(self):
+        lines = [line for block in self.blocks("sh") for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line, comments=True) for line in lines if line.startswith("bb84eve ")]
+        assert len(commands) > 15
+        for argv in commands:
+            assert isinstance(_build_parser().parse_args(argv[1:]), argparse.Namespace)

@@ -11,8 +11,11 @@ import concurrent.futures
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +26,14 @@ from hypothesis import strategies as st
 
 import bb84eve
 import oracles
-from reference import fresh_eigenstate, interpret_outcome, unmemoized_tables
+from reference import (
+    X_BASIS,
+    Y_BASIS,
+    fresh_eigenstate,
+    interpret_outcome,
+    mutual_information,
+    unmemoized_tables,
+)
 from bb84eve import protocol_sim, quantum_core
 from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, intercept_resend
 from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend, NoAttack
@@ -226,7 +236,7 @@ class TestInterpretOutcome:
 
     def test_accepts_equator_basis_arguments(self):
         basis = EquatorBasis(math.pi / 8)
-        assert interpret_outcome(basis, Outcome.PLUS, EquatorBasis.x()) == 0
+        assert interpret_outcome(basis, Outcome.PLUS, X_BASIS) == 0
 
 
 class TestDeterminism:
@@ -399,12 +409,34 @@ class TestBornMemo:
                 assert_tables_equal_unmemoized(AncillaNoMemory(1.0, phi, symmetrize))
 
     def test_memos_stay_bounded(self):
-        state = apply_eve_unitary(make_bb84_state(EquatorBasis.x(), Outcome.PLUS), 1.0)
+        state = apply_eve_unitary(make_bb84_state(X_BASIS, Outcome.PLUS), 1.0)
         for phi in np.linspace(0.0, math.pi / 4, 1000):
-            joint_outcome_probabilities(state, EquatorBasis.y(), EquatorBasis(float(phi)))
+            joint_outcome_probabilities(state, Y_BASIS, EquatorBasis(float(phi)))
         for memo in _MEMOS:
             info = memo.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize < 1000
+
+
+# count tables of 1-8 strata, with many zero cells and so some empty strata
+count_strata = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.one_of(st.just(0), st.integers(1, 5), st.integers(0, 2**40)),
+                       min_size=4 * n, max_size=4 * n)
+).map(lambda cells: np.array(cells, dtype=np.int64).reshape(-1, 2, 2))
+
+
+class TestStratifiedMi:
+    @given(count_strata)
+    @example(np.zeros((3, 2, 2), dtype=np.int64))
+    @example(np.array([[[0, 0], [0, 0]], [[7, 0], [0, 0]], [[0, 0], [0, 0]], [[3, 1], [0, 9]]]))
+    @example(np.array([[[1, 2], [5, 10]], [[3, 1], [0, 9]]]))  # independent: the sum is -2.9e-16
+    def test_point_is_the_weighted_oracle_mi(self, strata):
+        point, se = protocol_sim._stratified_mi(strata)
+        totals = strata.sum(axis=(1, 2))
+        n = int(totals.sum())
+        if n == 0:
+            assert (point, se) == (None, None)
+            return
+        assert point == sum((n_s / n) * mutual_information(t) for t, n_s in zip(strata, totals) if n_s)
 
 
 class TestEstimates:
@@ -578,6 +610,29 @@ class TestWorkerCap:
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: None)
         run_protocol(640, NoAttack(), seed=1, workers=4, chunk_rounds=64)
         assert _RecordingExecutor.seen == []
+
+
+class TestInterrupt:
+    def test_ctrl_c_stops_the_workers_at_their_next_chunk(self, monkeypatch):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        main_thread, run_chunk, ran = threading.get_ident(), protocol_sim._run_chunk, []
+
+        def chunk(tables, seed, start, size):
+            keys = run_chunk(tables, seed, start, size)
+            ran.append(start)
+            if start == 0:  # Ctrl-C once the first chunk is done
+                signal.pthread_kill(main_thread, signal.SIGINT)
+            time.sleep(0.001)
+            return keys
+
+        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_protocol(2000, NoAttack(), seed=1, workers=2, chunk_rounds=1)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert 1 <= len(ran) < 100
 
 
 class TestRouteSeparation:

@@ -16,7 +16,15 @@ from bb84eve.quantum_core import (
     make_bb84_state,
     outcome_probabilities,
 )
-from reference import conjugate_basis, intermediate_basis, project, sample_joint_outcome, sample_outcome
+from reference import (
+    X_BASIS,
+    Y_BASIS,
+    conjugate_basis,
+    intermediate_basis,
+    project,
+    sample_joint_outcome,
+    sample_outcome,
+)
 
 PHI_GRID = np.linspace(0.0, math.pi / 4, 50)
 
@@ -92,7 +100,7 @@ class TestEquatorBasis:
         )
 
     def test_y_basis_has_imaginary_component(self):
-        plus = EquatorBasis.y().eigenstate(Outcome.PLUS).amplitudes
+        plus = Y_BASIS.eigenstate(Outcome.PLUS).amplitudes
         assert plus[1] == pytest.approx(1j / math.sqrt(2.0), abs=1e-15)
 
     @given(angles)
@@ -120,7 +128,7 @@ class TestEquatorBasis:
 
 class TestMakeBB84State:
     def test_accepts_x_and_y(self):
-        for basis in (EquatorBasis.x(), EquatorBasis.y()):
+        for basis in (X_BASIS, Y_BASIS):
             for outcome in (Outcome.PLUS, Outcome.MINUS):
                 state = make_bb84_state(basis, outcome)
                 eigen = basis.eigenstate(outcome)
@@ -135,7 +143,7 @@ class TestMakeBB84State:
 
 class TestOutcomeProbabilities:
     def test_eigenstate_is_certain(self):
-        basis = EquatorBasis.x()
+        basis = X_BASIS
         state = basis.eigenstate(Outcome.PLUS)
         p_plus, p_minus = outcome_probabilities(state, basis)
         assert p_plus == pytest.approx(1.0, abs=1e-12)
@@ -143,13 +151,13 @@ class TestOutcomeProbabilities:
 
     def test_x_state_in_rotated_basis(self):
         # |+x> measured at angle phi succeeds with probability (1+cos phi)/2
-        state = EquatorBasis.x().eigenstate(Outcome.PLUS)
+        state = X_BASIS.eigenstate(Outcome.PLUS)
         for phi in PHI_GRID:
             p_plus, _ = outcome_probabilities(state, EquatorBasis(phi))
             assert p_plus == pytest.approx((1.0 + math.cos(phi)) / 2.0, abs=1e-12)
 
     def test_y_state_in_rotated_basis(self):
-        state = EquatorBasis.y().eigenstate(Outcome.PLUS)
+        state = Y_BASIS.eigenstate(Outcome.PLUS)
         for phi in PHI_GRID:
             p_plus, _ = outcome_probabilities(state, EquatorBasis(phi))
             assert p_plus == pytest.approx((1.0 + math.sin(phi)) / 2.0, abs=1e-12)
@@ -163,8 +171,8 @@ class TestOutcomeProbabilities:
 
     def test_mirror_symmetry_of_companion_angle(self):
         # swapping x for y and phi for pi/2 - phi leaves the overlap unchanged
-        x_state = EquatorBasis.x().eigenstate(Outcome.PLUS)
-        y_state = EquatorBasis.y().eigenstate(Outcome.PLUS)
+        x_state = X_BASIS.eigenstate(Outcome.PLUS)
+        y_state = Y_BASIS.eigenstate(Outcome.PLUS)
         for phi in PHI_GRID:
             p_x, _ = outcome_probabilities(x_state, EquatorBasis(phi))
             p_y, _ = outcome_probabilities(
@@ -175,14 +183,14 @@ class TestOutcomeProbabilities:
 
 class TestProject:
     def test_projection_returns_basis_eigenstate(self):
-        state = EquatorBasis.x().eigenstate(Outcome.PLUS)
+        state = X_BASIS.eigenstate(Outcome.PLUS)
         basis = EquatorBasis(math.pi / 8)
         collapsed = project(state, basis, Outcome.MINUS)
         eigen = basis.eigenstate(Outcome.MINUS)
         assert collapsed.overlap_probability(eigen) == pytest.approx(1.0, abs=1e-12)
 
     def test_projection_onto_orthogonal_outcome_raises(self):
-        basis = EquatorBasis.x()
+        basis = X_BASIS
         state = basis.eigenstate(Outcome.PLUS)
         with pytest.raises(ValueError):
             project(state, basis, Outcome.MINUS)
@@ -202,7 +210,7 @@ class TestApplyEveUnitary:
         assert joint == pytest.approx(expected, abs=1e-15)
 
     def test_alpha_zero_is_identity_with_idle_probe(self):
-        state = EquatorBasis.y().eigenstate(Outcome.MINUS)
+        state = Y_BASIS.eigenstate(Outcome.MINUS)
         joint = apply_eve_unitary(state, 0.0).amplitudes
         expected = np.kron(state.amplitudes, np.array([1.0, 0.0]))
         assert joint == pytest.approx(expected, abs=1e-15)
@@ -218,25 +226,25 @@ class TestJointOutcomeProbabilities:
     def test_full_swap_moves_signal_into_probe(self):
         # alpha = pi/2 leaves |0> with Bob and |+x> with Eve, so Eve's
         # x-basis outcome is certain while Bob's is a fair coin
-        state = EquatorBasis.x().eigenstate(Outcome.PLUS)
+        state = X_BASIS.eigenstate(Outcome.PLUS)
         joint = apply_eve_unitary(state, math.pi / 2)
-        table = joint_outcome_probabilities(joint, EquatorBasis.x(), EquatorBasis.x())
+        table = joint_outcome_probabilities(joint, X_BASIS, X_BASIS)
         assert table == pytest.approx(np.array([[0.5, 0.0], [0.5, 0.0]]), abs=1e-12)
 
     def test_full_swap_with_conjugate_probe_basis_is_uniform(self):
         # after the swap a y-basis readout of the |+x> probe is a fair coin
         # independent of Bob's, so all four cells carry weight 1/4
-        state = EquatorBasis.x().eigenstate(Outcome.PLUS)
+        state = X_BASIS.eigenstate(Outcome.PLUS)
         joint = apply_eve_unitary(state, math.pi / 2)
-        table = joint_outcome_probabilities(joint, EquatorBasis.x(), EquatorBasis.y())
+        table = joint_outcome_probabilities(joint, X_BASIS, Y_BASIS)
         assert table == pytest.approx(np.full((2, 2), 0.25), abs=1e-12)
 
     def test_table_is_normalized(self):
-        state = EquatorBasis.y().eigenstate(Outcome.PLUS)
+        state = Y_BASIS.eigenstate(Outcome.PLUS)
         for alpha in np.linspace(0.0, math.pi / 2, 7):
             joint = apply_eve_unitary(state, alpha)
             table = joint_outcome_probabilities(
-                joint, EquatorBasis.y(), EquatorBasis(math.pi / 8)
+                joint, Y_BASIS, EquatorBasis(math.pi / 8)
             )
             assert table.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(table >= 0.0)
@@ -245,7 +253,7 @@ class TestJointOutcomeProbabilities:
         # the signal-side success probability is (1+cos alpha)/2 regardless
         # of which preparation basis was used
         for alpha in np.linspace(0.0, math.pi / 2, 9):
-            for basis in (EquatorBasis.x(), EquatorBasis.y()):
+            for basis in (X_BASIS, Y_BASIS):
                 state = basis.eigenstate(Outcome.PLUS)
                 joint = apply_eve_unitary(state, alpha)
                 table = joint_outcome_probabilities(
@@ -259,21 +267,21 @@ class TestJointOutcomeProbabilities:
     def test_eve_marginal_for_x_preparation(self):
         # the probe-side success probability against |+x> at probe basis phi
         # is (1 + cos phi sin alpha)/2
-        state = EquatorBasis.x().eigenstate(Outcome.PLUS)
+        state = X_BASIS.eigenstate(Outcome.PLUS)
         for alpha in np.linspace(0.0, math.pi / 2, 9):
             joint = apply_eve_unitary(state, alpha)
             for phi in np.linspace(0.0, math.pi / 4, 9):
                 table = joint_outcome_probabilities(
-                    joint, EquatorBasis.x(), EquatorBasis(phi)
+                    joint, X_BASIS, EquatorBasis(phi)
                 )
                 eve_fid = table[:, 0].sum()
                 expected = (1.0 + math.cos(phi) * math.sin(alpha)) / 2.0
                 assert eve_fid == pytest.approx(expected, abs=1e-12)
 
     def test_requires_two_qubit_state(self):
-        state = EquatorBasis.x().eigenstate(Outcome.PLUS)
+        state = X_BASIS.eigenstate(Outcome.PLUS)
         with pytest.raises(ValueError):
-            joint_outcome_probabilities(state, EquatorBasis.x(), EquatorBasis.x())
+            joint_outcome_probabilities(state, X_BASIS, X_BASIS)
 
 
 class TestSampling:

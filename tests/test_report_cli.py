@@ -404,6 +404,21 @@ class TestMainEntryPoint:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
 
+    def test_reader_leaving_mid_csv_exits_141_quietly(self):
+        # the CSV, about 4 MB, is one write that the pipe takes only in part
+        argv = ["analytic", "--strategy", "all", "--grid", str(MAX_GRID)]
+        proc = subprocess.Popen([sys.executable, "-m", "bb84eve", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=self.package_env())
+        try:
+            proc.stdout.readline()
+            proc.stdout.close()  # as `| head -1` does, long before the CSV ends
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (code, err) == (EXIT_BROKEN_PIPE, b"")
+
     def test_reader_leaving_mid_trace_exits_141_quietly(self):
         argv = ["simulate", "--strategy", "none", "--rounds", "200000", "--trace", "/dev/stdout"]
         proc = subprocess.Popen([sys.executable, "-m", "bb84eve", *argv], stdout=subprocess.PIPE,
@@ -689,10 +704,11 @@ class TestLazyEngine:
 
     def test_engine_names_resolve_as_module_attributes(self):
         import bb84eve.protocol_sim as protocol_sim
+        import bb84eve.quantum_core as quantum_core
         import bb84eve.report_cli as report_cli
 
         assert report_cli.run_protocol is protocol_sim.run_protocol
-        assert report_cli.Outcome is bb84eve.Outcome
+        assert report_cli.Outcome is quantum_core.Outcome
         with pytest.raises(AttributeError):
             report_cli.intercept_resend
 
