@@ -1,23 +1,27 @@
 """Monte Carlo BB84 engine with deterministic counter-based randomness.
 
-Every round consumes one fixed-width row of 8 uniforms from a Philox stream
-keyed by the run seed, so results are bit-identical for a given
-(n_rounds, attack, seed) regardless of chunking or thread count. Column
-semantics, fixed for the life of the format:
+Every round consumes one fixed-width row of 8 64-bit words from a Philox
+stream keyed by the run seed, so results are bit-identical for a given
+(n_rounds, attack, seed) regardless of chunking or thread count. Word w
+stands for the uniform u = (w >> 11) * 2**-53, the double numpy's
+Generator.random makes of it. Column semantics, fixed for the life of the
+format:
 
     0 Alice basis   1 Alice bit      2 Bob basis      3 intercept coin
     4 symmetrization coin 5 Eve outcome / joint outcome draw
     6 Bob outcome (intercept/resend and untouched rounds)
     7 tie-break coin, doubling as the guess coin on untouched rounds
 
-A value u maps to index (u >= 0.5), so u < 0.5 means x / bit 0 / PLUS.
+A value u maps to index (u >= 0.5), which is the word's top bit, so
+u < 0.5 means x / bit 0 / PLUS.
 Eve's angle slot (phi or its companion pi/2 - phi) comes from column 4
 under symmetrization and is 0 without it; for the stored probe, which is
 read in the revealed basis, the slot comes from column 0.
 
-Chunk execution: one u >= 0.5 pass over a chunk gives every fair-coin
-bit. Each draw against a Born-rule threshold (interception, Eve's outcome,
-Bob's outcome, the joint cell) overwrites its column's bit, and reads its
+Chunk execution: one top-bit pass over a chunk's words gives every
+fair-coin bit. Each draw against a Born-rule threshold (interception, Eve's
+outcome, Bob's outcome, the joint cell) converts only its column (3, 5 or
+6) to the uniform above, overwrites the column's bit, and reads its
 threshold from a flat per-run table with one take on the round key, the
 byte that gathers the round's 8 column bits. A chunk accumulates only the
 bincount of its keys. One 256-entry table per run maps each key to its
@@ -53,8 +57,8 @@ from .quantum_core import (
 )
 
 UNIFORMS_PER_ROUND = 8
-# Philox yields 4 doubles per 128-bit counter block, so one 8-uniform round
-# row is exactly 2 blocks; advancing 2*start blocks aligns a chunk with the
+# Philox4x64 yields 4 words per counter block, so one 8-word round row is
+# exactly 2 blocks; advancing 2*start blocks aligns a chunk with the
 # corresponding rows of a one-shot draw.
 _BLOCKS_PER_ROUND = 2
 _DEFAULT_CHUNK = 1 << 16
@@ -272,26 +276,33 @@ def _build_tables(attack: AttackConfig) -> _EngineTables:
 # --- chunk execution --------------------------------------------------------
 
 
-def _chunk_uniforms(seed: int, start: int, size: int) -> np.ndarray:
+def _chunk_words(seed: int, start: int, size: int) -> np.ndarray:
+    """The (size, 8) uint64 Philox words of rounds start .. start + size - 1."""
     gen = np.random.Philox(key=seed)
     if start:
         gen.advance(start * _BLOCKS_PER_ROUND)
-    return np.random.Generator(gen).random((size, UNIFORMS_PER_ROUND))
+    return gen.random_raw(size * UNIFORMS_PER_ROUND).reshape(size, UNIFORMS_PER_ROUND)
+
+
+def _uniforms(words: np.ndarray, column: int) -> np.ndarray:
+    """Column's uniforms: the doubles Generator.random makes of the same words."""
+    return (words[:, column] >> np.uint64(11)) * 2.0**-53
 
 
 def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> np.ndarray:
     """The round keys of rounds start .. start + size - 1, as int64."""
-    u = _chunk_uniforms(seed, start, size)
-    bits = (u >= 0.5).view(np.uint8)
+    w = _chunk_words(seed, start, size)
+    bits = (w.view(np.int64) < 0).view(np.uint8)  # u >= 0.5 is the word's top bit
     if tables.joint_cdf is None:
         if tables.fraction > 0:
-            np.less(u[:, 3], tables.fraction, out=bits[:, 3])
+            np.less(_uniforms(w, 3), tables.fraction, out=bits[:, 3])
             if bits[:, 3].any():  # Eve's draw only where she can have intercepted
-                np.greater_equal(u[:, 5], tables.p_eve.take(_keys(bits)), out=bits[:, 5])
-        np.greater_equal(u[:, 6], tables.p_bob.take(_keys(bits)), out=bits[:, 6])
+                np.greater_equal(_uniforms(w, 5), tables.p_eve.take(_keys(bits)), out=bits[:, 5])
+        np.greater_equal(_uniforms(w, 6), tables.p_bob.take(_keys(bits)), out=bits[:, 6])
     else:
         keys = _keys(bits)
-        cell = sum((u[:, 5] >= cdf.take(keys)).view(np.uint8) for cdf in tables.joint_cdf[:3])
+        u5 = _uniforms(w, 5)
+        cell = sum((u5 >= cdf.take(keys)).view(np.uint8) for cdf in tables.joint_cdf[:3])
         bits[:, 5] = cell & 1
         bits[:, 6] = cell >> 1
     return _keys(bits)
@@ -326,31 +337,39 @@ def run_protocol(
     tables = _build_tables(attack)
     starts = range(0, n_rounds, chunk_rounds)
     threads = min(workers, len(starts), os.cpu_count() or 1)
-    stop = threading.Event()  # set when the waiting thread fails, Ctrl-C included
+    stop = threading.Event()  # set when any share fails, Ctrl-C included
+    results, errors = [None] * threads, []
 
     def run(first):
         """Key histogram and codes of chunks first, first + threads, ... until stop is set."""
-        key_hist, parts = np.zeros(N_KEYS, dtype=np.int64), []
-        for start in starts[first::threads]:
-            if stop.is_set():
-                break
-            keys = _run_chunk(tables, seed, start, min(chunk_rounds, n_rounds - start))
-            key_hist += np.bincount(keys, minlength=N_KEYS)
-            if keep_trace:
-                parts.append(tables.codes.take(keys))
-        return key_hist, parts
+        try:
+            key_hist, parts = np.zeros(N_KEYS, dtype=np.int64), []
+            for start in starts[first::threads]:
+                if stop.is_set():
+                    break
+                keys = _run_chunk(tables, seed, start, min(chunk_rounds, n_rounds - start))
+                key_hist += np.bincount(keys, minlength=N_KEYS)
+                if keep_trace:
+                    parts.append(tables.codes.take(keys))
+            results[first] = key_hist, parts
+        except BaseException as exc:  # the caller raises it once every share has stopped
+            stop.set()
+            errors.append(exc)
 
-    if threads > 1:
-        # imported only here, so one-thread runs, such as every sweep row, skip its ~8 ms import
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            try:
-                results = list(pool.map(run, range(threads)))
-            except BaseException:  # the pool joins its threads on exit, each after its chunk
-                stop.set()
-                raise
-    else:
-        results = [run(0)]
+    # shares 1 .. threads - 1 run on helper threads, share 0 on this one
+    helpers = [threading.Thread(target=run, args=(first,)) for first in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        try:
+            helper.join()
+        except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next chunk
+            stop.set()
+            errors.append(exc)
+            helper.join()
+    if errors:
+        raise errors[0]
     hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
     np.add.at(hist, tables.codes, sum(key_hist for key_hist, _ in results))
     trace = None

@@ -135,18 +135,20 @@ def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackC
 def parse_angle(text: str) -> float:
     """Angle in radians from a float literal or a pi expression like 3pi/8."""
     s = text.strip().lower().replace(" ", "")
-    m = re.fullmatch(r"(-?)(?:(\d+(?:\.\d*)?|\.\d+)\*?)?(pi)?(?:/(\d+(?:\.\d*)?|\.\d+))?", s)
+    number = r"((?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)"
+    m = re.fullmatch(rf"(-?)(?:{number}\*?)?(pi)?(?:/{number})?", s)
     if not m or (m.group(2) is None and m.group(3) is None):
         raise ValueError(f"cannot parse angle {text!r}")
     sign, coeff, pi_token, divisor = m.groups()
     value = float(coeff) if coeff is not None else 1.0
+    div = float(divisor) if divisor is not None else 1.0
+    if div == 0.0:
+        raise ValueError(f"zero divisor in angle {text!r}")
     if pi_token:
         value *= math.pi
-    if divisor is not None:
-        div = float(divisor)
-        if div == 0.0:
-            raise ValueError(f"zero divisor in angle {text!r}")
-        value /= div
+    value /= div
+    if not (math.isfinite(value) and math.isfinite(div)):
+        raise ValueError(f"angle {text!r} is not finite")
     return -value if sign else value
 
 

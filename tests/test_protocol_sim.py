@@ -7,7 +7,6 @@ round, not just in aggregate.
 """
 
 import ast
-import concurrent.futures
 import itertools
 import math
 import os
@@ -333,6 +332,28 @@ _ATTACKS = st.one_of(
 )
 
 
+class TestWordStream:
+    """The engine reads raw Philox words; Generator.random stays the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        start=st.sampled_from([0, 1, 65536, 2**40]),
+        size=st.integers(1, 64),
+    )
+    @example(seed=0, start=0, size=1)
+    @example(seed=2**64 - 1, start=2**40, size=64)
+    def test_words_are_the_generators_uniforms(self, seed, start, size):
+        words = protocol_sim._chunk_words(seed, start, size)
+        assert words.dtype == np.uint64 and words.shape == (size, UNIFORMS_PER_ROUND)
+        bit_gen = np.random.Philox(key=seed)
+        bit_gen.advance(start * protocol_sim._BLOCKS_PER_ROUND)
+        u = np.random.Generator(bit_gen).random((size, UNIFORMS_PER_ROUND))
+        for column in range(UNIFORMS_PER_ROUND):
+            assert protocol_sim._uniforms(words, column).tobytes() == u[:, column].tobytes()
+        assert np.array_equal(words.view(np.int64) < 0, u >= 0.5)
+
+
 class TestKernelProperties:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -574,42 +595,80 @@ class TestTraceEstimation:
         assert trace is None
 
 
-class _RecordingExecutor:
-    """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
-
-    seen: list[int] = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestWorkerCap:
     @pytest.mark.parametrize(
         "workers,n_chunks,cpus,threads", [(10**6, 40, 2, 2), (10**6, 3, 8, 3), (4, 40, 8, 4)]
     )
     def test_threads_capped_by_chunks_and_cpus(self, monkeypatch, workers, n_chunks, cpus, threads):
-        monkeypatch.setattr(_RecordingExecutor, "seen", [])
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: cpus)
+        # each share's first chunk waits until all `threads` shares run, so
+        # no thread exits (and frees its ident for reuse) before the others start;
+        # a run on fewer threads breaks the barrier
+        barrier, run_chunk, seen = threading.Barrier(threads, timeout=10), protocol_sim._run_chunk, set()
+
+        def chunk(tables, seed, start, size):
+            if start < 128 * threads:
+                barrier.wait()
+            seen.add(threading.get_ident())
+            return run_chunk(tables, seed, start, size)
+
+        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
         est, _ = run_protocol(128 * n_chunks, NoAttack(), seed=1, workers=workers, chunk_rounds=128)
-        assert _RecordingExecutor.seen == [threads]
+        assert len(seen) == threads and threading.get_ident() in seen
+        monkeypatch.undo()
         assert est == run_protocol(128 * n_chunks, NoAttack(), seed=1)[0]
 
     def test_unknown_cpu_count_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(_RecordingExecutor, "seen", [])
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: None)
+        run_chunk, seen = protocol_sim._run_chunk, set()
+
+        def chunk(tables, seed, start, size):
+            seen.add(threading.get_ident())
+            return run_chunk(tables, seed, start, size)
+
+        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
         run_protocol(640, NoAttack(), seed=1, workers=4, chunk_rounds=64)
-        assert _RecordingExecutor.seen == []
+        assert seen == {threading.get_ident()}
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # every share writes its own result slot; a lost or misplaced one
+        # changes the histogram or the trace order
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        attack = InterceptResend(phi=0.3, fraction=0.5)
+        base, base_trace = run_protocol(3_001, attack, seed=4, keep_trace=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, workers=8, chunk_rounds=37)
+                assert est == base
+                assert np.array_equal(trace.codes, base_trace.codes)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestHelperFailure:
+    def test_helper_error_reaches_the_caller_and_stops_every_share(self, monkeypatch):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        main_thread, run_chunk, raised_on, caller_ran = threading.get_ident(), protocol_sim._run_chunk, [], []
+
+        def chunk(tables, seed, start, size):
+            if start == 1:  # the helper's first chunk
+                raised_on.append(threading.get_ident())
+                raise ValueError("chunk 1 failed")
+            keys = run_chunk(tables, seed, start, size)
+            if threading.get_ident() == main_thread:
+                caller_ran.append(start)
+            time.sleep(0.001)
+            return keys
+
+        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="chunk 1 failed"):
+            run_protocol(2000, NoAttack(), seed=1, workers=2, chunk_rounds=1)
+        assert raised_on and raised_on[0] != main_thread
+        assert len(caller_ran) < 100  # of the caller's 1000 chunks
+        assert set(threading.enumerate()) <= before  # the helper was joined
 
 
 class TestInterrupt:

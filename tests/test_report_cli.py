@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import bb84eve
 import oracles
@@ -68,9 +70,23 @@ class TestParseAngle:
         assert parse_angle("1/2") == 0.5
 
     def test_rejects_garbage(self):
-        for bad in ("", "pie", "pi/", "--1", "1/pi"):
+        for bad in ("", "pie", "pi/", "--1", "1/pi", "nan", "inf", "-inf", "1e", "e3", "1e999", "1e400/2", "1/1e400"):
             with pytest.raises(ValueError):
                 parse_angle(bad)
+
+    def test_exponent_literals(self):
+        assert parse_angle("1e-3") == 1e-3
+        assert parse_angle("2.5E-07pi/4e0") == 2.5e-07 * math.pi / 4.0
+        assert parse_angle("-.5e+1") == -5.0
+
+    @given(st.floats(0.0, math.pi / 2))
+    @example(5e-324)
+    @example(2.49999979163e-07)
+    @example(math.pi / 2)
+    def test_csv_values_round_trip(self, x):
+        # the CSV prints values with .12g; both it and repr read back exactly
+        for s in (format(x, ".12g"), repr(x)):
+            assert parse_angle(s) == float(s)
 
 
 class TestAnalyticCommand:
@@ -647,6 +663,9 @@ class TestLazyEngine:
             (["--help"], ("bb84eve.analytic_strategies", "bb84eve.infotheory")),
             # 1000 rounds are one chunk, so --jobs 2 starts no second thread
             (["simulate", "--strategy", "none", "--rounds", "1000", "--jobs", "2"],
+             ("bb84eve.analytic_strategies", "concurrent.futures")),
+            # 200000 rounds are 4 chunks: a helper thread runs, and still no pool
+            (["simulate", "--strategy", "none", "--rounds", "200000", "--jobs", "2"],
              ("bb84eve.analytic_strategies", "concurrent.futures")),
         ],
     )
