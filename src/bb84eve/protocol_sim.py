@@ -39,9 +39,11 @@ cross-validation. The attack configs it takes are defined in ``attacks``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +132,10 @@ def _pack(*values):
 def unpack(codes) -> dict[str, np.ndarray]:
     """Field name -> value(s) of one round code or an array of them."""
     return dict(zip((name for name, _ in ROUND_FIELDS), np.unravel_index(codes, _SHAPE)))
+
+
+_CODE_FIELDS = unpack(np.arange(N_CODES))
+_SIFTED = _CODE_FIELDS["alice_basis"] == _CODE_FIELDS["bob_basis"]  # _SIFTED[code]: the bases agree
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,12 +314,98 @@ def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> np.nd
     return _keys(bits)
 
 
+def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk_rounds: int,
+            key_hist: np.ndarray, keep_codes: bool):
+    """Run every chunk, adding its key counts to key_hist; with keep_codes,
+    yield each chunk's round codes in round order.
+
+    At most min(workers, chunks, CPUs) threads run, each over every
+    threads-th chunk and with one running histogram; this thread runs chunks
+    0, threads, 2 * threads, ... between its yields. With keep_codes a
+    thread starts a chunk only while fewer than threads chunks are started
+    and not yet yielded, so at most threads chunks' codes wait here.
+    """
+    starts = range(0, n_rounds, chunk_rounds)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
+    ready, errors = {}, []  # codes of finished helper chunks by index; any error stops every share
+    yielded = 0
+    changed = threading.Condition()
+
+    def run(index, hist):
+        start = starts[index]
+        keys = _run_chunk(tables, seed, start, min(chunk_rounds, n_rounds - start))
+        hist += np.bincount(keys, minlength=N_KEYS)
+        return tables.codes.take(keys) if keep_codes else None
+
+    def fail(exc):
+        with changed:
+            errors.append(exc)
+            changed.notify_all()
+
+    def share(first):
+        """Chunks first, first + threads, ... until a share fails."""
+        hist = np.zeros(N_KEYS, dtype=np.int64)
+        try:
+            for index in range(first, len(starts), threads):
+                if keep_codes:
+                    with changed:
+                        changed.wait_for(lambda: errors or index < yielded + threads)
+                if errors:
+                    return
+                codes = run(index, hist)
+                if keep_codes:
+                    with changed:
+                        ready[index] = codes
+                        changed.notify_all()
+            with changed:
+                key_hist[:] += hist
+        except BaseException as exc:  # the caller raises it
+            fail(exc)
+
+    # shares 1 .. threads - 1 run on helper threads, share 0 on this one
+    helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    hist = np.zeros(N_KEYS, dtype=np.int64)
+    try:
+        for index in range(len(starts)):
+            if errors:
+                raise errors[0]
+            if index % threads == 0:
+                codes = run(index, hist)
+            elif keep_codes:
+                with changed:
+                    changed.wait_for(lambda: errors or index in ready)
+                    if errors:
+                        raise errors[0]
+                    codes = ready.pop(index)
+            if keep_codes:
+                yield codes
+                with changed:
+                    yielded = index + 1
+                    changed.notify_all()
+    except BaseException as exc:  # failed, interrupted or abandoned by the consumer
+        fail(exc)
+        raise
+    finally:
+        for helper in helpers:
+            try:
+                helper.join()
+            except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next chunk
+                fail(exc)
+                helper.join()
+    if errors:
+        raise errors[0]
+    key_hist += hist
+
+
 def run_protocol(
     n_rounds: int,
     attack: AttackConfig,
     seed: int,
     *,
     keep_trace: bool = False,
+    on_trace: Callable[[Trace], None] | None = None,
     workers: int = 1,
     chunk_rounds: int = _DEFAULT_CHUNK,
 ) -> tuple[SimEstimate, Trace | None]:
@@ -324,8 +416,15 @@ def run_protocol(
     bit-identical for any workers/chunk_rounds combination. At most
     min(workers, chunks, CPUs) threads run, each over every threads-th
     chunk and with one running histogram, so memory does not grow with
-    n_rounds unless keep_trace, which also returns every round's code
-    (2 bytes per round).
+    n_rounds.
+
+    on_trace, if given, receives the trace as the run goes: each time a
+    chunk finishes, it is called in this thread with a Trace of the next
+    rounds in round order. At most threads chunks' codes wait for it, so
+    memory still does not grow with n_rounds. The first call waits until
+    the rounds so far hold MIN_SIFTED sifted rounds, so a run that raises
+    InsufficientSampleError hands out no round. keep_trace also returns
+    the Trace of every round, which holds 2 bytes per round.
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds!r}")
@@ -335,47 +434,27 @@ def run_protocol(
         raise ValueError(f"chunk_rounds must be at least 1, got {chunk_rounds!r}")
 
     tables = _build_tables(attack)
-    starts = range(0, n_rounds, chunk_rounds)
-    threads = min(workers, len(starts), os.cpu_count() or 1)
-    stop = threading.Event()  # set when any share fails, Ctrl-C included
-    results, errors = [None] * threads, []
-
-    def run(first):
-        """Key histogram and codes of chunks first, first + threads, ... until stop is set."""
-        try:
-            key_hist, parts = np.zeros(N_KEYS, dtype=np.int64), []
-            for start in starts[first::threads]:
-                if stop.is_set():
-                    break
-                keys = _run_chunk(tables, seed, start, min(chunk_rounds, n_rounds - start))
-                key_hist += np.bincount(keys, minlength=N_KEYS)
-                if keep_trace:
-                    parts.append(tables.codes.take(keys))
-            results[first] = key_hist, parts
-        except BaseException as exc:  # the caller raises it once every share has stopped
-            stop.set()
-            errors.append(exc)
-
-    # shares 1 .. threads - 1 run on helper threads, share 0 on this one
-    helpers = [threading.Thread(target=run, args=(first,)) for first in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    run(0)
-    for helper in helpers:
-        try:
-            helper.join()
-        except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next chunk
-            stop.set()
-            errors.append(exc)
-            helper.join()
-    if errors:
-        raise errors[0]
+    key_hist = np.zeros(N_KEYS, dtype=np.int64)
+    kept, held, n_sifted = [], [], 0  # held: the first codes, until they hold MIN_SIFTED sifted rounds
+    chunks = _chunks(tables, n_rounds, seed, workers, chunk_rounds, key_hist,
+                     keep_codes=keep_trace or on_trace is not None)
+    with contextlib.closing(chunks):
+        for codes in chunks:
+            if keep_trace:
+                kept.append(codes)
+            if on_trace is None:
+                continue
+            if n_sifted < MIN_SIFTED:
+                n_sifted += int(np.count_nonzero(_SIFTED.take(codes)))
+                held.append(codes)
+                if n_sifted < MIN_SIFTED:
+                    continue
+                codes = np.concatenate(held)
+                held.clear()
+            on_trace(Trace(codes, tables.eve_labels))
     hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
-    np.add.at(hist, tables.codes, sum(key_hist for key_hist, _ in results))
-    trace = None
-    if keep_trace:  # chunk i is the (i // threads)-th chunk run by thread i % threads
-        codes = [results[i % threads][1][i // threads] for i in range(len(starts))]
-        trace = Trace(np.concatenate(codes), tables.eve_labels)
+    np.add.at(hist, tables.codes, key_hist)
+    trace = Trace(np.concatenate(kept), tables.eve_labels) if keep_trace else None
     return _estimate_from_counts(hist), trace
 
 

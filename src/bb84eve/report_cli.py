@@ -26,17 +26,16 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
 
 from .attacks import FAMILIES, PARAMETERS, AttackConfig, NoAttack, parameters, sweep_grid
-
-if TYPE_CHECKING:
-    from .protocol_sim import Trace
 
 # The engine names simulate uses, all reachable through protocol_sim. They load
 # with numpy only when the engine runs, so analytic, compare and --help import
 # neither; simulate and --help in turn never import the closed forms.
-_ENGINE_NAMES = ("BASIS_LABELS", "InsufficientSampleError", "Outcome", "run_protocol", "unpack")
+_ENGINE_NAMES = (
+    "BASIS_LABELS", "N_CODES", "InsufficientSampleError", "Outcome", "run_protocol", "unpack",
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,8 +169,8 @@ def _document(header: str, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_all(stream: TextIO, text: str) -> None:
-    """Write text to stream in full, or raise BrokenPipeError if its reader left.
+def _write_all(stream: TextIO, text: str | bytearray) -> None:
+    """Write text, or ASCII bytes, to stream in full, or raise BrokenPipeError if its reader left.
 
     A text stream drops what a pipe did not take without an error, so text
     goes to the descriptor by os.write until every byte is taken; a stream
@@ -181,9 +180,9 @@ def _write_all(stream: TextIO, text: str) -> None:
     try:
         fd = stream.fileno()
     except io.UnsupportedOperation:
-        stream.write(text)
+        stream.write(text if isinstance(text, str) else text.decode("ascii"))
         return
-    data = memoryview(text.encode(stream.encoding, stream.errors))
+    data = memoryview(text.encode(stream.encoding, stream.errors) if isinstance(text, str) else text)
     while data:
         data = data[os.write(fd, data):]
 
@@ -212,38 +211,88 @@ def cmd_analytic_curves(args: argparse.Namespace) -> str:
 # --- simulate ----------------------------------------------------------------
 
 
-def _trace_cells(code: int, eve_labels: tuple) -> str:
-    """The TRACE_HEADER cells after the round index, for one round code."""
-    f = unpack(code)
-    acted = bool(f["acted"])
-    eve = [None] * 3
-    if acted:
-        eve = [eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
-    cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], acted, *eve,
-             BASIS_LABELS[f["bob_basis"]], f["bob_bit"], bool(f["alice_basis"] == f["bob_basis"])]
-    return ",".join(_fmt(cell) for cell in cells)
+def _trace_cells(codes, eve_labels: tuple) -> list[str]:
+    """The TRACE_HEADER cells after the round index, for each of an array of round codes."""
+    rows = []
+    # unpack lists the fields in ROUND_FIELDS order
+    for acted, slot, eve_bit, guess, alice_basis, alice_bit, bob_basis, bob_bit in zip(
+        *(values.tolist() for values in unpack(codes).values())
+    ):
+        eve = [None] * 3
+        if acted:
+            eve = [eve_labels[slot], Outcome.from_bit(eve_bit).name.lower(), guess]
+        cells = [BASIS_LABELS[alice_basis], alice_bit, bool(acted), *eve,
+                 BASIS_LABELS[bob_basis], bob_bit, alice_basis == bob_basis]
+        rows.append(",".join(_fmt(cell) for cell in cells))
+    return rows
 
 
-def _write_trace(trace: Trace, out: TextIO, block_rounds: int = 1 << 16) -> None:
-    """Write one TRACE_HEADER row per round, block_rounds rows at a time.
+class _TraceWriter:
+    """Writes the trace document of one run to out, a Trace block per call.
 
-    Each distinct round code is formatted once, where it first occurs.
+    Blocks come in round order, and the first call writes the header. A row
+    is its round index's digits and its code's tail, the bytes ",<cells>\n".
+    A table holds, for each code met so far (at most N_CODES), a row of NUL
+    digit columns and then its tail, NUL-padded. Rows are formatted ROWS at
+    a time: one take of the table, the digits written over the NULs, and
+    every NUL deleted, which leaves the text since no cell contains one.
     """
-    rows = {}
-    _write_all(out, TRACE_HEADER + "\n")
-    for start in range(0, len(trace), block_rounds):
-        block = trace.codes[start : start + block_rounds].tolist()
-        for code in set(block).difference(rows):
-            rows[code] = _trace_cells(code, trace.eve_labels)
-        _write_all(out, "".join(f"{i},{rows[code]}\n" for i, code in enumerate(block, start)))
+
+    ROWS = 8192  # a few hundred KB of text, which stays in cache; 65536 rows take twice as long
+
+    def __init__(self, out: TextIO):
+        import numpy as np
+
+        _load_engine()
+        self.out, self.start = out, 0
+        self.tails = {}  # code -> tail
+        self.lead = 0  # digit columns of the table
+        self.table = np.zeros((N_CODES, 0), dtype=np.uint8)
+        # digits[i]: the 4 ASCII digits of i, zero-padded
+        self.digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+
+    def __call__(self, block) -> None:
+        if not self.start:
+            _write_all(self.out, TRACE_HEADER + "\n")
+        for i in range(0, len(block), self.ROWS):
+            _write_all(self.out, self.rows(block.codes[i : i + self.ROWS], block.eve_labels, self.start + i))
+        self.start += len(block)
+
+    def rows(self, codes, eve_labels: tuple, start: int) -> bytearray:
+        """The trace rows of codes, numbered from start."""
+        import numpy as np
+
+        n = len(codes)
+        width = len(str(start + n - 1))  # digits of the largest index
+        new = [code for code in np.flatnonzero(np.bincount(codes, minlength=N_CODES)).tolist()
+               if code not in self.tails]
+        if new:
+            self.tails.update(zip(new, (f",{cells}\n".encode() for cells in _trace_cells(new, eve_labels))))
+        if new or width > self.lead:
+            self.lead = max(self.lead, width)
+            self.table = np.zeros((N_CODES, self.lead + max(map(len, self.tails.values()))), dtype=np.uint8)
+            for code, tail in self.tails.items():
+                self.table[code, self.lead : self.lead + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        text = bytearray(n * self.table.shape[1])
+        rows = np.frombuffer(text, dtype=np.uint8).reshape(n, -1)
+        self.table.take(codes, axis=0, out=rows)
+        digits = rows[:, self.lead - width : self.lead]
+        index = np.arange(start, start + n, dtype=np.int64)
+        for right in range(width, 0, -4):  # four digits at a time, from the right
+            index, group = np.divmod(index, 10_000)
+            left = max(right - 4, 0)
+            digits[:, left:right] = self.digits.take(group, axis=0)[:, 4 - (right - left) :]
+        for k in range(1, width):  # k places from the right, a zero leads in every index below 10**k
+            digits[: max(0, min(n, 10**k - start)), width - 1 - k] = 0
+        return text.translate(None, b"\0")
 
 
-def cmd_simulate(args: argparse.Namespace, *, keep_trace: bool = False) -> tuple[str, Trace | None]:
-    """Run the engine for each grid point; returns (CSV, optional trace).
+def cmd_simulate(args: argparse.Namespace, *, on_trace=None) -> str:
+    """Run the engine for each grid point; returns the CSV.
 
     Each row uses seed + row_index so sweeps stay reproducible row by row.
-    Tracing is limited to single-row runs because a trace belongs to exactly
-    one (attack, seed) pair.
+    on_trace goes to run_protocol. Tracing is limited to single-row runs
+    because a trace belongs to exactly one (attack, seed) pair.
     """
     _load_engine()
     if args.rounds < 1:
@@ -253,7 +302,7 @@ def cmd_simulate(args: argparse.Namespace, *, keep_trace: bool = False) -> tuple
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     attacks = _attacks(args, default_grid=None)
-    if keep_trace and len(attacks) != 1:
+    if on_trace is not None and len(attacks) != 1:
         raise UsageError("--trace requires a single-point run, not a sweep")
     if args.seed + len(attacks) - 1 >= 2**64:
         raise UsageError(f"--seed must leave {len(attacks)} row seeds below 2**64, got {args.seed}")
@@ -261,7 +310,7 @@ def cmd_simulate(args: argparse.Namespace, *, keep_trace: bool = False) -> tuple
     rows = []
     for index, attack in enumerate(attacks):
         row_seed = args.seed + index
-        est, trace = run_protocol(args.rounds, attack, row_seed, keep_trace=keep_trace, workers=args.jobs)
+        est, _ = run_protocol(args.rounds, attack, row_seed, on_trace=on_trace, workers=args.jobs)
         rows.append(
             [
                 args.strategy, *parameters(attack), args.rounds, row_seed,
@@ -269,7 +318,7 @@ def cmd_simulate(args: argparse.Namespace, *, keep_trace: bool = False) -> tuple
                 est.eve_fidelity_x, est.eve_fidelity_y, est.n_sifted,
             ]
         )
-    return _document(SIMULATE_HEADER, rows), trace
+    return _document(SIMULATE_HEADER, rows)
 
 
 # --- compare -----------------------------------------------------------------
@@ -405,17 +454,21 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             _load_engine()  # the except clause below names an engine class
             too_few_sifted = InsufficientSampleError
+        paths = (args.out, getattr(args, "trace", None))
+        if (None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1])
+                and (os.path.isfile(args.out) or not os.path.exists(args.out))):
+            # each would replace the file with its own temporary; a device takes both streams
+            raise UsageError(f"--out and --trace name the same file: {args.out}")
         with contextlib.ExitStack() as outputs:
             # every output opens before any work, so an unwritable path fails
             # first; an error below removes the temporaries and keeps old files
             out, trace_out = (None if path is None else outputs.enter_context(_replacing(path))
-                              for path in (args.out, getattr(args, "trace", None)))
+                              for path in paths)
             if args.command == "analytic":
                 text = cmd_analytic_curves(args)
             elif args.command == "simulate":
-                text, trace = cmd_simulate(args, keep_trace=trace_out is not None)
-                if trace is not None:
-                    _write_trace(trace, trace_out)
+                # the trace streams into its output as the run goes
+                text = cmd_simulate(args, on_trace=None if trace_out is None else _TraceWriter(trace_out))
             else:
                 text = cmd_compare(args)
             if out is not None:

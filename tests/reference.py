@@ -4,7 +4,8 @@ The engine samples whole chunks from precomputed Born tables; these helpers
 draw, collapse and interpret one round at a time, so tests can re-derive a
 round without going through any of the engine's code. The plug-in mutual
 information of a 2x2 count table is here too, written apart from the
-engine's one-pass estimator that tests check against it.
+engine's one-pass estimator that tests check against it, and so is a
+row-at-a-time trace writer, the byte oracle of the CLI's block formatter.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import numpy as np
 from bb84eve import protocol_sim
 from bb84eve.protocol_sim import BASIS_ANGLES, BASIS_LABELS, REVEALED_BASIS_MARKER, TIE_TOL
 from bb84eve.quantum_core import EquatorBasis, Outcome, PureState, _clamp01, outcome_probabilities
+from bb84eve.report_cli import _fmt
 
 PROB_SUM_TOL = 1e-9
 ZERO_PROB_TOL = 1e-15
@@ -195,3 +197,22 @@ def mutual_information(counts) -> float:
             if p[a, e] > 0.0:
                 info += p[a, e] * math.log2(p[a, e] / (p_a[a] * p_e[e]))
     return 0.0 if info < 0.0 else 1.0 if info > 1.0 else info
+
+
+def _trace_cells(code: int, eve_labels: tuple) -> str:
+    """The TRACE_HEADER cells after the round index, for one round code."""
+    f = protocol_sim.unpack(code)
+    acted = bool(f["acted"])
+    eve = [None] * 3
+    if acted:
+        eve = [eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
+    cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], acted, *eve,
+             BASIS_LABELS[f["bob_basis"]], f["bob_bit"], bool(f["alice_basis"] == f["bob_basis"])]
+    return ",".join(_fmt(cell) for cell in cells)
+
+
+def reference_trace_text(codes, eve_labels: tuple, start: int = 0) -> str:
+    """The trace rows of codes, numbered from start, one f-string per row."""
+    codes = np.asarray(codes).tolist()
+    rows = {code: _trace_cells(code, eve_labels) for code in set(codes)}
+    return "".join(f"{i},{rows[code]}\n" for i, code in enumerate(codes, start))

@@ -576,6 +576,30 @@ class TestTraceEstimation:
         assert len(whole) == 1_000
         assert np.array_equal(whole.codes, chunked.codes)
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_streamed_blocks_are_the_trace_in_round_order(self, monkeypatch, workers):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        attack = InterceptResend(phi=0.3, fraction=0.5)
+        blocks = []
+        est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, on_trace=blocks.append,
+                                  workers=workers, chunk_rounds=37)
+        assert np.array_equal(np.concatenate([block.codes for block in blocks]), trace.codes)
+        assert {block.eve_labels for block in blocks} == {trace.eve_labels}
+        assert est == estimate(trace) == run_protocol(3_001, attack, seed=4)[0]
+
+    def test_stream_starts_once_the_sample_suffices(self):
+        # a run that ends with too few sifted rounds hands out none of its
+        # rounds; one that passes hands them out from the round that makes
+        # MIN_SIFTED sifted rounds
+        blocks = []
+        with pytest.raises(InsufficientSampleError):
+            run_protocol(150, NoAttack(), seed=1, on_trace=blocks.append, chunk_rounds=1)
+        assert blocks == []
+        run_protocol(1_000, NoAttack(), seed=1, on_trace=blocks.append, chunk_rounds=1)
+        fields = unpack(blocks[0].codes)
+        assert np.count_nonzero(fields["alice_basis"] == fields["bob_basis"]) == protocol_sim.MIN_SIFTED
+        assert [len(block) for block in blocks[1:]] == [1] * (1_000 - len(blocks[0]))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_chunks(self, workers):
         # one histogram or one future per chunk kept until the end would

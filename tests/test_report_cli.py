@@ -6,14 +6,20 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bb84eve
 import oracles
+from reference import reference_trace_text
+from bb84eve import protocol_sim
+from bb84eve.attacks import AncillaWithMemory, InterceptResend, NoAttack
+from bb84eve.protocol_sim import run_protocol
 from bb84eve.report_cli import (
     ANALYTIC_HEADER,
     COMPARE_HEADER,
@@ -28,7 +34,7 @@ from bb84eve.report_cli import (
     UsageError,
     _attacks,
     _build_parser,
-    _write_trace,
+    _TraceWriter,
     cmd_analytic_curves,
     cmd_compare,
     cmd_simulate,
@@ -148,18 +154,17 @@ class TestAnalyticCommand:
 class TestSimulateCommand:
     def test_golden_intercept_run(self):
         args = parse("simulate", "--strategy", "intercept_resend", "--phi", "pi/4", "--rounds", "20000", "--seed", "7")
-        produced, trace = cmd_simulate(args)
-        assert trace is None
+        produced = cmd_simulate(args)
         assert produced == (GOLDEN / "simulate_intercept_20k.csv").read_text()
 
     def test_header(self):
         args = parse("simulate", "--strategy", "none", "--rounds", "5000", "--seed", "0")
-        lines = cmd_simulate(args)[0].splitlines()
+        lines = cmd_simulate(args).splitlines()
         assert lines[0] == SIMULATE_HEADER
 
     def test_clean_channel_row(self):
         args = parse("simulate", "--strategy", "none", "--rounds", "5000", "--seed", "0")
-        row = rows_of(cmd_simulate(args)[0])[0]
+        row = rows_of(cmd_simulate(args))[0]
         assert row[0] == "none"
         assert row[6] == "0"  # qber
         assert row[8] == ""  # no eavesdropper, no mutual information
@@ -170,16 +175,15 @@ class TestSimulateCommand:
             "simulate", "--strategy", "intercept_resend", "--phi", "0", "--grid", "3",
             "--rounds", "5000", "--seed", "100",
         )
-        rows = rows_of(cmd_simulate(args)[0])
+        rows = rows_of(cmd_simulate(args))
         assert [r[3] for r in rows] == ["0", "0.5", "1"]
         assert [r[5] for r in rows] == ["100", "101", "102"]
 
     def test_trace_output_shape(self):
         args = parse("simulate", "--strategy", "ancilla_with_memory", "--alpha", "1", "--rounds", "400", "--seed", "3")
-        csv_text, trace = cmd_simulate(args, keep_trace=True)
-        assert csv_text.splitlines()[0] == SIMULATE_HEADER
         stream = io.StringIO()
-        _write_trace(trace, stream)
+        csv_text = cmd_simulate(args, on_trace=_TraceWriter(stream))
+        assert csv_text.splitlines()[0] == SIMULATE_HEADER
         trace_lines = stream.getvalue().splitlines()
         assert trace_lines[0] == TRACE_HEADER
         assert len(trace_lines) == 401
@@ -526,6 +530,61 @@ class TestMainEntryPoint:
         assert trace.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["trace.csv"]
 
+    def test_write_failure_mid_stream_keeps_existing_trace(self, tmp_path, monkeypatch, capsys):
+        import bb84eve.report_cli as report_cli
+
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"previous\n")
+        blocks, write = [], report_cli._TraceWriter.__call__
+
+        def fail_on_second_block(self, block):
+            blocks.append(len(block))
+            if len(blocks) == 2:
+                raise OSError("disk full")
+            write(self, block)
+
+        monkeypatch.setattr(report_cli._TraceWriter, "__call__", fail_on_second_block)
+        # 100000 rounds are two chunks, so the first block is written before the second fails
+        argv = ["simulate", "--strategy", "none", "--rounds", "100000", "--trace", str(trace)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: disk full\n")
+        assert blocks == [65536, 100000 - 65536]
+        assert trace.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["trace.csv"]
+
+    @pytest.mark.parametrize("out, trace", [("same.csv", "same.csv"), ("s2.csv", "./s2.csv"),
+                                            ("new.csv", "../dir/new.csv")])
+    def test_out_and_trace_on_one_file_are_refused(self, tmp_path, monkeypatch, capsys, out, trace):
+        import bb84eve.report_cli as report_cli
+
+        (tmp_path / "dir").mkdir()
+        monkeypatch.chdir(tmp_path / "dir")
+        old = {name: f"old {name}\n" for name in ("same.csv", "s2.csv")}
+        for name, text in old.items():
+            Path(name).write_text(text)
+        calls = []
+        monkeypatch.setattr(report_cli, "run_protocol", lambda *a, **k: calls.append(a))
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000", "--out", out, "--trace", trace]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert captured.err == f"error: --out and --trace name the same file: {out}\n"
+        assert sorted(os.listdir()) == sorted(old)
+        assert all(Path(name).read_text() == text for name, text in old.items())
+
+    def test_out_and_trace_may_share_a_device(self, capsys):
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000", "--out", os.devnull, "--trace", os.devnull]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+
+    def test_small_sample_streams_no_trace_row(self):
+        # a pipe is written through, not replaced, so nothing may reach it before the run is known to pass
+        argv = ["simulate", "--strategy", "none", "--rounds", "150", "--trace", "/dev/stdout"]
+        result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], capture_output=True,
+                                env=self.package_env(), timeout=60)
+        assert result.returncode == EXIT_INSUFFICIENT_SAMPLE
+        assert result.stdout == b"" and result.stderr.startswith(b"error: need at least 100 sifted")
+
     def test_written_files_leave_no_temporary_behind(self, tmp_path, capsys):
         out, trace = tmp_path / "run.csv", tmp_path / "trace.csv"
         out.write_text("previous\n")
@@ -753,13 +812,13 @@ class TestTraceCsv:
             assert row[9] == ("true" if row[1] == row[7] else "false")
 
     @pytest.mark.parametrize("name", sorted(GOLDENS))
-    def test_blocked_write_matches_golden(self, name):
-        # 7-round blocks split the 1000 rounds unevenly and meet new codes
-        # in later blocks; the bytes must still be the golden's
+    def test_blocked_write_matches_golden(self, monkeypatch, name):
+        # 7-row batches split the 1000 rounds unevenly and meet new codes
+        # in later batches; the bytes must still be the golden's
+        monkeypatch.setattr(_TraceWriter, "ROWS", 7)
         args = _build_parser().parse_args(["simulate", *self.GOLDENS[name], "--rounds", "1000", "--seed", "7"])
-        _, trace = cmd_simulate(args, keep_trace=True)
         stream = io.StringIO(newline="")
-        _write_trace(trace, stream, block_rounds=7)
+        cmd_simulate(args, on_trace=_TraceWriter(stream))
         assert stream.getvalue().encode() == (GOLDEN / name).read_bytes()
 
     def test_no_attack_trace_leaves_eve_cells_empty(self, tmp_path, capsys):
@@ -769,6 +828,64 @@ class TestTraceCsv:
         rows = rows_of(trace.read_text())
         assert len(rows) == 2000
         assert all(row[3] == "false" and row[4:7] == ["", "", ""] for row in rows)
+
+
+class TestStreamedTrace:
+    """The block formatter against the per-row oracle, and the trace streamed as the run goes."""
+
+    ATTACKS = (
+        InterceptResend(phi=0.0, fraction=0.5),
+        InterceptResend(phi=math.pi / 8, fraction=0.5),
+        InterceptResend(phi=math.pi / 4),
+        InterceptResend(phi=math.pi / 8, symmetrize=False),
+        AncillaWithMemory(alpha=math.pi / 3),
+        NoAttack(),
+    )
+    EDGES = (*(10**k for k in range(1, 10)), 2**32)
+
+    @given(st.data())
+    def test_rows_equal_the_per_row_oracle(self, data):
+        # the run's own labels and the codes its tables can write; blocks
+        # straddle a power of ten, so the index width grows inside a block or
+        # between two, with or without new codes
+        tables = protocol_sim._build_tables(data.draw(st.sampled_from(self.ATTACKS)))
+        possible = sorted(set(tables.codes.tolist()))
+        sizes = data.draw(st.lists(st.integers(1, 100), min_size=1, max_size=3))
+        codes = np.array(data.draw(st.lists(st.sampled_from(possible), min_size=sum(sizes), max_size=sum(sizes))),
+                         dtype=np.uint16)
+        start = max(0, data.draw(st.sampled_from(self.EDGES)) - data.draw(st.integers(0, sum(sizes))))
+        writer, text, first = _TraceWriter(io.StringIO()), b"", start
+        for size in sizes:
+            text += writer.rows(codes[first - start : first - start + size], tables.eve_labels, first)
+            first += size
+        assert text == reference_trace_text(codes, tables.eve_labels, start).encode()
+
+    @pytest.mark.parametrize("name", sorted(TestTraceCsv.GOLDENS))
+    def test_streamed_goldens(self, monkeypatch, name):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        args = parse("simulate", *TestTraceCsv.GOLDENS[name], "--rounds", "1000", "--seed", "7")
+        (attack,) = _attacks(args, default_grid=None)
+        stream = io.StringIO(newline="")
+        run_protocol(1000, attack, 7, workers=2, chunk_rounds=7, on_trace=_TraceWriter(stream))
+        assert stream.getvalue().encode() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_rounds(self, monkeypatch, workers):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        attack, chunk = InterceptResend(phi=0.3, fraction=0.5), 4096
+        peaks = []
+        with open(os.devnull, "w") as sink:
+            run_protocol(4 * chunk, attack, 1, workers=workers, chunk_rounds=chunk, on_trace=_TraceWriter(sink))
+            for n_chunks in (4, 64):
+                tracemalloc.start()
+                try:
+                    run_protocol(n_chunks * chunk, attack, 1, workers=workers, chunk_rounds=chunk,
+                                 on_trace=_TraceWriter(sink))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # one chunk's worth: the Philox words of its rounds
+        assert abs(peaks[1] - peaks[0]) < chunk * protocol_sim.UNIFORMS_PER_ROUND * 8
 
 
 class TestCliDeterminism:
