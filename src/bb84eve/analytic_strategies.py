@@ -11,7 +11,7 @@ against the disturbance Bob can detect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .attacks import (
     ANCILLA_NO_MEMORY,
@@ -22,29 +22,29 @@ from .attacks import (
     AncillaWithMemory,
     AttackConfig,
     InterceptResend,
+    Value,
     check_range,
     parameters,
 )
 from .infotheory import info_from_fidelity
 
 
-@dataclass(frozen=True)
-class BasisStats:
+class BasisStats(Value):
     """Fidelity/disturbance pair; the disturbance is the exact complement."""
 
-    fidelity: float
+    __slots__ = ("fidelity",)
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.fidelity <= 1.0):
-            raise ValueError(f"fidelity must lie in [0, 1], got {self.fidelity!r}")
+    def __init__(self, fidelity: float) -> None:
+        if not (0.0 <= fidelity <= 1.0):
+            raise ValueError(f"fidelity must lie in [0, 1], got {fidelity!r}")
+        super().__init__(fidelity)
 
     @property
     def disturbance(self) -> float:
         return 1.0 - self.fidelity
 
 
-@dataclass(frozen=True)
-class StrategyReport:
+class StrategyReport(NamedTuple):
     """Per-basis statistics of one attack at fixed parameters.
 
     eve_x/eve_y describe Eve's identification of x- and y-prepared bits for
@@ -63,8 +63,7 @@ class StrategyReport:
     bob_info: float
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One point of an information-vs-disturbance curve.
 
     Field order matches the CSV column order used by the reporting layer.

@@ -2,8 +2,8 @@
 
 The closed forms (``analytic_strategies``), the Monte Carlo engine
 (``protocol_sim``) and the command line all read what an attack is from
-here. The module holds no physics and imports only the standard library,
-so it loads neither numpy nor either route.
+here, and every module builds its frozen values on ``Value``. The module holds
+no physics and imports only the standard library, so it loads neither route.
 
 phi covers [0, pi/4] only: the symmetrized protocol (a coin choosing between
 phi and its companion pi/2 - phi per round) makes larger angles redundant,
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 INTERCEPT_RESEND = "intercept_resend"
 ANCILLA_NO_MEMORY = "ancilla_no_memory"
@@ -36,49 +36,81 @@ def check_range(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, {shown}], got {value!r}")
 
 
-@dataclass(frozen=True)
-class NoAttack:
+class Value:
+    """An immutable value whose fields are its __slots__, set once, in order, by __init__.
+
+    A subclass validates its arguments, then passes them on to Value.__init__.
+    Values of one type with equal fields are equal and hash alike, so they can key a memo.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        cells = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({cells})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class NoAttack(Value):
     """Eve stays out of the channel entirely."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class InterceptResend:
+
+class InterceptResend(Value):
     """Measure a fraction of the qubits at angle phi and forward the eigenstate.
 
     With symmetrize on, each intercepted round measures at phi or its
     companion pi/2 - phi on a fair coin.
     """
 
-    phi: float
-    fraction: float = 1.0
-    symmetrize: bool = True
+    __slots__ = ("phi", "fraction", "symmetrize")
 
-    def __post_init__(self) -> None:
-        check_range("phi", self.phi)
-        check_range("fraction", self.fraction)
+    def __init__(self, phi: float, fraction: float = 1.0, symmetrize: bool = True) -> None:
+        check_range("phi", phi)
+        check_range("fraction", fraction)
+        super().__init__(phi, fraction, symmetrize)
 
 
-@dataclass(frozen=True)
-class AncillaNoMemory:
+class AncillaNoMemory(Value):
     """Entangle every qubit, measure the ancilla immediately at angle phi."""
 
-    alpha: float
-    phi: float
-    symmetrize: bool = True
+    __slots__ = ("alpha", "phi", "symmetrize")
 
-    def __post_init__(self) -> None:
-        check_range("alpha", self.alpha)
-        check_range("phi", self.phi)
+    def __init__(self, alpha: float, phi: float, symmetrize: bool = True) -> None:
+        check_range("alpha", alpha)
+        check_range("phi", phi)
+        super().__init__(alpha, phi, symmetrize)
 
 
-@dataclass(frozen=True)
-class AncillaWithMemory:
+class AncillaWithMemory(Value):
     """Entangle every qubit, store the ancilla, measure in the revealed basis."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self) -> None:
-        check_range("alpha", self.alpha)
+    def __init__(self, alpha: float) -> None:
+        check_range("alpha", alpha)
+        super().__init__(alpha)
 
 
 AttackConfig = NoAttack | InterceptResend | AncillaNoMemory | AncillaWithMemory
@@ -89,8 +121,7 @@ def parameters(attack: AttackConfig) -> tuple:
     return tuple(getattr(attack, name, None) for name in PARAMETERS)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One attack family.
 
     takes_phi: Eve measures at an angle phi of her own before the basis

@@ -44,11 +44,11 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .attacks import AncillaNoMemory, AncillaWithMemory, AttackConfig, InterceptResend, NoAttack
+from .attacks import AncillaNoMemory, AncillaWithMemory, AttackConfig, InterceptResend, NoAttack, Value
 from .quantum_core import (
     EquatorBasis,
     Outcome,
@@ -77,8 +77,7 @@ class InsufficientSampleError(Exception):
     """Raised when too few sifted rounds exist to report standard errors."""
 
 
-@dataclass(frozen=True)
-class SimEstimate:
+class SimEstimate(NamedTuple):
     """Empirical counterparts of the analytic quantities, over sifted rounds.
 
     eve_mutual_info is the full-key value: a weighted average of per-context
@@ -138,17 +137,16 @@ _CODE_FIELDS = unpack(np.arange(N_CODES))
 _SIFTED = _CODE_FIELDS["alice_basis"] == _CODE_FIELDS["bob_basis"]  # _SIFTED[code]: the bases agree
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(Value):
     """Every round of a run as its round code, in round order.
 
     eve_labels[slot] names Eve's measurement basis on the rounds she acted
     on: an angle in radians, or "revealed" for the probe read in the
-    revealed basis.
+    revealed basis. A trace equals only itself.
     """
 
-    codes: np.ndarray
-    eve_labels: tuple
+    __slots__ = ("codes", "eve_labels")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -190,8 +188,7 @@ def _keys(bits: np.ndarray) -> np.ndarray:
     return ((bits.view("<u8")[:, 0] * _GATHER) >> np.uint64(56)).view(np.int64)
 
 
-@dataclass(frozen=True)
-class _EngineTables:
+class _EngineTables(NamedTuple):
     """The tables of one run, indexed by round key, in one of two modes.
 
     codes[key] is the round code of a finished key; it applies Eve's

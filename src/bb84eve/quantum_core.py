@@ -20,9 +20,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from .attacks import Value
 
 NORM_TOL = 1e-12
 _MEMO_SIZE = 256  # entries per memo; a sweep uses a few angles, and any number stays bounded
@@ -51,11 +52,10 @@ class Outcome(enum.Enum):
         return cls.PLUS if bit == 0 else cls.MINUS
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Value):
     """Normalized complex amplitude vector of one qubit (2) or qubit+ancilla (4)."""
 
-    amplitudes: np.ndarray = field(repr=False)
+    __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes) -> None:
         amps = np.array(amplitudes, dtype=np.complex128, copy=True)
@@ -67,7 +67,7 @@ class PureState:
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        super().__init__(amps)
 
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
@@ -90,15 +90,15 @@ def _clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
-@dataclass(frozen=True)
-class EquatorBasis:
+class EquatorBasis(Value):
     """Projective measurement onto |+-phi> = (|0> +- e^{i phi}|1>)/sqrt(2)."""
 
-    phi: float
+    __slots__ = ("phi",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
+    def __init__(self, phi: float) -> None:
+        if not math.isfinite(phi):
             raise ValueError("phi must be finite")
+        super().__init__(phi)
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def eigenstate(self, outcome: Outcome) -> PureState:

@@ -333,7 +333,8 @@ def cmd_compare(args: argparse.Namespace) -> str:
     with-memory ancilla. Each phi family also gets an _opt row at its
     optimal angle, which is phi = 0 (proof in the README). The best
     memoryless row is flagged; out-of-domain intercept/resend rows carry no
-    information value.
+    information value. The flag ranks the listed families only: at d_bob =
+    0.125 a weak X measurement gives Eve 0.3227 bits, intercept/resend 0.25.
     """
     from .analytic_strategies import at_disturbance, closed_form
     d = args.d_bob

@@ -6,6 +6,8 @@ round without going through any of the engine's code. The plug-in mutual
 information of a 2x2 count table is here too, written apart from the
 engine's one-pass estimator that tests check against it, and so is a
 row-at-a-time trace writer, the byte oracle of the CLI's block formatter.
+Last, an instrument oracle places any memoryless attack, given as Kraus
+operators in raw numpy amplitudes, on the information-disturbance plane.
 """
 
 import contextlib
@@ -216,3 +218,44 @@ def reference_trace_text(codes, eve_labels: tuple, start: int = 0) -> str:
     codes = np.asarray(codes).tolist()
     rows = {code: _trace_cells(code, eve_labels) for code in set(codes)}
     return "".join(f"{i},{rows[code]}\n" for i, code in enumerate(codes, start))
+
+
+# --- memoryless instruments, in raw amplitudes ------------------------------
+
+# the protocol states: PREPARED[basis][bit], x basis then y basis
+PREPARED = np.array([[[1, 1], [1, -1]], [[1, 1j], [1, -1j]]]) / math.sqrt(2)
+
+
+def _info_bits(joint: np.ndarray) -> float:
+    """I(A; R) in bits of a joint distribution joint[a, r]."""
+    outer = joint.sum(axis=1, keepdims=True) * joint.sum(axis=0, keepdims=True)
+    cells = joint > 0
+    return float(np.sum(joint[cells] * np.log2(joint[cells] / outer[cells])))
+
+
+def instrument_point(kraus) -> tuple[float, float]:
+    """(d_bob, i_eve) of the instrument {K_r} applied to Alice's qubit, one operator per outcome.
+
+    Eve reads r before the basis reveal and Bob measures what is left in
+    Alice's basis. d_bob is his error rate over the four protocol states;
+    i_eve is I(A; R) given the revealed basis, averaged over the two bases.
+    """
+    kraus = np.asarray(kraus, dtype=np.complex128)
+    errors = info = 0.0
+    for states in PREPARED:
+        images = np.einsum("rij,aj->ari", kraus, states)  # images[a, r] = K_r |a>
+        errors += sum(np.sum(np.abs(images[a] @ states[1 - a].conj()) ** 2) for a in (0, 1))
+        info += _info_bits(np.sum(np.abs(images) ** 2, axis=2) / 2)
+    return float(errors) / 4, info / 2
+
+
+def weak_x_instrument(d: float) -> np.ndarray:
+    """The Lueders weak measurement of X at Bob's error rate d in [0, 1/4].
+
+    K_pm = sqrt((1 +- s X)/2) with s = sqrt(8d(1 - 2d)): x states pass
+    untouched, and y states' Bloch vectors shrink by sqrt(1 - s^2) = 1 - 4d.
+    """
+    s = math.sqrt(8 * d * (1 - 2 * d))
+    plus, minus = (np.outer(state, state.conj()) for state in PREPARED[0])
+    strong, weak = math.sqrt((1 + s) / 2), math.sqrt((1 - s) / 2)
+    return np.array([strong * plus + weak * minus, weak * plus + strong * minus])

@@ -11,7 +11,6 @@ import functools
 import math
 
 import numpy as np
-import pytest
 
 import conftest
 import oracles
@@ -23,7 +22,6 @@ from bb84eve.analytic_strategies import (
     intercept_resend,
 )
 from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend
-from bb84eve.infotheory import info_from_fidelity
 from bb84eve.protocol_sim import run_protocol
 from bb84eve.quantum_core import (
     EquatorBasis,

@@ -13,11 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from reference import X_BASIS, Y_BASIS, project
+from reference import PREPARED, X_BASIS, Y_BASIS, instrument_point, project, weak_x_instrument
 from bb84eve.analytic_strategies import (
     BasisStats,
     CurvePoint,
-    StrategyReport,
     ancilla_no_memory,
     ancilla_with_memory,
     closed_form,
@@ -473,3 +472,70 @@ class TestCurveSweep:
             i_bob=oracles.INFO_BOB_3_4,
         )
         assert point.i_bob == pytest.approx(oracles.INFO_BOB_3_4, abs=1e-15)
+
+
+def _kraus_eigenstates(angle: float) -> list[np.ndarray]:
+    """|+angle> and |-angle> in raw amplitudes."""
+    return [np.array([1, sign * np.exp(1j * angle)]) / math.sqrt(2) for sign in (1, -1)]
+
+
+def i_weak(d: float) -> float:
+    """Eve's information from the weak X measurement at Bob's error rate d."""
+    return info_from_fidelity((1 + math.sqrt(8 * d * (1 - 2 * d))) / 2) / 2
+
+
+class TestMemorylessFrontier:
+    """An instrument oracle, in raw numpy, scores any attack Eve reads before the reveal.
+
+    It reproduces the closed forms of the two memoryless families, then shows
+    that compare's best_memoryless ranks the listed families only: the weak
+    measurement of X beats fractional interception everywhere inside (0, 1/4).
+    """
+
+    GRID = np.linspace(0.01, 0.24, 249)
+
+    @given(angles, st.floats(min_value=0.0, max_value=1.0), st.booleans())
+    def test_interception_instrument_matches_closed_form(self, phi, fraction, symmetrize):
+        slots = (phi, math.pi / 2 - phi) if symmetrize else (phi,)
+        kraus = [math.sqrt(fraction / len(slots)) * np.outer(e, e.conj())
+                 for t in slots for e in _kraus_eigenstates(t)]
+        kraus.append(math.sqrt(1 - fraction) * np.eye(2))
+        point = closed_form(InterceptResend(phi, fraction, symmetrize))
+        assert instrument_point(kraus) == pytest.approx((point.d_bob, point.i_eve), abs=1e-12)
+
+    @given(alphas, angles, st.booleans())
+    def test_probe_instrument_matches_closed_form(self, alpha, phi, symmetrize):
+        # K_e = (I (x) <e|) U_alpha |0>, one outcome per slot and ancilla reading
+        slots = (phi, math.pi / 2 - phi) if symmetrize else (phi,)
+        kraus = [np.array([[bra[0], math.sin(alpha) * bra[1]], [0, math.cos(alpha) * bra[0]]])
+                 / math.sqrt(len(slots)) for t in slots for bra in map(np.conj, _kraus_eigenstates(t))]
+        point = closed_form(AncillaNoMemory(alpha, phi, symmetrize))
+        assert instrument_point(kraus) == pytest.approx((point.d_bob, point.i_eve), abs=1e-12)
+
+    def test_weak_measurement_is_the_probe_at_twice_the_disturbance(self):
+        for d in [0.0, *self.GRID, 0.25]:
+            assert instrument_point(weak_x_instrument(d)) == pytest.approx((d, i_weak(d)), abs=1e-12)
+            assert ancilla_no_memory(math.acos(1 - 4 * d), 0.0).eve_avg_info == pytest.approx(
+                i_weak(d), abs=1e-12)
+
+    def test_weak_measurement_passes_x_states_untouched(self):
+        for d in (0.05, 0.2):
+            for state in PREPARED[0]:
+                images = weak_x_instrument(d) @ state  # images[r] = K_r |state>
+                kept = np.abs(images @ state.conj()) ** 2
+                assert kept == pytest.approx(np.sum(np.abs(images) ** 2, axis=1), abs=1e-15)
+
+    def test_weak_measurement_beats_fractional_interception_inside_its_domain(self):
+        assert min(i_weak(d) - 2 * d for d in self.GRID) > 1e-4
+        for end in (0.0, 0.25):
+            assert i_weak(end) == pytest.approx(2 * end, abs=1e-12)
+            assert closed_form(InterceptResend(0.0, 4 * end)).i_eve == pytest.approx(2 * end, abs=1e-12)
+
+    def test_weak_measurement_stays_under_the_fggnp_bound(self):
+        # Fuchs, Gisin, Griffiths, Niu and Peres, PRA 56, 1163 (1997)
+        for d in [0.0, *self.GRID, 0.25]:
+            assert i_weak(d) <= info_from_fidelity(0.5 + math.sqrt(d * (1 - d))) + 1e-12
+
+    def test_compare_row_at_an_eighth(self):
+        assert i_weak(0.125) == pytest.approx(0.3227, abs=5e-5)
+        assert closed_form(InterceptResend(0.0, 0.5)).i_eve == pytest.approx(0.25, abs=1e-15)

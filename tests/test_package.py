@@ -1,6 +1,8 @@
-"""Tests for the package namespace, whose public names load on first use, and the README."""
+"""Tests for the package namespace, whose public names load on first use, the README, and
+the imports of every source file."""
 
 import argparse
+import ast
 import importlib
 import os
 import re
@@ -14,7 +16,8 @@ import pytest
 import bb84eve
 from bb84eve.report_cli import _build_parser
 
-README = Path(__file__).parents[1] / "README.md"
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
 
 # the package surface: the attack configs, the closed forms and the engine
 SURFACE = {
@@ -86,3 +89,29 @@ class TestReadme:
         assert len(commands) > 15
         for argv in commands:
             assert isinstance(_build_parser().parse_args(argv[1:]), argparse.Namespace)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names path imports and never reads, as "file:line: name".
+
+    A name listed in the file's __all__, or one the package exports lazily
+    from this module, counts as read.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name.split(".")[0], a.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    if path.parent.name == "bb84eve":
+        used.update(name for name, module in bb84eve._MODULE_OF.items() if module == path.stem)
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    sources = sorted([*(ROOT / "src" / "bb84eve").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert len(sources) > 15
+    assert [line for path in sources for line in unused_imports(path)] == []

@@ -726,6 +726,12 @@ class TestLazyEngine:
             # 200000 rounds are 4 chunks: a helper thread runs, and still no pool
             (["simulate", "--strategy", "none", "--rounds", "200000", "--jobs", "2"],
              ("bb84eve.analytic_strategies", "concurrent.futures")),
+            # the value types need neither dataclasses nor the inspect it loads
+            (["--help"], ("dataclasses", "inspect")),
+            (["analytic", "--strategy", "all", "--grid", "3"], ("dataclasses", "inspect")),
+            (["compare", "--d-bob", "0.1"], ("dataclasses", "inspect")),
+            # numpy imports inspect itself
+            (["simulate", "--strategy", "none", "--rounds", "1000"], ("dataclasses",)),
         ],
     )
     def test_commands_skip_modules_they_never_run(self, argv, unused):
