@@ -18,13 +18,16 @@ Eve's angle slot (phi or its companion pi/2 - phi) comes from column 4
 under symmetrization and is 0 without it; for the stored probe, which is
 read in the revealed basis, the slot comes from column 0.
 
-Chunk execution: one top-bit pass over a chunk's words gives every
-fair-coin bit. Each draw against a Born-rule threshold (interception, Eve's
-outcome, Bob's outcome, the joint cell) converts only its column (3, 5 or
-6) to the uniform above, overwrites the column's bit, and reads its
-threshold from a flat per-run table with one take on the round key, the
-byte that gathers the round's 8 column bits. A chunk accumulates only the
-bincount of its keys. One 256-entry table per run maps each key to its
+Chunk execution: a chunk runs in blocks of _BLOCK rounds in its thread's
+workspace, arrays the thread allocates once and every step writes through
+out=, so no kernel array grows with the chunk. Generator.random fills a
+block's uniforms, and one u >= 0.5 pass gives every fair-coin bit. Each
+draw against a Born-rule threshold (interception, Eve's outcome, Bob's
+outcome, the joint cell) compares its column (3, 5 or 6) with a threshold
+read from a flat per-run table by one take on the round key, the byte that
+gathers the round's 8 column bits, and overwrites the column's bit. Each
+block adds the bincount of its keys to the chunk's counts, and a traced run
+also writes their codes. One 256-entry table per run maps each key to its
 round code, a uint16 below N_CODES = 384 that packs the fields of
 ROUND_FIELDS (acted, slot, eve_bit, guess, the two bases and the two key
 bits); unpack decodes it. Every estimate derives from the run's histogram
@@ -183,16 +186,12 @@ _KEYS = np.arange(N_KEYS)
 _GATHER = np.uint64(0x0102040810204080)
 
 
-def _keys(bits: np.ndarray) -> np.ndarray:
-    """Round keys of an (n, 8) uint8 array of 0/1 bits, as int64 indices."""
-    return ((bits.view("<u8")[:, 0] * _GATHER) >> np.uint64(56)).view(np.int64)
-
-
 class _EngineTables(NamedTuple):
     """The tables of one run, indexed by round key, in one of two modes.
 
     codes[key] is the round code of a finished key; it applies Eve's
     maximum-likelihood reading of her outcome, so the kernel never guesses.
+    An untraced run hands the kernel tables without codes, so it only counts keys.
     eve_labels[slot] is the trace label of Eve's angle slot.
 
     Sequential mode (joint_cdf None): rounds with u3 < fraction are
@@ -204,7 +203,7 @@ class _EngineTables(NamedTuple):
     distribution of the cell, so that count is the cell u5 falls in.
     """
 
-    codes: np.ndarray
+    codes: np.ndarray | None
     eve_labels: tuple = ()
     fraction: float = 0.0
     p_eve: np.ndarray | None = None
@@ -278,37 +277,88 @@ def _build_tables(attack: AttackConfig) -> _EngineTables:
 
 # --- chunk execution --------------------------------------------------------
 
+# Rounds per kernel block: one block's doubles (1 MiB) and bits fit a 2 MB L2.
+_BLOCK = 1 << 14
 
-def _chunk_words(seed: int, start: int, size: int) -> np.ndarray:
-    """The (size, 8) uint64 Philox words of rounds start .. start + size - 1."""
-    gen = np.random.Philox(key=seed)
+
+class _Workspace(threading.local):
+    """The calling thread's kernel arrays, reused by every block it runs.
+
+    They grow to the largest block the thread has run, at most _BLOCK
+    rounds, and a thread keeps them for its next run.
+    """
+
+    rows = 0
+
+    def reserve(self, rows: int) -> _Workspace:
+        if rows > self.rows:
+            self.rows = rows
+            self.u = np.empty((rows, UNIFORMS_PER_ROUND))
+            self.bits = np.empty((rows, UNIFORMS_PER_ROUND), dtype=bool)
+            self.keys = np.empty(rows, dtype=np.uint64)
+            self.thresholds = np.empty(rows)
+            self.passed = np.empty(rows, dtype=bool)
+        return self
+
+
+_workspace = _Workspace()
+
+
+def _stream(seed: int, start: int) -> np.random.Generator:
+    """The run's uniforms from round start on: row i is round start + i's 8 columns."""
+    bit_gen = np.random.Philox(key=seed)
     if start:
-        gen.advance(start * _BLOCKS_PER_ROUND)
-    return gen.random_raw(size * UNIFORMS_PER_ROUND).reshape(size, UNIFORMS_PER_ROUND)
+        bit_gen.advance(start * _BLOCKS_PER_ROUND)
+    return np.random.Generator(bit_gen)
 
 
-def _uniforms(words: np.ndarray, column: int) -> np.ndarray:
-    """Column's uniforms: the doubles Generator.random makes of the same words."""
-    return (words[:, column] >> np.uint64(11)) * 2.0**-53
+def _keys(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Round keys of an (n, 8) array of bits, written into the uint64 out, as int64 indices."""
+    np.multiply(bits.view("<u8")[:, 0], _GATHER, out=out)
+    return np.right_shift(out, np.uint64(56), out=out).view(np.int64)
 
 
-def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> np.ndarray:
-    """The round keys of rounds start .. start + size - 1, as int64."""
-    w = _chunk_words(seed, start, size)
-    bits = (w.view(np.int64) < 0).view(np.uint8)  # u >= 0.5 is the word's top bit
+def _run_block(tables: _EngineTables, stream: np.random.Generator, work: _Workspace, n: int) -> np.ndarray:
+    """The round keys of the stream's next n rounds, in the workspace."""
+    u, bits, key_words, thresholds = work.u[:n], work.bits[:n], work.keys[:n], work.thresholds[:n]
+    stream.random(out=u)
+    np.greater_equal(u, 0.5, out=bits)
+
+    def draw(column, table, keys, out):
+        """out = u[:, column] >= table[keys]"""
+        table.take(keys, out=thresholds, mode="clip")  # keys are in range; "raise" would buffer out
+        return np.greater_equal(u[:, column], thresholds, out=out)
+
     if tables.joint_cdf is None:
         if tables.fraction > 0:
-            np.less(_uniforms(w, 3), tables.fraction, out=bits[:, 3])
+            np.less(u[:, 3], tables.fraction, out=bits[:, 3])
             if bits[:, 3].any():  # Eve's draw only where she can have intercepted
-                np.greater_equal(_uniforms(w, 5), tables.p_eve.take(_keys(bits)), out=bits[:, 5])
-        np.greater_equal(_uniforms(w, 6), tables.p_bob.take(_keys(bits)), out=bits[:, 6])
+                draw(5, tables.p_eve, _keys(bits, key_words), bits[:, 5])
+        draw(6, tables.p_bob, _keys(bits, key_words), bits[:, 6])
     else:
-        keys = _keys(bits)
-        u5 = _uniforms(w, 5)
-        cell = sum((u5 >= cdf.take(keys)).view(np.uint8) for cdf in tables.joint_cdf[:3])
-        bits[:, 5] = cell & 1
-        bits[:, 6] = cell >> 1
-    return _keys(bits)
+        # the cell counts the rows u5 passes, and rows are nondecreasing: Bob's
+        # bit (cell >= 2) is row 1's, and Eve's (cell odd) the parity of all three
+        cdf, eve, bob, keys = tables.joint_cdf, bits[:, 5], bits[:, 6], _keys(bits, key_words)
+        draw(5, cdf[1], keys, bob)
+        np.logical_xor(draw(5, cdf[0], keys, eve), bob, out=eve)
+        np.logical_xor(eve, draw(5, cdf[2], keys, work.passed[:n]), out=eve)
+    return _keys(bits, key_words)
+
+
+def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The key counts of rounds start .. start + size - 1, and their round
+    codes, or None when tables carries no code table."""
+    work = _workspace.reserve(min(_BLOCK, size))
+    stream = _stream(seed, start)
+    counts = np.zeros(N_KEYS, dtype=np.int64)
+    codes = None if tables.codes is None else np.empty(size, dtype=np.uint16)
+    for first in range(0, size, _BLOCK):
+        n = min(_BLOCK, size - first)
+        keys = _run_block(tables, stream, work, n)
+        counts += np.bincount(keys, minlength=N_KEYS)
+        if codes is not None:
+            tables.codes.take(keys, out=codes[first:first + n], mode="clip")
+    return counts, codes
 
 
 def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk_rounds: int,
@@ -328,11 +378,13 @@ def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk
     yielded = 0
     changed = threading.Condition()
 
+    kernel_tables = tables if keep_codes else tables._replace(codes=None)  # untraced: count keys only
+
     def run(index, hist):
         start = starts[index]
-        keys = _run_chunk(tables, seed, start, min(chunk_rounds, n_rounds - start))
-        hist += np.bincount(keys, minlength=N_KEYS)
-        return tables.codes.take(keys) if keep_codes else None
+        counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
+        hist += counts
+        return codes
 
     def fail(exc):
         with changed:
@@ -412,16 +464,18 @@ def run_protocol(
     and histograms of round keys are integer-valued, so the result is
     bit-identical for any workers/chunk_rounds combination. At most
     min(workers, chunks, CPUs) threads run, each over every threads-th
-    chunk and with one running histogram, so memory does not grow with
-    n_rounds.
+    chunk and with one running histogram. Each thread's kernel reuses one
+    workspace of min(_BLOCK, chunk_rounds) rounds, about 1.4 MiB at the
+    default chunk, so memory grows neither with n_rounds nor with
+    chunk_rounds.
 
     on_trace, if given, receives the trace as the run goes: each time a
     chunk finishes, it is called in this thread with a Trace of the next
-    rounds in round order. At most threads chunks' codes wait for it, so
-    memory still does not grow with n_rounds. The first call waits until
-    the rounds so far hold MIN_SIFTED sifted rounds, so a run that raises
-    InsufficientSampleError hands out no round. keep_trace also returns
-    the Trace of every round, which holds 2 bytes per round.
+    rounds in round order. At most threads chunks' codes (2 bytes a round)
+    wait for it, so memory still does not grow with n_rounds. The first
+    call waits until the rounds so far hold MIN_SIFTED sifted rounds, so a
+    run that raises InsufficientSampleError hands out no round. keep_trace
+    also returns the Trace of every round, which holds 2 bytes per round.
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds!r}")

@@ -53,9 +53,13 @@ class Outcome(enum.Enum):
 
 
 class PureState(Value):
-    """Normalized complex amplitude vector of one qubit (2) or qubit+ancilla (4)."""
+    """Normalized complex amplitude vector of one qubit (2) or qubit+ancilla (4).
+
+    A state equals only itself: states compare through overlaps, not amplitudes.
+    """
 
     __slots__ = ("amplitudes",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, amplitudes) -> None:
         amps = np.array(amplitudes, dtype=np.complex128, copy=True)

@@ -6,8 +6,11 @@ round without going through any of the engine's code. The plug-in mutual
 information of a 2x2 count table is here too, written apart from the
 engine's one-pass estimator that tests check against it, and so is a
 row-at-a-time trace writer, the byte oracle of the CLI's block formatter.
-Last, an instrument oracle places any memoryless attack, given as Kraus
+An instrument oracle places any memoryless attack, given as Kraus
 operators in raw numpy amplitudes, on the information-disturbance plane.
+Last, code_probabilities gives the exact expected histogram of round codes
+that the engine's tables define, so the estimator can be checked against
+the closed forms with no sampling noise.
 """
 
 import contextlib
@@ -18,7 +21,8 @@ from unittest import mock
 import numpy as np
 
 from bb84eve import protocol_sim
-from bb84eve.protocol_sim import BASIS_ANGLES, BASIS_LABELS, REVEALED_BASIS_MARKER, TIE_TOL
+from bb84eve.attacks import InterceptResend
+from bb84eve.protocol_sim import BASIS_ANGLES, BASIS_LABELS, N_CODES, REVEALED_BASIS_MARKER, TIE_TOL
 from bb84eve.quantum_core import EquatorBasis, Outcome, PureState, _clamp01, outcome_probabilities
 from bb84eve.report_cli import _fmt
 
@@ -259,3 +263,34 @@ def weak_x_instrument(d: float) -> np.ndarray:
     plus, minus = (np.outer(state, state.conj()) for state in PREPARED[0])
     strong, weak = math.sqrt((1 + s) / 2), math.sqrt((1 - s) / 2)
     return np.array([strong * plus + weak * minus, weak * plus + strong * minus])
+
+
+# --- the expected histogram of round codes ----------------------------------
+
+
+def code_probabilities(attack) -> np.ndarray:
+    """p[code]: the probability of each round code under attack, from the engine's tables.
+
+    The bits of a round key are fair coins in columns 0, 1, 2, 4 and 7, the
+    intercept coin in column 3 (set with probability fraction) and the
+    Born-rule draws in columns 5 and 6, which read their thresholds at the
+    key's other bits: bit 0 below p_eve or p_bob, or the joint cell, whose
+    probability is a difference of joint_cdf. Each key's probability lands
+    on its code.
+    """
+    tables = protocol_sim._build_tables(attack)
+    keys = np.arange(protocol_sim.N_KEYS)
+    bits = [keys >> column & 1 for column in range(protocol_sim.UNIFORMS_PER_ROUND)]
+    p = np.full(len(keys), 0.5**5)  # the five fair coins
+    fraction = attack.fraction if isinstance(attack, InterceptResend) else 0.5  # a coin the tables ignore
+    p *= np.where(bits[3], fraction, 1.0 - fraction)
+    if tables.joint_cdf is None:
+        for column, plus in ((5, tables.p_eve), (6, tables.p_bob)):
+            plus = 0.5 if plus is None else plus
+            p *= np.where(bits[column], 1.0 - plus, plus)
+    else:
+        # the kernel's cell counts the three rows u5 passes, so cell 3 takes the rest up to 1
+        cdf = np.vstack([np.zeros(len(keys)), tables.joint_cdf[:3], np.ones(len(keys))])
+        cell = bits[5] + 2 * bits[6]  # Bob's bit high, Eve's low
+        p *= cdf[cell + 1, keys] - cdf[cell, keys]
+    return np.bincount(tables.codes, weights=p, minlength=N_CODES)

@@ -28,13 +28,14 @@ import oracles
 from reference import (
     X_BASIS,
     Y_BASIS,
+    code_probabilities,
     fresh_eigenstate,
     interpret_outcome,
     mutual_information,
     unmemoized_tables,
 )
 from bb84eve import protocol_sim, quantum_core
-from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, intercept_resend
+from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, closed_form, intercept_resend
 from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend, NoAttack
 from bb84eve.protocol_sim import (
     BASIS_ANGLES,
@@ -60,10 +61,11 @@ from bb84eve.quantum_core import (
 )
 
 
-def raw_uniforms(seed: int, n_rounds: int) -> np.ndarray:
-    """The engine's uniform stream, regenerated without chunking."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((n_rounds, UNIFORMS_PER_ROUND))
+def raw_uniforms(seed: int, n_rounds: int, start: int = 0) -> np.ndarray:
+    """The engine's uniform stream from round start on, regenerated without chunking."""
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(start * protocol_sim._BLOCKS_PER_ROUND)
+    return np.random.Generator(bit_gen).random((n_rounds, UNIFORMS_PER_ROUND))
 
 
 def replay_round(attack, u: np.ndarray) -> dict:
@@ -333,7 +335,7 @@ _ATTACKS = st.one_of(
 
 
 class TestWordStream:
-    """The engine reads raw Philox words; Generator.random stays the oracle."""
+    """The engine's uniforms are the raw Philox words as the format defines them."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -344,13 +346,12 @@ class TestWordStream:
     @example(seed=0, start=0, size=1)
     @example(seed=2**64 - 1, start=2**40, size=64)
     def test_words_are_the_generators_uniforms(self, seed, start, size):
-        words = protocol_sim._chunk_words(seed, start, size)
-        assert words.dtype == np.uint64 and words.shape == (size, UNIFORMS_PER_ROUND)
+        u = np.empty((size, UNIFORMS_PER_ROUND))
+        protocol_sim._stream(seed, start).random(out=u)
         bit_gen = np.random.Philox(key=seed)
         bit_gen.advance(start * protocol_sim._BLOCKS_PER_ROUND)
-        u = np.random.Generator(bit_gen).random((size, UNIFORMS_PER_ROUND))
-        for column in range(UNIFORMS_PER_ROUND):
-            assert protocol_sim._uniforms(words, column).tobytes() == u[:, column].tobytes()
+        words = bit_gen.random_raw(size * UNIFORMS_PER_ROUND).reshape(size, UNIFORMS_PER_ROUND)
+        assert u.tobytes() == ((words >> np.uint64(11)) * 2.0**-53).tobytes()
         assert np.array_equal(words.view(np.int64) < 0, u >= 0.5)
 
 
@@ -368,11 +369,11 @@ class TestKernelProperties:
     def test_chunks_at_any_start_match_scalar_replay(self, attack, seed, start, size, chunk):
         tables = protocol_sim._build_tables(attack)
         stop = start + size
-        keys = np.concatenate(
-            [protocol_sim._run_chunk(tables, seed, s, min(chunk, stop - s)) for s in range(start, stop, chunk)]
+        codes = np.concatenate(
+            [protocol_sim._run_chunk(tables, seed, s, min(chunk, stop - s))[1] for s in range(start, stop, chunk)]
         )
         uniforms = raw_uniforms(seed, stop)[start:]
-        assert_codes_replay(attack, tables.codes[keys], tables.eve_labels, uniforms)
+        assert_codes_replay(attack, codes, tables.eve_labels, uniforms)
 
     @settings(max_examples=30)
     @given(_JOINT_ATTACKS)
@@ -381,6 +382,103 @@ class TestKernelProperties:
         cdf = protocol_sim._build_tables(attack).joint_cdf
         assert cdf.shape == (4, protocol_sim.N_KEYS)
         assert np.all(np.diff(cdf, axis=0) >= 0)
+
+
+class TestKernelBlocks:
+    """Blocks inside a chunk change no round: at 5 rounds a block, every edge is crossed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        attack=_ATTACKS,
+        seed=st.one_of(st.integers(2**64 - 8, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        start=st.one_of(st.integers(0, 30), st.sampled_from([2**40 - 7, 2**40]), st.integers(0, 2**40)),
+        size=st.integers(1, 40),
+        chunk=st.integers(1, 17),
+    )
+    @example(attack=AncillaWithMemory(alpha=0.8), seed=2**64 - 1, start=2**40, size=40, chunk=17)
+    @example(attack=InterceptResend(phi=0.2, fraction=0.5), seed=0, start=4, size=11, chunk=6)
+    def test_blocks_across_chunk_edges_match_scalar_replay(self, attack, seed, start, size, chunk):
+        tables = protocol_sim._build_tables(attack)
+        counted = tables._replace(codes=None)
+        codes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol_sim, "_BLOCK", 5)
+            for s in range(start, start + size, chunk):
+                n = min(chunk, start + size - s)
+                counts, chunk_codes = protocol_sim._run_chunk(tables, seed, s, n)
+                assert np.array_equal(protocol_sim._run_chunk(counted, seed, s, n)[0], counts)
+                hist = np.zeros(N_CODES, dtype=np.int64)
+                np.add.at(hist, tables.codes, counts)  # each key's count lands on its code
+                assert np.array_equal(hist, np.bincount(chunk_codes, minlength=N_CODES))
+                codes.append(chunk_codes)
+        assert_codes_replay(attack, np.concatenate(codes), tables.eve_labels, raw_uniforms(seed, size, start))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [37, 65536])
+    def test_block_size_changes_no_estimate_or_code(self, monkeypatch, workers, chunk):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        n_rounds = chunk + 1000  # two or more chunks, so workers=2 runs a helper
+        for attack in (InterceptResend(phi=0.3, fraction=0.5), AncillaNoMemory(alpha=1.0, phi=0.3)):
+            est, trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers, chunk_rounds=chunk)
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol_sim, "_BLOCK", 5)
+                small, small_trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers,
+                                                  chunk_rounds=chunk)
+            assert small == est
+            assert np.array_equal(small_trace.codes, trace.codes)
+
+
+def expected_estimates(attack) -> dict:
+    """The SimEstimate fields that the closed forms fix, at the exact expected histogram."""
+    if isinstance(attack, NoAttack):
+        return dict(qber=0.0, qber_x=0.0, qber_y=0.0, eve_mutual_info=None, eve_mutual_info_intercepted=None,
+                    eve_fidelity_x=None, eve_fidelity_y=None)
+    if isinstance(attack, InterceptResend):
+        report, fraction, symmetrize = intercept_resend(attack.phi), attack.fraction, attack.symmetrize
+    elif isinstance(attack, AncillaNoMemory):
+        report, fraction, symmetrize = ancilla_no_memory(attack.alpha, attack.phi), 1.0, attack.symmetrize
+    else:
+        report, fraction, symmetrize = ancilla_with_memory(attack.alpha), 1.0, False
+    fidelity = [report.eve_x.fidelity, report.eve_y.fidelity]
+    disturbance = [report.bob_x.disturbance, report.bob_y.disturbance]
+    if symmetrize:  # the companion slot swaps x and y
+        fidelity, disturbance = [sum(fidelity) / 2] * 2, [sum(disturbance) / 2] * 2
+    acted = fraction > 0
+    point = closed_form(attack)
+    return dict(
+        qber=point.d_bob,
+        qber_x=fraction * disturbance[0],
+        qber_y=fraction * disturbance[1],
+        eve_mutual_info=point.i_eve,
+        eve_mutual_info_intercepted=report.eve_avg_info if acted else None,
+        eve_fidelity_x=fidelity[0] if acted else None,
+        eve_fidelity_y=fidelity[1] if acted else None,
+    )
+
+
+class TestExpectedHistogram:
+    """Tables -> estimator <-> closed form, with no sampling noise."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            st.just(NoAttack()),
+            st.builds(InterceptResend, phi=_PHIS, symmetrize=st.booleans(),
+                      fraction=st.one_of(st.sampled_from([0.0, 0.02, 0.5, 1.0]), st.floats(0.02, 1.0))),
+            _JOINT_ATTACKS,
+        )
+    )
+    @example(InterceptResend(phi=0.0, fraction=1.0, symmetrize=False))
+    @example(AncillaNoMemory(alpha=0.0, phi=math.pi / 4))
+    def test_estimates_at_the_expected_histogram_are_the_closed_forms(self, attack):
+        p = code_probabilities(attack)
+        assert p.sum() == pytest.approx(1.0, abs=1e-15)
+        est = protocol_sim._estimate_from_counts(np.rint(2**52 * p).astype(np.int64))
+        for name, want in expected_estimates(attack).items():
+            got = getattr(est, name)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got == pytest.approx(want, rel=0, abs=1e-12), name
 
 
 _MEMOS = (EquatorBasis.eigenstate, quantum_core._product_bras)
@@ -613,6 +711,28 @@ class TestTraceEstimation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_working_set_per_thread_is_bounded(self, monkeypatch, workers):
+        # 2.5 MiB is below the 4 MiB of one chunk's words, so only a kernel
+        # that works in blocks passes; the run starts on a fresh thread, so
+        # the caller's share allocates its workspace in view
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        attack, peaks = InterceptResend(phi=0.3, fraction=0.5), []
+        run_protocol(1_000, attack, 1)  # warm-up: what a first run allocates once
+
+        def measure():
+            tracemalloc.start()
+            try:
+                run_protocol(8 * 65536, attack, 1, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=measure)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and peaks[0] < workers * 2.5 * 2**20
 
     def test_no_trace_by_default(self):
         _, trace = run_protocol(1_000, NoAttack(), seed=2)

@@ -105,6 +105,13 @@ class TestValues:
         assert hash(trace) == hash(trace)
         assert len(trace) == 2
 
+    def test_pure_state_equality_is_identity(self):
+        # states compare through overlaps, so equal amplitudes make no equal states
+        state = PureState([1, 0])
+        assert state == state and state != PureState([1, 0])
+        assert hash(state) == hash(state)
+        assert {state, state} == {state}
+
     @pytest.mark.parametrize("value, _, name", VALUES)
     def test_fields_are_read_only(self, value, _, name):
         with pytest.raises(AttributeError):
