@@ -366,86 +366,58 @@ def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk
     """Run every chunk, adding its key counts to key_hist; with keep_codes,
     yield each chunk's round codes in round order.
 
-    At most min(workers, chunks, CPUs) threads run, each over every
-    threads-th chunk and with one running histogram; this thread runs chunks
-    0, threads, 2 * threads, ... between its yields. With keep_codes a
-    thread starts a chunk only while fewer than threads chunks are started
-    and not yet yielded, so at most threads chunks' codes wait here.
+    A run that keeps codes runs every chunk on this thread. Any other run
+    uses at most min(workers, chunks, CPUs) threads, each over every
+    threads-th chunk with its own histogram; this thread runs chunks 0,
+    threads, 2 * threads, ... and adds the histograms once every thread is done.
     """
     starts = range(0, n_rounds, chunk_rounds)
-    threads = min(workers, len(starts), os.cpu_count() or 1)
-    ready, errors = {}, []  # codes of finished helper chunks by index; any error stops every share
-    yielded = 0
-    changed = threading.Condition()
-
+    threads = 1 if keep_codes else min(workers, len(starts), os.cpu_count() or 1)
     kernel_tables = tables if keep_codes else tables._replace(codes=None)  # untraced: count keys only
-
-    def run(index, hist):
-        start = starts[index]
-        counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
-        hist += counts
-        return codes
-
-    def fail(exc):
-        with changed:
-            errors.append(exc)
-            changed.notify_all()
+    hists = [None] * threads
+    errors = []  # any error stops every share at its next chunk
 
     def share(first):
-        """Chunks first, first + threads, ... until a share fails."""
-        hist = np.zeros(N_KEYS, dtype=np.int64)
+        """The codes of chunks first, first + threads, ... until a share fails."""
+        # allocated in the share's own thread before its workspace: a helper
+        # whose first allocation was the workspace peaked 0.4 MB higher
+        hists[first] = hist = np.zeros(N_KEYS, dtype=np.int64)
+        for index in range(first, len(starts), threads):
+            if errors:
+                return
+            start = starts[index]
+            counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
+            hist += counts
+            yield codes
+
+    def run_share(first):
         try:
-            for index in range(first, len(starts), threads):
-                if keep_codes:
-                    with changed:
-                        changed.wait_for(lambda: errors or index < yielded + threads)
-                if errors:
-                    return
-                codes = run(index, hist)
-                if keep_codes:
-                    with changed:
-                        ready[index] = codes
-                        changed.notify_all()
-            with changed:
-                key_hist[:] += hist
+            for _ in share(first):
+                pass
         except BaseException as exc:  # the caller raises it
-            fail(exc)
+            errors.append(exc)
 
     # shares 1 .. threads - 1 run on helper threads, share 0 on this one
-    helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, threads)]
+    helpers = [threading.Thread(target=run_share, args=(first,)) for first in range(1, threads)]
     for helper in helpers:
         helper.start()
-    hist = np.zeros(N_KEYS, dtype=np.int64)
     try:
-        for index in range(len(starts)):
-            if errors:
-                raise errors[0]
-            if index % threads == 0:
-                codes = run(index, hist)
-            elif keep_codes:
-                with changed:
-                    changed.wait_for(lambda: errors or index in ready)
-                    if errors:
-                        raise errors[0]
-                    codes = ready.pop(index)
+        for codes in share(0):
             if keep_codes:
                 yield codes
-                with changed:
-                    yielded = index + 1
-                    changed.notify_all()
     except BaseException as exc:  # failed, interrupted or abandoned by the consumer
-        fail(exc)
+        errors.append(exc)
         raise
     finally:
         for helper in helpers:
             try:
                 helper.join()
             except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next chunk
-                fail(exc)
+                errors.append(exc)
                 helper.join()
     if errors:
         raise errors[0]
-    key_hist += hist
+    key_hist += sum(hists)
 
 
 def run_protocol(
@@ -462,20 +434,21 @@ def run_protocol(
 
     Deterministic: the per-round stream depends only on (seed, round index),
     and histograms of round keys are integer-valued, so the result is
-    bit-identical for any workers/chunk_rounds combination. At most
-    min(workers, chunks, CPUs) threads run, each over every threads-th
-    chunk and with one running histogram. Each thread's kernel reuses one
-    workspace of min(_BLOCK, chunk_rounds) rounds, about 1.4 MiB at the
-    default chunk, so memory grows neither with n_rounds nor with
-    chunk_rounds.
+    bit-identical for any workers/chunk_rounds combination. An untraced
+    run uses at most min(workers, chunks, CPUs) threads, each over every
+    threads-th chunk and with its own histogram; a traced run (keep_trace
+    or on_trace) runs every chunk on this thread, whatever workers is. Each
+    thread's kernel reuses one workspace of min(_BLOCK, chunk_rounds)
+    rounds, about 1.4 MiB at the default chunk, so memory grows neither
+    with n_rounds nor with chunk_rounds.
 
     on_trace, if given, receives the trace as the run goes: each time a
-    chunk finishes, it is called in this thread with a Trace of the next
-    rounds in round order. At most threads chunks' codes (2 bytes a round)
-    wait for it, so memory still does not grow with n_rounds. The first
-    call waits until the rounds so far hold MIN_SIFTED sifted rounds, so a
-    run that raises InsufficientSampleError hands out no round. keep_trace
-    also returns the Trace of every round, which holds 2 bytes per round.
+    chunk finishes, it is called with a Trace of the next rounds in round
+    order, so only one chunk's codes (2 bytes a round) wait for it and
+    memory still does not grow with n_rounds. The first call waits until
+    the rounds so far hold MIN_SIFTED sifted rounds, so a run that raises
+    InsufficientSampleError hands out no round. keep_trace also returns the
+    Trace of every round, which holds 2 bytes per round.
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds!r}")

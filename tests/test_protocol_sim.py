@@ -37,6 +37,7 @@ from reference import (
 from bb84eve import protocol_sim, quantum_core
 from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, closed_form, intercept_resend
 from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend, NoAttack
+from bb84eve.infotheory import binary_entropy
 from bb84eve.protocol_sim import (
     BASIS_ANGLES,
     BASIS_LABELS,
@@ -417,14 +418,15 @@ class TestKernelBlocks:
     @pytest.mark.parametrize("chunk", [37, 65536])
     def test_block_size_changes_no_estimate_or_code(self, monkeypatch, workers, chunk):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
-        n_rounds = chunk + 1000  # two or more chunks, so workers=2 runs a helper
+        n_rounds = chunk + 1000  # two or more chunks, so an untraced run at workers=2 runs a helper
         for attack in (InterceptResend(phi=0.3, fraction=0.5), AncillaNoMemory(alpha=1.0, phi=0.3)):
             est, trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers, chunk_rounds=chunk)
             with monkeypatch.context() as patch:
                 patch.setattr(protocol_sim, "_BLOCK", 5)
                 small, small_trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers,
                                                   chunk_rounds=chunk)
-            assert small == est
+                untraced, _ = run_protocol(n_rounds, attack, seed=8, workers=workers, chunk_rounds=chunk)
+            assert small == untraced == est
             assert np.array_equal(small_trace.codes, trace.codes)
 
 
@@ -456,29 +458,59 @@ def expected_estimates(attack) -> dict:
     )
 
 
+_EXPECTED_ATTACKS = st.one_of(
+    st.just(NoAttack()),
+    st.builds(InterceptResend, phi=_PHIS, symmetrize=st.booleans(),
+              fraction=st.one_of(st.sampled_from([0.0, 0.02, 0.5, 1.0]), st.floats(0.02, 1.0))),
+    _JOINT_ATTACKS,
+)
+
+
+def expected_histogram_estimate(attack):
+    """The engine's estimate at the attack's expected code histogram, scaled to 2**52 rounds."""
+    return protocol_sim._estimate_from_counts(np.rint(2**52 * code_probabilities(attack)).astype(np.int64))
+
+
 class TestExpectedHistogram:
     """Tables -> estimator <-> closed form, with no sampling noise."""
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        st.one_of(
-            st.just(NoAttack()),
-            st.builds(InterceptResend, phi=_PHIS, symmetrize=st.booleans(),
-                      fraction=st.one_of(st.sampled_from([0.0, 0.02, 0.5, 1.0]), st.floats(0.02, 1.0))),
-            _JOINT_ATTACKS,
-        )
-    )
+    @given(_EXPECTED_ATTACKS)
     @example(InterceptResend(phi=0.0, fraction=1.0, symmetrize=False))
     @example(AncillaNoMemory(alpha=0.0, phi=math.pi / 4))
     def test_estimates_at_the_expected_histogram_are_the_closed_forms(self, attack):
         p = code_probabilities(attack)
         assert p.sum() == pytest.approx(1.0, abs=1e-15)
-        est = protocol_sim._estimate_from_counts(np.rint(2**52 * p).astype(np.int64))
+        est = expected_histogram_estimate(attack)
         for name, want in expected_estimates(attack).items():
             got = getattr(est, name)
             assert (got is None) == (want is None), name
             if want is not None:
                 assert got == pytest.approx(want, rel=0, abs=1e-12), name
+
+
+class TestFggnpBound:
+    """Eve's information at the expected histogram against the optimal
+    individual attack of Fuchs, Gisin, Griffiths, Niu and Peres (PRA 56, 1163,
+    1997): at error rate D no attack on single qubits, read once the basis is
+    revealed, gives Eve more than 1 - h(1/2 + sqrt(D (1 - D))) bits per sifted bit."""
+
+    @staticmethod
+    def bound(d):
+        return 1.0 - binary_entropy(0.5 + math.sqrt(d * (1.0 - d)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(_EXPECTED_ATTACKS)
+    @example(InterceptResend(phi=0.0, fraction=1.0, symmetrize=False))
+    @example(InterceptResend(phi=math.pi / 4, fraction=1.0, symmetrize=False))
+    @example(AncillaWithMemory(alpha=0.0))
+    @example(AncillaWithMemory(alpha=math.pi / 2))
+    def test_eve_information_is_within_the_bound(self, attack):
+        est = expected_histogram_estimate(attack)
+        i_eve, bound = est.eve_mutual_info or 0.0, self.bound(est.qber)  # no eavesdropper, no information
+        assert i_eve <= bound + 1e-12
+        if isinstance(attack, AncillaWithMemory):  # the stored probe is the optimal attack
+            assert i_eve == pytest.approx(bound, rel=0, abs=1e-12)
 
 
 _MEMOS = (EquatorBasis.eigenstate, quantum_core._product_bras)
@@ -775,8 +807,8 @@ class TestWorkerCap:
         assert seen == {threading.get_ident()}
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        # every share writes its own result slot; a lost or misplaced one
-        # changes the histogram or the trace order
+        # every share writes its own histogram; a lost or misplaced count
+        # changes the estimate, and a misordered chunk the trace
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
         attack = InterceptResend(phi=0.3, fraction=0.5)
         base, base_trace = run_protocol(3_001, attack, seed=4, keep_trace=True)
@@ -787,8 +819,24 @@ class TestWorkerCap:
                 est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, workers=8, chunk_rounds=37)
                 assert est == base
                 assert np.array_equal(trace.codes, base_trace.codes)
+                # an untraced run is the one that runs on 8 threads
+                assert run_protocol(3_001, attack, seed=4, workers=8, chunk_rounds=37)[0] == base
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("traced", ["on_trace", "keep_trace"])
+    def test_traced_run_stays_on_the_calling_thread(self, monkeypatch, traced):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        run_chunk, seen = protocol_sim._run_chunk, []
+
+        def chunk(tables, seed, start, size):
+            seen.append(threading.get_ident())
+            return run_chunk(tables, seed, start, size)
+
+        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        trace_args = {"on_trace": lambda trace: None} if traced == "on_trace" else {"keep_trace": True}
+        run_protocol(640, NoAttack(), seed=1, workers=4, chunk_rounds=64, **trace_args)
+        assert seen == [threading.get_ident()] * 10
 
 
 class TestHelperFailure:

@@ -437,6 +437,7 @@ class TestMainEntryPoint:
         finally:
             proc.kill()
             proc.wait()
+            proc.stderr.close()
         assert (code, err) == (EXIT_BROKEN_PIPE, b"")
 
     def test_reader_leaving_mid_trace_exits_141_quietly(self):
@@ -451,6 +452,7 @@ class TestMainEntryPoint:
         finally:
             proc.kill()
             proc.wait()
+            proc.stderr.close()
         assert header.decode() == TRACE_HEADER + "\n"
         assert (code, err) == (EXIT_BROKEN_PIPE, b"")
 
