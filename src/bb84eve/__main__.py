@@ -1,5 +1,10 @@
-import sys
+"""``python -m bb84eve``: the command line, through report_cli.cli.
 
-from .report_cli import main
+cli freezes the collector's objects only after main returns, so the exit
+skips finalization's collections while every run still has a working
+collector.
+"""
 
-sys.exit(main())
+from .report_cli import cli
+
+cli()

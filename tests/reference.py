@@ -230,27 +230,28 @@ def reference_trace_text(codes, eve_labels: tuple, start: int = 0) -> str:
 PREPARED = np.array([[[1, 1], [1, -1]], [[1, 1j], [1, -1j]]]) / math.sqrt(2)
 
 
-def _info_bits(joint: np.ndarray) -> float:
-    """I(A; R) in bits of a joint distribution joint[a, r]."""
-    outer = joint.sum(axis=1, keepdims=True) * joint.sum(axis=0, keepdims=True)
+def _info_bits(joint: np.ndarray) -> np.ndarray:
+    """I(A; R) in bits of each joint distribution joint[..., a, r]."""
+    outer = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
     cells = joint > 0
-    return float(np.sum(joint[cells] * np.log2(joint[cells] / outer[cells])))
+    ratio = np.divide(joint, outer, out=np.ones_like(joint), where=cells)
+    return np.sum(joint * np.log2(ratio), axis=(-2, -1))
 
 
-def instrument_point(kraus) -> tuple[float, float]:
-    """(d_bob, i_eve) of the instrument {K_r} applied to Alice's qubit, one operator per outcome.
+def instrument_point(kraus) -> tuple:
+    """(d_bob, i_eve) of the instrument {K_r} applied to Alice's qubit, kraus[r] = K_r.
 
     Eve reads r before the basis reveal and Bob measures what is left in
     Alice's basis. d_bob is his error rate over the four protocol states;
     i_eve is I(A; R) given the revealed basis, averaged over the two bases.
+    A stack of instruments, kraus[..., r], gives an array of each.
     """
     kraus = np.asarray(kraus, dtype=np.complex128)
-    errors = info = 0.0
-    for states in PREPARED:
-        images = np.einsum("rij,aj->ari", kraus, states)  # images[a, r] = K_r |a>
-        errors += sum(np.sum(np.abs(images[a] @ states[1 - a].conj()) ** 2) for a in (0, 1))
-        info += _info_bits(np.sum(np.abs(images) ** 2, axis=2) / 2)
-    return float(errors) / 4, info / 2
+    images = np.einsum("...rij,baj->...bari", kraus, PREPARED)  # K_r |PREPARED[b, a]>
+    flips = np.einsum("...bari,bai->...bar", images, PREPARED[:, ::-1].conj())  # <PREPARED[b, 1-a]| ...
+    d_bob = np.sum(np.abs(flips) ** 2, axis=(-3, -2, -1)) / 4
+    i_eve = np.sum(_info_bits(np.sum(np.abs(images) ** 2, axis=-1) / 2), axis=-1) / 2
+    return d_bob[()], i_eve[()]
 
 
 def weak_x_instrument(d: float) -> np.ndarray:

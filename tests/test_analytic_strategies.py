@@ -484,6 +484,42 @@ def i_weak(d: float) -> float:
     return info_from_fidelity((1 + math.sqrt(8 * d * (1 - 2 * d))) / 2) / 2
 
 
+def _isometry(m: np.ndarray) -> np.ndarray:
+    """The n Kraus operators, kraus[r] = rows 2r and 2r + 1, of the isometry C^2 -> C^2n
+    whose two columns Gram-Schmidt makes of m's, for m of shape (2n, 2)."""
+    a, b = m.T
+    a = a / np.linalg.norm(a)
+    b = b - np.vdot(a, b) * a
+    return np.stack([a, b / np.linalg.norm(b)], axis=-1).reshape(-1, 2, 2)
+
+
+def _ascend(m: np.ndarray, lam: float) -> np.ndarray:
+    """m after 40 steps of gradient ascent of i_eve - lam * d_bob over its real and imaginary parts.
+
+    The gradient comes from central differences, all scored in one call;
+    the step doubles after a gain and halves until it finds one.
+    """
+    h = 1e-6
+    moves = np.concatenate([np.eye(m.size), 1j * np.eye(m.size)]).reshape(-1, *m.shape) * h
+
+    def gain(ms):
+        d_bob, i_eve = instrument_point([_isometry(x) for x in ms])
+        return i_eve - lam * d_bob
+
+    best, step = gain([m])[0], 0.05
+    for _ in range(40):
+        ends = gain([*(m + moves), *(m - moves)])
+        grad = np.tensordot((ends[: len(moves)] - ends[len(moves) :]) / (2 * h), moves / h, axes=1)
+        grad /= max(1.0, np.linalg.norm(grad))
+        while step > 1e-12:
+            value = gain([m + step * grad])[0]
+            if value > best:
+                m, best, step = m + step * grad, value, 2 * step
+                break
+            step /= 2
+    return m
+
+
 class TestMemorylessFrontier:
     """An instrument oracle, in raw numpy, scores any attack Eve reads before the reveal.
 
@@ -535,6 +571,26 @@ class TestMemorylessFrontier:
         # Fuchs, Gisin, Griffiths, Niu and Peres, PRA 56, 1163 (1997)
         for d in [0.0, *self.GRID, 0.25]:
             assert i_weak(d) <= info_from_fidelity(0.5 + math.sqrt(d * (1 - d))) + 1e-12
+
+    @pytest.mark.parametrize("lam", [2.0, 2.885, 4.0])
+    def test_searched_instruments_stay_under_the_weak_measurement(self, lam):
+        # seeded Haar-random instruments with 2-4 outcomes (the QR of a
+        # complex Gaussian matrix), each climbed on i_eve - lam * d_bob; 2.885
+        # is near i_weak's slope 2/ln 2 at 0, where the climb ends near d = 0
+        rng = np.random.default_rng(1997)
+        found = []
+        for outcomes in (2, 3, 4):
+            for _ in range(2):
+                gaussian = rng.normal(size=(2, 2 * outcomes, 2))
+                start = np.linalg.qr(gaussian[0] + 1j * gaussian[1])[0]
+                found += [start, _ascend(start, lam)]
+        points = [instrument_point(_isometry(m)) for m in found]
+        # beyond d = 1/4 the frontier stays at i_weak(1/4) = 1/2: I(A;R) over
+        # two conjugate bases sums to at most 1 bit (Hall, PRL 74, 3307 (1995))
+        assert max(i_eve - i_weak(min(d_bob, 0.25)) for d_bob, i_eve in points) <= 1e-9
+        # and the climb reaches the frontier, so the search is not vacuous
+        frontier = max(i_weak(d) - lam * d for d in np.linspace(0.0, 0.25, 20_001))
+        assert max(i_eve - lam * d_bob for d_bob, i_eve in points) > frontier - 1e-4
 
     def test_compare_row_at_an_eighth(self):
         assert i_weak(0.125) == pytest.approx(0.3227, abs=5e-5)

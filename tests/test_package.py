@@ -115,3 +115,40 @@ def test_every_import_is_used():
     sources = sorted([*(ROOT / "src" / "bb84eve").glob("*.py"), *(ROOT / "tests").glob("*.py")])
     assert len(sources) > 15
     assert [line for path in sources for line in unused_imports(path)] == []
+
+
+# calls that set process-wide state: the collector's, or an exit that skips
+# the flush of stdout and atexit
+PROCESS_WIDE = {"gc.freeze", "gc.disable", "gc.set_threshold", "os._exit"}
+
+
+def process_wide_uses(path: Path) -> list[tuple[str, str, str]]:
+    """The PROCESS_WIDE names path reads or imports, as (file, enclosing function or class, name)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            names = []
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                names = [f"{child.value.id}.{child.attr}"]
+            elif isinstance(child, ast.ImportFrom):
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            found.extend((path.name, scope, name) for name in names if name in PROCESS_WIDE)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def test_process_wide_state_stays_out_of_library_code(tmp_path):
+    sources = sorted((ROOT / "src" / "bb84eve").glob("*.py"))
+    uses = [use for path in sources for use in process_wide_uses(path)]
+    # only the process entry point freezes, after main returns
+    assert uses == [("report_cli.py", "cli", "gc.freeze")]
+    probe = tmp_path / "probe.py"
+    probe.write_text("import gc\nfrom os import _exit\ndef run():\n    gc.disable()\n")
+    assert process_wide_uses(probe) == [
+        ("probe.py", "<module>", "os._exit"), ("probe.py", "run", "gc.disable")]

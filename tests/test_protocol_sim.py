@@ -700,19 +700,19 @@ class TestTraceEstimation:
         assert estimate(trace) == est
 
     def test_trace_records_round_indices_in_order(self):
-        # round i is codes[i], whatever the chunking and thread count
+        # round i is codes[i], whatever the chunking
         _, whole = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True)
-        _, chunked = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True, workers=3, chunk_rounds=64)
         assert len(whole) == 1_000
-        assert np.array_equal(whole.codes, chunked.codes)
+        for chunk_rounds in (1, 37, 64):
+            _, chunked = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True, chunk_rounds=chunk_rounds)
+            assert np.array_equal(whole.codes, chunked.codes)
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_streamed_blocks_are_the_trace_in_round_order(self, monkeypatch, workers):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+    @pytest.mark.parametrize("chunk_rounds", [1, 37, 65536])
+    def test_streamed_blocks_are_the_trace_in_round_order(self, chunk_rounds):
         attack = InterceptResend(phi=0.3, fraction=0.5)
         blocks = []
         est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, on_trace=blocks.append,
-                                  workers=workers, chunk_rounds=37)
+                                  chunk_rounds=chunk_rounds)
         assert np.array_equal(np.concatenate([block.codes for block in blocks]), trace.codes)
         assert {block.eve_labels for block in blocks} == {trace.eve_labels}
         assert est == estimate(trace) == run_protocol(3_001, attack, seed=4)[0]

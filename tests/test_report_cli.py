@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its CSV contracts."""
 
+import gc
 import io
 import math
 import os
@@ -38,6 +39,7 @@ from bb84eve.report_cli import (
     cmd_analytic_curves,
     cmd_compare,
     cmd_simulate,
+    cli,
     main,
     parse_angle,
 )
@@ -412,14 +414,19 @@ class TestMainEntryPoint:
         [
             ["analytic", "--strategy", "ancilla_with_memory", "--grid", "3"],
             ["simulate", "--strategy", "none", "--rounds", "1000", "--trace", "/dev/stdout"],
+            ["--help"],
+            ["simulate", "--help"],
         ],
     )
     def test_closed_pipe_exits_141_quietly(self, argv):
+        # stdout is buffered, as by default, so --help meets the closed pipe at its flush
+        env = self.package_env()
+        env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=write_end,
-                                    stderr=subprocess.PIPE, env=self.package_env(), timeout=60)
+                                    stderr=subprocess.PIPE, env=env, timeout=60)
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
@@ -692,6 +699,53 @@ class TestMainEntryPoint:
         """The environment with the imported bb84eve first on PYTHONPATH."""
         paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+class TestProcessEntryPoint:
+    """cli, which every way of starting the program runs: main, then gc.freeze, then the exit."""
+
+    @pytest.mark.parametrize(
+        "status", [EXIT_OK, EXIT_USAGE, EXIT_INSUFFICIENT_SAMPLE, EXIT_INTERRUPTED, EXIT_BROKEN_PIPE])
+    def test_exits_with_the_status_of_main(self, monkeypatch, status):
+        import bb84eve.report_cli as report_cli
+
+        monkeypatch.setattr(report_cli, "main", lambda: status)
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        with pytest.raises(SystemExit) as exit_:
+            cli()
+        assert exit_.value.code == status
+
+    def test_freezes_once_after_main_returns(self, monkeypatch):
+        import bb84eve.report_cli as report_cli
+
+        calls = []
+        monkeypatch.setattr(report_cli, "main", lambda: calls.append("main") or EXIT_OK)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit):
+            cli()
+        assert calls == ["main", "freeze"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--strategy", "intercept_resend", "--phi", "0", "--rounds", "2000"],
+        ["analytic", "--strategy", "all", "--grid", "3"],
+        ["compare", "--d-bob", "0.1"],
+    ])
+    def test_main_leaves_the_collector_alone(self, capsys, argv):
+        frozen = gc.get_freeze_count()
+        assert main(argv) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_runs_cli(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+        assert project["scripts"] == {"bb84eve": "bb84eve.report_cli:cli"}
+
+    def test_module_run_exits_two_with_one_error_line(self):
+        argv = ["simulate", "--strategy", "none", "--rounds", "0"]
+        result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], capture_output=True,
+                                text=True, env=TestMainEntryPoint.package_env(), timeout=60)
+        assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
+        assert result.stderr == "error: --rounds must be a positive integer\n"
 
 
 class TestLazyEngine:
