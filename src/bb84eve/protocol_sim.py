@@ -18,16 +18,19 @@ Eve's angle slot (phi or its companion pi/2 - phi) comes from column 4
 under symmetrization and is 0 without it; for the stored probe, which is
 read in the revealed basis, the slot comes from column 0.
 
-Chunk execution: a chunk runs in blocks of _BLOCK rounds in its thread's
-workspace, arrays the thread allocates once and every step writes through
-out=, so no kernel array grows with the chunk. Generator.random fills a
-block's uniforms, and one u >= 0.5 pass gives every fair-coin bit. Each
-draw against a Born-rule threshold (interception, Eve's outcome, Bob's
-outcome, the joint cell) compares its column (3, 5 or 6) with a threshold
-read from a flat per-run table by one take on the round key, the byte that
-gathers the round's 8 column bits, and overwrites the column's bit. Each
-block adds the bincount of its keys to the chunk's counts, and a traced run
-also writes their codes. One 256-entry table per run maps each key to its
+Chunk execution: a chunk runs in blocks of _BLOCK rounds, each drawn as one
+(n, 8) array of raw words, in its thread's workspace, arrays the thread
+allocates once and every step writes through out=, so no kernel array
+grows with the chunk. One sign pass over the words gives every fair-coin
+bit, and no word becomes a double: a run stores each Born-rule probability
+p as the integer threshold ceil(p * 2**53), and u >= p holds exactly when
+the word's top 53 bits, w >> 11, reach it. Each draw against a threshold
+(interception, Eve's outcome, Bob's outcome, the joint cell) compares the
+top bits of its column (3, 5 or 6) with a threshold read from a flat
+per-run table by one take on the round key, the byte that gathers the
+round's 8 column bits, and overwrites the column's bit. Each block adds
+the bincount of its keys to the chunk's counts, and a traced run also
+writes their codes. One 256-entry table per run maps each key to its
 round code, a uint16 below N_CODES = 384 that packs the fields of
 ROUND_FIELDS (acted, slot, eve_bit, guess, the two bases and the two key
 bits); unpack decodes it. Every estimate derives from the run's histogram
@@ -175,7 +178,7 @@ def _p_plus(states, angles) -> np.ndarray:
 # --- the round key and the tables it indexes -------------------------------
 
 # The kernel reads each round through one byte, its round key: bit c is the
-# round's bit in uniform column c, u >= 0.5 or, in the columns a draw
+# round's bit in word column c, u >= 0.5 or, in the columns a draw
 # replaces, the drawn bit (3: acted, 5: Eve's outcome, 6: Bob's outcome). The
 # tables have one entry per key and ignore the bits their mode does not use.
 N_KEYS = 256
@@ -201,6 +204,10 @@ class _EngineTables(NamedTuple):
     joint cell, whose high bit is Bob's outcome and low bit Eve's, counts the
     j < 3 with u5 >= joint_cdf[j, key]. joint_cdf[:, key] is the cumulative
     distribution of the cell, so that count is the cell u5 falls in.
+
+    _born_tables holds fraction, p_eve, p_bob and joint_cdf as the Born-rule
+    probabilities, doubles; the kernel's tables, from _build_tables, hold
+    each as its uint64 threshold (see _thresholds).
     """
 
     codes: np.ndarray | None
@@ -222,7 +229,8 @@ def _decisions(angles, correlation_scale: float) -> np.ndarray:
     return np.array([[(c > TIE_TOL) - (c < -TIE_TOL) for c in row] for row in corr], dtype=np.int8)
 
 
-def _build_tables(attack: AttackConfig) -> _EngineTables:
+def _born_tables(attack: AttackConfig) -> _EngineTables:
+    """The run's tables, with every probability a double."""
     states = _protocol_states()
     ab, abit, bb, acted, slot, e, bob_bit, coin = (_KEYS >> c & 1 for c in range(UNIFORMS_PER_ROUND))
     if isinstance(attack, NoAttack):
@@ -275,10 +283,30 @@ def _build_tables(attack: AttackConfig) -> _EngineTables:
     return _EngineTables(codes, labels, **thresholds)
 
 
+def _thresholds(p):
+    """ceil(p * 2**53) as uint64, for probabilities p in [0, 1].
+
+    A word's uniform is u = m * 2**-53 with m = w >> 11, an integer, so
+    u >= p exactly when m >= ceil(p * 2**53), and u < p when m is below it:
+    scaling by 2**53 and the ceiling of a value at most 2**53 lose no bit.
+    """
+    return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+
+
+def _build_tables(attack: AttackConfig) -> _EngineTables:
+    """The kernel's tables: the Born tables with every probability a threshold."""
+    tables = _born_tables(attack)
+    probabilities = {name: getattr(tables, name) for name in ("fraction", "p_eve", "p_bob", "joint_cdf")}
+    return tables._replace(**{name: _thresholds(p) for name, p in probabilities.items() if p is not None})
+
+
 # --- chunk execution --------------------------------------------------------
 
-# Rounds per kernel block: one block's doubles (1 MiB) and bits fit a 2 MB L2.
-_BLOCK = 1 << 14
+# Rounds per kernel block: one block's words (512 KiB) and the workspace
+# (about 0.26 MiB) fit a 2 MB L2 together.
+_BLOCK = 1 << 13
+# w >> 11 is the word's top 53 bits, the integer m of its uniform m * 2**-53
+_MANTISSA_SHIFT = np.uint64(64 - 53)
 
 
 class _Workspace(threading.local):
@@ -293,10 +321,10 @@ class _Workspace(threading.local):
     def reserve(self, rows: int) -> _Workspace:
         if rows > self.rows:
             self.rows = rows
-            self.u = np.empty((rows, UNIFORMS_PER_ROUND))
             self.bits = np.empty((rows, UNIFORMS_PER_ROUND), dtype=bool)
             self.keys = np.empty(rows, dtype=np.uint64)
-            self.thresholds = np.empty(rows)
+            self.mantissas = np.empty(rows, dtype=np.uint64)
+            self.thresholds = np.empty(rows, dtype=np.uint64)
             self.passed = np.empty(rows, dtype=bool)
         return self
 
@@ -304,12 +332,12 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _stream(seed: int, start: int) -> np.random.Generator:
-    """The run's uniforms from round start on: row i is round start + i's 8 columns."""
+def _stream(seed: int, start: int) -> np.random.Philox:
+    """The run's words from round start on: each 8 words it draws are the next round's columns."""
     bit_gen = np.random.Philox(key=seed)
     if start:
         bit_gen.advance(start * _BLOCKS_PER_ROUND)
-    return np.random.Generator(bit_gen)
+    return bit_gen
 
 
 def _keys(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -318,30 +346,34 @@ def _keys(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.right_shift(out, np.uint64(56), out=out).view(np.int64)
 
 
-def _run_block(tables: _EngineTables, stream: np.random.Generator, work: _Workspace, n: int) -> np.ndarray:
+def _run_block(tables: _EngineTables, stream: np.random.Philox, work: _Workspace, n: int) -> np.ndarray:
     """The round keys of the stream's next n rounds, in the workspace."""
-    u, bits, key_words, thresholds = work.u[:n], work.bits[:n], work.keys[:n], work.thresholds[:n]
-    stream.random(out=u)
-    np.greater_equal(u, 0.5, out=bits)
+    words = stream.random_raw(n * UNIFORMS_PER_ROUND).reshape(n, UNIFORMS_PER_ROUND)
+    bits, key_words, mantissas, thresholds = work.bits[:n], work.keys[:n], work.mantissas[:n], work.thresholds[:n]
+    np.less(words.view(np.int64), 0, out=bits)  # u >= 0.5: the top bit
 
-    def draw(column, table, keys, out):
-        """out = u[:, column] >= table[keys]"""
+    def top(column):
+        """The top 53 bits of the column's words, u * 2**53."""
+        return np.right_shift(words[:, column], _MANTISSA_SHIFT, out=mantissas)
+
+    def draw(m, table, keys, out):
+        """out = m >= table[keys]"""
         table.take(keys, out=thresholds, mode="clip")  # keys are in range; "raise" would buffer out
-        return np.greater_equal(u[:, column], thresholds, out=out)
+        return np.greater_equal(m, thresholds, out=out)
 
     if tables.joint_cdf is None:
         if tables.fraction > 0:
-            np.less(u[:, 3], tables.fraction, out=bits[:, 3])
+            np.less(top(3), tables.fraction, out=bits[:, 3])
             if bits[:, 3].any():  # Eve's draw only where she can have intercepted
-                draw(5, tables.p_eve, _keys(bits, key_words), bits[:, 5])
-        draw(6, tables.p_bob, _keys(bits, key_words), bits[:, 6])
+                draw(top(5), tables.p_eve, _keys(bits, key_words), bits[:, 5])
+        draw(top(6), tables.p_bob, _keys(bits, key_words), bits[:, 6])
     else:
         # the cell counts the rows u5 passes, and rows are nondecreasing: Bob's
         # bit (cell >= 2) is row 1's, and Eve's (cell odd) the parity of all three
-        cdf, eve, bob, keys = tables.joint_cdf, bits[:, 5], bits[:, 6], _keys(bits, key_words)
-        draw(5, cdf[1], keys, bob)
-        np.logical_xor(draw(5, cdf[0], keys, eve), bob, out=eve)
-        np.logical_xor(eve, draw(5, cdf[2], keys, work.passed[:n]), out=eve)
+        cdf, eve, bob, keys, m = tables.joint_cdf, bits[:, 5], bits[:, 6], _keys(bits, key_words), top(5)
+        draw(m, cdf[1], keys, bob)
+        np.logical_xor(draw(m, cdf[0], keys, eve), bob, out=eve)
+        np.logical_xor(eve, draw(m, cdf[2], keys, work.passed[:n]), out=eve)
     return _keys(bits, key_words)
 
 
@@ -439,8 +471,9 @@ def run_protocol(
     threads-th chunk and with its own histogram; a traced run (keep_trace
     or on_trace) runs every chunk on this thread, whatever workers is. Each
     thread's kernel reuses one workspace of min(_BLOCK, chunk_rounds)
-    rounds, about 1.4 MiB at the default chunk, so memory grows neither
-    with n_rounds nor with chunk_rounds.
+    rounds, about 0.26 MiB at the default chunk, and draws one block's
+    words (512 KiB) at a time, so memory grows neither with n_rounds nor
+    with chunk_rounds.
 
     on_trace, if given, receives the trace as the run goes: each time a
     chunk finishes, it is called with a Trace of the next rounds in round

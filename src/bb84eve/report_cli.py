@@ -370,8 +370,20 @@ def cmd_compare(args: argparse.Namespace) -> str:
 # --- argument parsing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help reaches stdout in full or raises.
+
+    argparse's own printing drops an OSError, so --help into a full disk or
+    a closed pipe would exit as if it had written. Usage goes only to
+    stderr, on a usage error, which exits 2 whether or not it was written.
+    """
+
+    def print_help(self, file=None) -> None:
+        _write_all(file or sys.stdout, self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bb84eve",
         description="Information-vs-disturbance curves for eavesdropping on BB84.",
     )
@@ -451,9 +463,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             # argparse exits on its own for bad flags or --help; fold that into
-            # the return-code contract so callers never see the exception, and
-            # flush --help here so a closed pipe meets the handler below
-            sys.stdout.flush()
+            # the return-code contract so callers never see the exception
             return int(exc.code or 0)
         if args.command == "simulate":
             _load_engine()  # the except clause below names an engine class

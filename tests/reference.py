@@ -151,12 +151,12 @@ def fresh_joint_outcome_probabilities(
 
 
 def unmemoized_tables(attack):
-    """The engine's tables for attack, built with every eigenstate and bra made afresh."""
+    """The engine's Born tables for attack, built with every eigenstate and bra made afresh."""
     with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(EquatorBasis, "eigenstate", fresh_eigenstate))
         patches.enter_context(mock.patch.object(
             protocol_sim, "joint_outcome_probabilities", fresh_joint_outcome_probabilities))
-        return protocol_sim._build_tables(attack)
+        return protocol_sim._born_tables(attack)
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,10 @@ def code_probabilities(attack) -> np.ndarray:
     Born-rule draws in columns 5 and 6, which read their thresholds at the
     key's other bits: bit 0 below p_eve or p_bob, or the joint cell, whose
     probability is a difference of joint_cdf. Each key's probability lands
-    on its code.
+    on its code. The tables are the Born probabilities the kernel's integer
+    thresholds are made of.
     """
-    tables = protocol_sim._build_tables(attack)
+    tables = protocol_sim._born_tables(attack)
     keys = np.arange(protocol_sim.N_KEYS)
     bits = [keys >> column & 1 for column in range(protocol_sim.UNIFORMS_PER_ROUND)]
     p = np.full(len(keys), 0.5**5)  # the five fair coins

@@ -18,6 +18,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -336,7 +337,7 @@ _ATTACKS = st.one_of(
 
 
 class TestWordStream:
-    """The engine's uniforms are the raw Philox words as the format defines them."""
+    """The engine reads the raw Philox words, which stand for numpy's uniforms."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -347,13 +348,69 @@ class TestWordStream:
     @example(seed=0, start=0, size=1)
     @example(seed=2**64 - 1, start=2**40, size=64)
     def test_words_are_the_generators_uniforms(self, seed, start, size):
-        u = np.empty((size, UNIFORMS_PER_ROUND))
-        protocol_sim._stream(seed, start).random(out=u)
+        # the kernel draws a chunk's words block by block from one stream
+        stream = protocol_sim._stream(seed, start)
+        head = size // 2
+        words = np.concatenate([stream.random_raw(head * UNIFORMS_PER_ROUND),
+                                stream.random_raw((size - head) * UNIFORMS_PER_ROUND)])
         bit_gen = np.random.Philox(key=seed)
         bit_gen.advance(start * protocol_sim._BLOCKS_PER_ROUND)
-        words = bit_gen.random_raw(size * UNIFORMS_PER_ROUND).reshape(size, UNIFORMS_PER_ROUND)
+        assert np.array_equal(words, bit_gen.random_raw(size * UNIFORMS_PER_ROUND))
+        u = np.random.Generator(protocol_sim._stream(seed, start)).random(size * UNIFORMS_PER_ROUND)
         assert u.tobytes() == ((words >> np.uint64(11)) * 2.0**-53).tobytes()
         assert np.array_equal(words.view(np.int64) < 0, u >= 0.5)
+
+
+_GRID_PROBABILITIES = st.integers(0, 2**53).map(lambda k: k * 2.0**-53)  # exactly k * 2**-53
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 0.5]),
+    st.floats(0.0, 1.0),
+    _GRID_PROBABILITIES,
+    st.tuples(_GRID_PROBABILITIES, st.sampled_from([0.0, 1.0])).map(lambda pair: math.nextafter(*pair)),
+)
+
+
+class TestThresholds:
+    """An integer compare of a word's top 53 bits is numpy's double compare of its uniform."""
+
+    @settings(max_examples=300)
+    @given(p=_PROBABILITIES, m=st.integers(0, 2**53 - 1))
+    @example(p=0.0, m=0)
+    @example(p=1.0, m=2**53 - 1)
+    @example(p=5e-324, m=0)
+    @example(p=math.nextafter(0.5, 0.0), m=2**52 - 1)
+    @example(p=math.nextafter(0.5, 1.0), m=2**52)
+    @example(p=3 * 2.0**-53, m=2)
+    @example(p=math.nextafter(3 * 2.0**-53, 0.0), m=3)
+    @example(p=math.nextafter(3 * 2.0**-53, 1.0), m=3)
+    @example(p=math.nextafter(1.0, 0.0), m=2**53 - 1)
+    def test_threshold_compares_are_the_uniform_compares(self, p, m):
+        threshold = protocol_sim._thresholds(np.float64(p))
+        assert threshold.dtype == np.uint64
+        t = int(threshold)
+        assert t == math.ceil(p * 2**53)
+        for top in (m, t - 1, t, t + 1):  # a word's top 53 bits
+            if 0 <= top < 2**53:
+                u = top * 2.0**-53  # the uniform numpy's Generator.random makes of the word
+                assert (top >= t) == (u >= p), (top, t)  # the Born-rule draws
+                assert (top < t) == (u < p), (top, t)  # the intercept coin
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ATTACKS)
+    def test_tables_are_the_born_probabilities_as_thresholds(self, attack):
+        born, tables = protocol_sim._born_tables(attack), protocol_sim._build_tables(attack)
+        assert np.array_equal(born.codes, tables.codes) and born.eve_labels == tables.eve_labels
+        for name in ("fraction", "p_eve", "p_bob", "joint_cdf"):
+            p, t = getattr(born, name), getattr(tables, name)
+            assert (p is None) == (t is None), name
+            if p is not None:
+                assert t.dtype == np.uint64 and np.shape(t) == np.shape(p), name
+                want = [math.ceil(math.ldexp(x, 53)) for x in np.ravel(p).tolist()]
+                assert np.ravel(t).tolist() == want, name
+
+    def test_a_bad_probability_warns(self):
+        with pytest.warns(RuntimeWarning):
+            protocol_sim._thresholds(np.array([0.5, math.nan]))
 
 
 class TestKernelProperties:
@@ -379,10 +436,11 @@ class TestKernelProperties:
     @settings(max_examples=30)
     @given(_JOINT_ATTACKS)
     def test_joint_cdf_rows_are_nondecreasing(self, attack):
-        # the premise of counting the joint cell with three compares
-        cdf = protocol_sim._build_tables(attack).joint_cdf
-        assert cdf.shape == (4, protocol_sim.N_KEYS)
-        assert np.all(np.diff(cdf, axis=0) >= 0)
+        # the premise of counting the joint cell with three compares; adjacent
+        # rows are compared, since np.diff of unsigned thresholds would wrap
+        for cdf in (protocol_sim._born_tables(attack).joint_cdf, protocol_sim._build_tables(attack).joint_cdf):
+            assert cdf.shape == (4, protocol_sim.N_KEYS)
+            assert np.all(cdf[1:] >= cdf[:-1])
 
 
 class TestKernelBlocks:
@@ -467,8 +525,11 @@ _EXPECTED_ATTACKS = st.one_of(
 
 
 def expected_histogram_estimate(attack):
-    """The engine's estimate at the attack's expected code histogram, scaled to 2**52 rounds."""
-    return protocol_sim._estimate_from_counts(np.rint(2**52 * code_probabilities(attack)).astype(np.int64))
+    """The engine's estimate at the attack's expected code histogram, scaled to 2**62 rounds.
+
+    The counts stay int64-safe, and rounding them moves no estimate by more than about 1e-15.
+    """
+    return protocol_sim._estimate_from_counts(np.rint(2**62 * code_probabilities(attack)).astype(np.int64))
 
 
 class TestExpectedHistogram:
@@ -478,6 +539,7 @@ class TestExpectedHistogram:
     @given(_EXPECTED_ATTACKS)
     @example(InterceptResend(phi=0.0, fraction=1.0, symmetrize=False))
     @example(AncillaNoMemory(alpha=0.0, phi=math.pi / 4))
+    @example(InterceptResend(phi=0.006858332572561132, fraction=0.02, symmetrize=True))  # 1.1e-12 off at 2**52
     def test_estimates_at_the_expected_histogram_are_the_closed_forms(self, attack):
         p = code_probabilities(attack)
         assert p.sum() == pytest.approx(1.0, abs=1e-15)
@@ -487,6 +549,43 @@ class TestExpectedHistogram:
             assert (got is None) == (want is None), name
             if want is not None:
                 assert got == pytest.approx(want, rel=0, abs=1e-12), name
+
+
+def g_test_p_value(observed: np.ndarray, expected: np.ndarray) -> float:
+    """The p-value of a G-test of counts against expected counts, cells under 5 pooled."""
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    seen = observed > 0
+    g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+    dof = np.count_nonzero(expected) - 1
+    return float(mpmath.gammainc(dof / 2, g / 2, mpmath.inf, regularized=True))
+
+
+class TestCodeHistogram:
+    """One seeded run's code histogram against the expected one: a G-test
+    sees a threshold or stream-layout error that leaves qber and Eve's
+    information inside their 4-SE windows."""
+
+    N_ROUNDS = 10**6
+
+    @pytest.mark.parametrize(
+        "attack",
+        [NoAttack(), InterceptResend(phi=0.3, fraction=0.6), AncillaNoMemory(alpha=1.1, phi=0.25),
+         AncillaWithMemory(alpha=math.pi / 3)],
+        ids=lambda attack: type(attack).__name__,
+    )
+    def test_code_histogram_fits_the_code_probabilities(self, attack):
+        _, trace = run_protocol(self.N_ROUNDS, attack, seed=11, keep_trace=True)
+        observed = np.bincount(trace.codes, minlength=N_CODES)
+        expected = self.N_ROUNDS * code_probabilities(attack)
+        assert not observed[expected == 0].any(), "a round got an impossible code"
+        assert g_test_p_value(observed, expected) >= 1e-6
+
+    def test_g_test_rejects_a_biased_draw(self):
+        expected = np.array([250_000.0, 250_000.0, 499_998.0, 2.0])
+        assert g_test_p_value(np.array([250_000, 250_000, 499_998, 2]), expected) == 1.0
+        assert g_test_p_value(np.array([252_500, 247_500, 499_998, 2]), expected) < 1e-6
 
 
 class TestFggnpBound:
@@ -518,8 +617,8 @@ _SIGNED_PHIS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 4]), st.floats(0.
 
 
 def assert_tables_equal_unmemoized(attack):
-    """The engine's tables for attack equal, bit for bit, those built with no memo."""
-    tables = protocol_sim._build_tables(attack)
+    """The engine's Born tables for attack equal, bit for bit, those built with no memo."""
+    tables = protocol_sim._born_tables(attack)
     used = [memo.cache_info() for memo in _MEMOS]
     reference = unmemoized_tables(attack)
     assert [memo.cache_info() for memo in _MEMOS] == used, "the reference read a memo"

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its CSV contracts."""
 
+import errno
 import gc
 import io
 import math
@@ -427,6 +428,33 @@ class TestMainEntryPoint:
         try:
             result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=write_end,
                                     stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+    def run_help(self, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
+        """bb84eve --help with the given stdout, its stream buffered or not."""
+        env = self.package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run([sys.executable, "-m", "bb84eve", "--help"], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_help_into_a_full_device_exits_2_with_one_line(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            result = self.run_help(full, unbuffered)
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.decode() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_help_into_a_closed_pipe_exits_141_quietly(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run_help(write_end, unbuffered)
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
