@@ -19,23 +19,21 @@ under symmetrization and is 0 without it; for the stored probe, which is
 read in the revealed basis, the slot comes from column 0.
 
 Chunk execution: a chunk runs in blocks of _BLOCK rounds, each drawn as one
-(n, 8) array of raw words, in its thread's workspace, arrays the thread
-allocates once and every step writes through out=, so no kernel array
-grows with the chunk. One sign pass over the words gives every fair-coin
-bit, and no word becomes a double: a run stores each Born-rule probability
-p as the integer threshold ceil(p * 2**53), and u >= p holds exactly when
-the word's top 53 bits, w >> 11, reach it. Each draw against a threshold
-(interception, Eve's outcome, Bob's outcome, the joint cell) compares the
-top bits of its column (3, 5 or 6) with a threshold read from a flat
-per-run table by one take on the round key, the byte that gathers the
-round's 8 column bits, and overwrites the column's bit. Each block adds
-the bincount of its keys to the chunk's counts, and a traced run also
-writes their codes. One 256-entry table per run maps each key to its
-round code, a uint16 below N_CODES = 384 that packs the fields of
-ROUND_FIELDS (acted, slot, eve_bit, guess, the two bases and the two key
-bits); unpack decodes it. Every estimate derives from the run's histogram
-of codes, and a trace keeps the codes themselves, so estimating from a
-trace reproduces the run's estimate exactly.
+(n, 8) array of raw words, so no kernel array grows with the chunk. One
+sign pass over the words gives every fair-coin bit, and no word becomes a
+double: a run stores each Born-rule probability p as the integer threshold
+ceil(p * 2**53), and u >= p holds exactly when the word's top 53 bits,
+w >> 11, reach it. Each draw against a threshold (interception, Eve's
+outcome, Bob's outcome, the joint cell) compares the top bits of its column
+(3, 5 or 6) with a threshold read from a flat per-run table by one take on
+the round key, the byte that gathers the round's 8 column bits, and
+overwrites the column's bit. Each block adds the bincount of its keys to
+the chunk's counts, and a traced run also writes their codes. One 256-entry
+table per run maps each key to its round code, a uint16 below N_CODES = 384
+that packs the fields of ROUND_FIELDS (acted, slot, eve_bit, guess, the two
+bases and the two key bits); unpack decodes it. Every estimate derives from
+the run's histogram of codes, and a trace keeps the codes themselves, so
+estimating from a trace reproduces the run's estimate exactly.
 
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
@@ -45,7 +43,6 @@ cross-validation. The attack configs it takes are defined in ``attacks``.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
@@ -302,34 +299,11 @@ def _build_tables(attack: AttackConfig) -> _EngineTables:
 
 # --- chunk execution --------------------------------------------------------
 
-# Rounds per kernel block: one block's words (512 KiB) and the workspace
-# (about 0.26 MiB) fit a 2 MB L2 together.
+# Rounds per kernel block: one block's words (512 KiB) and its temporaries,
+# none above 64 KiB, fit a 2 MB L2 together.
 _BLOCK = 1 << 13
 # w >> 11 is the word's top 53 bits, the integer m of its uniform m * 2**-53
 _MANTISSA_SHIFT = np.uint64(64 - 53)
-
-
-class _Workspace(threading.local):
-    """The calling thread's kernel arrays, reused by every block it runs.
-
-    They grow to the largest block the thread has run, at most _BLOCK
-    rounds, and a thread keeps them for its next run.
-    """
-
-    rows = 0
-
-    def reserve(self, rows: int) -> _Workspace:
-        if rows > self.rows:
-            self.rows = rows
-            self.bits = np.empty((rows, UNIFORMS_PER_ROUND), dtype=bool)
-            self.keys = np.empty(rows, dtype=np.uint64)
-            self.mantissas = np.empty(rows, dtype=np.uint64)
-            self.thresholds = np.empty(rows, dtype=np.uint64)
-            self.passed = np.empty(rows, dtype=bool)
-        return self
-
-
-_workspace = _Workspace()
 
 
 def _stream(seed: int, start: int) -> np.random.Philox:
@@ -340,79 +314,75 @@ def _stream(seed: int, start: int) -> np.random.Philox:
     return bit_gen
 
 
-def _keys(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Round keys of an (n, 8) array of bits, written into the uint64 out, as int64 indices."""
-    np.multiply(bits.view("<u8")[:, 0], _GATHER, out=out)
-    return np.right_shift(out, np.uint64(56), out=out).view(np.int64)
+def _keys(bits: np.ndarray) -> np.ndarray:
+    """Round keys of an (n, 8) array of bits, as int64 indices."""
+    return (bits.view("<u8")[:, 0] * _GATHER >> np.uint64(56)).view(np.int64)
 
 
-def _run_block(tables: _EngineTables, stream: np.random.Philox, work: _Workspace, n: int) -> np.ndarray:
-    """The round keys of the stream's next n rounds, in the workspace."""
+def _run_block(tables: _EngineTables, stream: np.random.Philox, n: int) -> np.ndarray:
+    """The round keys of the stream's next n rounds."""
     words = stream.random_raw(n * UNIFORMS_PER_ROUND).reshape(n, UNIFORMS_PER_ROUND)
-    bits, key_words, mantissas, thresholds = work.bits[:n], work.keys[:n], work.mantissas[:n], work.thresholds[:n]
-    np.less(words.view(np.int64), 0, out=bits)  # u >= 0.5: the top bit
+    bits = words.view(np.int64) < 0  # u >= 0.5: the top bit
 
     def top(column):
         """The top 53 bits of the column's words, u * 2**53."""
-        return np.right_shift(words[:, column], _MANTISSA_SHIFT, out=mantissas)
+        return words[:, column] >> _MANTISSA_SHIFT
 
-    def draw(m, table, keys, out):
-        """out = m >= table[keys]"""
-        table.take(keys, out=thresholds, mode="clip")  # keys are in range; "raise" would buffer out
-        return np.greater_equal(m, thresholds, out=out)
+    def draw(m, table, keys):
+        """m >= table[keys]"""
+        return m >= table.take(keys)
 
     if tables.joint_cdf is None:
         if tables.fraction > 0:
-            np.less(top(3), tables.fraction, out=bits[:, 3])
+            bits[:, 3] = top(3) < tables.fraction
             if bits[:, 3].any():  # Eve's draw only where she can have intercepted
-                draw(top(5), tables.p_eve, _keys(bits, key_words), bits[:, 5])
-        draw(top(6), tables.p_bob, _keys(bits, key_words), bits[:, 6])
+                bits[:, 5] = draw(top(5), tables.p_eve, _keys(bits))
+        bits[:, 6] = draw(top(6), tables.p_bob, _keys(bits))
     else:
         # the cell counts the rows u5 passes, and rows are nondecreasing: Bob's
         # bit (cell >= 2) is row 1's, and Eve's (cell odd) the parity of all three
-        cdf, eve, bob, keys, m = tables.joint_cdf, bits[:, 5], bits[:, 6], _keys(bits, key_words), top(5)
-        draw(m, cdf[1], keys, bob)
-        np.logical_xor(draw(m, cdf[0], keys, eve), bob, out=eve)
-        np.logical_xor(eve, draw(m, cdf[2], keys, work.passed[:n]), out=eve)
-    return _keys(bits, key_words)
+        cdf, keys, m = tables.joint_cdf, _keys(bits), top(5)
+        d0, bob, d2 = (draw(m, cdf[j], keys) for j in range(3))
+        bits[:, 6] = bob
+        bits[:, 5] = d0 ^ bob ^ d2
+    return _keys(bits)
 
 
 def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The key counts of rounds start .. start + size - 1, and their round
     codes, or None when tables carries no code table."""
-    work = _workspace.reserve(min(_BLOCK, size))
     stream = _stream(seed, start)
     counts = np.zeros(N_KEYS, dtype=np.int64)
     codes = None if tables.codes is None else np.empty(size, dtype=np.uint16)
     for first in range(0, size, _BLOCK):
         n = min(_BLOCK, size - first)
-        keys = _run_block(tables, stream, work, n)
+        keys = _run_block(tables, stream, n)
         counts += np.bincount(keys, minlength=N_KEYS)
         if codes is not None:
             tables.codes.take(keys, out=codes[first:first + n], mode="clip")
     return counts, codes
 
 
-def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk_rounds: int,
-            key_hist: np.ndarray, keep_codes: bool):
-    """Run every chunk, adding its key counts to key_hist; with keep_codes,
-    yield each chunk's round codes in round order.
+def _key_histogram(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk_rounds: int,
+                   on_codes: Callable[[np.ndarray], None] | None) -> np.ndarray:
+    """The key counts of every round; on_codes, if given, receives each
+    chunk's round codes in round order.
 
-    A run that keeps codes runs every chunk on this thread. Any other run
-    uses at most min(workers, chunks, CPUs) threads, each over every
-    threads-th chunk with its own histogram; this thread runs chunks 0,
-    threads, 2 * threads, ... and adds the histograms once every thread is done.
+    A run with on_codes runs every chunk on this thread. Any other run uses
+    at most min(workers, chunks, CPUs) threads, each over every threads-th
+    chunk with its own histogram; this thread runs chunks 0, threads,
+    2 * threads, ... and adds the histograms once every thread is done.
     """
     starts = range(0, n_rounds, chunk_rounds)
-    threads = 1 if keep_codes else min(workers, len(starts), os.cpu_count() or 1)
-    kernel_tables = tables if keep_codes else tables._replace(codes=None)  # untraced: count keys only
+    threads = 1 if on_codes is not None else min(workers, len(starts), os.cpu_count() or 1)
+    kernel_tables = tables if on_codes is not None else tables._replace(codes=None)  # untraced: count keys only
     hists = [None] * threads
     errors = []  # any error stops every share at its next chunk
 
     def share(first):
-        """The codes of chunks first, first + threads, ... until a share fails."""
-        # allocated in the share's own thread before its workspace: a helper
-        # whose first allocation was the workspace peaked 0.4 MB higher
+        """Run chunks first, first + threads, ... until a share fails."""
+        # allocated in the share's own thread: a helper's histogram made by the
+        # caller raised a --jobs 2 peak by 0.4 MB (glibc's per-thread arenas)
         hists[first] = hist = np.zeros(N_KEYS, dtype=np.int64)
         for index in range(first, len(starts), threads):
             if errors:
@@ -420,12 +390,12 @@ def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk
             start = starts[index]
             counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
             hist += counts
-            yield codes
+            if on_codes is not None:
+                on_codes(codes)
 
     def run_share(first):
         try:
-            for _ in share(first):
-                pass
+            share(first)
         except BaseException as exc:  # the caller raises it
             errors.append(exc)
 
@@ -434,10 +404,8 @@ def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk
     for helper in helpers:
         helper.start()
     try:
-        for codes in share(0):
-            if keep_codes:
-                yield codes
-    except BaseException as exc:  # failed, interrupted or abandoned by the consumer
+        share(0)
+    except BaseException as exc:  # failed or interrupted
         errors.append(exc)
         raise
     finally:
@@ -449,7 +417,7 @@ def _chunks(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk
                 helper.join()
     if errors:
         raise errors[0]
-    key_hist += sum(hists)
+    return sum(hists)
 
 
 def run_protocol(
@@ -470,9 +438,8 @@ def run_protocol(
     run uses at most min(workers, chunks, CPUs) threads, each over every
     threads-th chunk and with its own histogram; a traced run (keep_trace
     or on_trace) runs every chunk on this thread, whatever workers is. Each
-    thread's kernel reuses one workspace of min(_BLOCK, chunk_rounds)
-    rounds, about 0.26 MiB at the default chunk, and draws one block's
-    words (512 KiB) at a time, so memory grows neither with n_rounds nor
+    thread's kernel draws one block's words (512 KiB) at a time, and its
+    temporaries hold one block, so memory grows neither with n_rounds nor
     with chunk_rounds.
 
     on_trace, if given, receives the trace as the run goes: each time a
@@ -489,26 +456,29 @@ def run_protocol(
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if chunk_rounds < 1:
         raise ValueError(f"chunk_rounds must be at least 1, got {chunk_rounds!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
 
     tables = _build_tables(attack)
-    key_hist = np.zeros(N_KEYS, dtype=np.int64)
     kept, held, n_sifted = [], [], 0  # held: the first codes, until they hold MIN_SIFTED sifted rounds
-    chunks = _chunks(tables, n_rounds, seed, workers, chunk_rounds, key_hist,
-                     keep_codes=keep_trace or on_trace is not None)
-    with contextlib.closing(chunks):
-        for codes in chunks:
-            if keep_trace:
-                kept.append(codes)
-            if on_trace is None:
-                continue
+
+    def take(codes):
+        nonlocal n_sifted
+        if keep_trace:
+            kept.append(codes)
+        if on_trace is None:
+            return
+        if n_sifted < MIN_SIFTED:
+            n_sifted += int(np.count_nonzero(_SIFTED.take(codes)))
+            held.append(codes)
             if n_sifted < MIN_SIFTED:
-                n_sifted += int(np.count_nonzero(_SIFTED.take(codes)))
-                held.append(codes)
-                if n_sifted < MIN_SIFTED:
-                    continue
-                codes = np.concatenate(held)
-                held.clear()
-            on_trace(Trace(codes, tables.eve_labels))
+                return
+            codes = np.concatenate(held)
+            held.clear()
+        on_trace(Trace(codes, tables.eve_labels))
+
+    traced = keep_trace or on_trace is not None
+    key_hist = _key_histogram(tables, n_rounds, seed, workers, chunk_rounds, take if traced else None)
     hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
     np.add.at(hist, tables.codes, key_hist)
     trace = Trace(np.concatenate(kept), tables.eve_labels) if keep_trace else None

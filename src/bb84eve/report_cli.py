@@ -455,6 +455,14 @@ def _replacing(path: Path):
         raise
 
 
+def _error(message) -> None:
+    """Write "error: <message>" to stderr, or drop it, as argparse drops its own lines, if stderr fails."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     too_few_sifted = ()
@@ -490,20 +498,20 @@ def main(argv=None) -> int:
         if out is None:
             _write_all(sys.stdout, text)
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _error("interrupted")
         return EXIT_INTERRUPTED
     except BrokenPipeError:
         # the reader left; as the Python docs advise, the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except too_few_sifted as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_INSUFFICIENT_SAMPLE
     except (UsageError, ValueError, OSError) as exc:
         # range checks in the attack model raise ValueError for out-of-domain
         # parameters, which is a usage problem here, and so is an --out or
         # --trace path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_USAGE
     return EXIT_OK
 

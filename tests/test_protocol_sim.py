@@ -278,6 +278,10 @@ class TestDeterminism:
             run_protocol(100, NoAttack(), seed=-1)
         with pytest.raises(ValueError):
             run_protocol(100, NoAttack(), seed=1 << 64)
+        with pytest.raises(ValueError):
+            run_protocol(100, NoAttack(), seed=1, chunk_rounds=0)
+        with pytest.raises(ValueError, match="workers"):
+            run_protocol(1000, NoAttack(), seed=1, workers=0)
 
 
 class TestScalarReplay:
@@ -960,6 +964,28 @@ class TestHelperFailure:
         assert raised_on and raised_on[0] != main_thread
         assert len(caller_ran) < 100  # of the caller's 1000 chunks
         assert set(threading.enumerate()) <= before  # the helper was joined
+
+
+    def test_trace_consumer_error_reaches_the_caller_and_stops_the_run(self, monkeypatch):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        run_chunk, starts, blocks, error = protocol_sim._run_chunk, [], [], RuntimeError("consumer failed")
+
+        def chunk(tables, seed, start, size):
+            starts.append(start)
+            return run_chunk(tables, seed, start, size)
+
+        def on_trace(block):
+            blocks.append(len(block))
+            if len(blocks) == 2:
+                raise error
+
+        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as raised:  # the first chunk alone holds MIN_SIFTED sifted rounds
+            run_protocol(10_000, NoAttack(), seed=1, on_trace=on_trace, workers=2, chunk_rounds=1000)
+        assert raised.value is error
+        assert starts == [0, 1000] and blocks == [1000, 1000]
+        assert set(threading.enumerate()) <= before
 
 
 class TestInterrupt:

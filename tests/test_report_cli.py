@@ -459,6 +459,35 @@ class TestMainEntryPoint:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
 
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["analytic", "--strategy", "all", "--grid", "0"], EXIT_USAGE),
+            (["simulate", "--strategy", "none", "--rounds", "50"], EXIT_INSUFFICIENT_SAMPLE),
+        ],
+    )
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_error_into_a_full_stderr_keeps_the_exit_status(self, argv, status):
+        # the error line is dropped, as argparse drops its usage line, and the status stays
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=subprocess.PIPE,
+                                    stderr=full, env=self.package_env(), timeout=60)
+        assert (result.returncode, result.stdout) == (status, b"")
+
+    def test_interrupt_into_a_failing_stderr_exits_130(self, monkeypatch):
+        import bb84eve.report_cli as report_cli
+
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(report_cli, "cmd_compare", interrupted)
+        monkeypatch.setattr(sys, "stderr", Failing())
+        assert main(["compare", "--d-bob", "0.1"]) == EXIT_INTERRUPTED
+
     def test_reader_leaving_mid_csv_exits_141_quietly(self):
         # the CSV, about 4 MB, is one write that the pipe takes only in part
         argv = ["analytic", "--strategy", "all", "--grid", str(MAX_GRID)]
