@@ -328,21 +328,17 @@ def _run_block(tables: _EngineTables, stream: np.random.Philox, n: int) -> np.nd
         """The top 53 bits of the column's words, u * 2**53."""
         return words[:, column] >> _MANTISSA_SHIFT
 
-    def draw(m, table, keys):
-        """m >= table[keys]"""
-        return m >= table.take(keys)
-
     if tables.joint_cdf is None:
         if tables.fraction > 0:
             bits[:, 3] = top(3) < tables.fraction
             if bits[:, 3].any():  # Eve's draw only where she can have intercepted
-                bits[:, 5] = draw(top(5), tables.p_eve, _keys(bits))
-        bits[:, 6] = draw(top(6), tables.p_bob, _keys(bits))
+                bits[:, 5] = top(5) >= tables.p_eve.take(_keys(bits))
+        bits[:, 6] = top(6) >= tables.p_bob.take(_keys(bits))
     else:
         # the cell counts the rows u5 passes, and rows are nondecreasing: Bob's
         # bit (cell >= 2) is row 1's, and Eve's (cell odd) the parity of all three
         cdf, keys, m = tables.joint_cdf, _keys(bits), top(5)
-        d0, bob, d2 = (draw(m, cdf[j], keys) for j in range(3))
+        d0, bob, d2 = (m >= cdf[j].take(keys) for j in range(3))
         bits[:, 6] = bob
         bits[:, 5] = d0 ^ bob ^ d2
     return _keys(bits)
@@ -374,8 +370,9 @@ def _key_histogram(tables: _EngineTables, n_rounds: int, seed: int, workers: int
     2 * threads, ... and adds the histograms once every thread is done.
     """
     starts = range(0, n_rounds, chunk_rounds)
-    threads = 1 if on_codes is not None else min(workers, len(starts), os.cpu_count() or 1)
-    kernel_tables = tables if on_codes is not None else tables._replace(codes=None)  # untraced: count keys only
+    traced = on_codes is not None
+    threads = 1 if traced else min(workers, len(starts), os.cpu_count() or 1)
+    kernel_tables = tables if traced else tables._replace(codes=None)  # untraced: count keys only
     hists = [None] * threads
     errors = []  # any error stops every share at its next chunk
 
@@ -390,7 +387,7 @@ def _key_histogram(tables: _EngineTables, n_rounds: int, seed: int, workers: int
             start = starts[index]
             counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
             hist += counts
-            if on_codes is not None:
+            if traced:
                 on_codes(codes)
 
     def run_share(first):
@@ -477,8 +474,8 @@ def run_protocol(
             held.clear()
         on_trace(Trace(codes, tables.eve_labels))
 
-    traced = keep_trace or on_trace is not None
-    key_hist = _key_histogram(tables, n_rounds, seed, workers, chunk_rounds, take if traced else None)
+    key_hist = _key_histogram(tables, n_rounds, seed, workers, chunk_rounds,
+                              take if keep_trace or on_trace is not None else None)
     hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
     np.add.at(hist, tables.codes, key_hist)
     trace = Trace(np.concatenate(kept), tables.eve_labels) if keep_trace else None

@@ -456,9 +456,13 @@ def _replacing(path: Path):
 
 
 def _error(message) -> None:
-    """Write "error: <message>" to stderr, or drop it, as argparse drops its own lines, if stderr fails."""
+    """Write "error: <message>" to stderr, or drop it, as argparse drops its own lines, if stderr fails.
+
+    The line goes to the descriptor, so a failed write leaves no bytes in the
+    stream's buffer for the flush at exit to fail on again.
+    """
     try:
-        print(f"error: {message}", file=sys.stderr)
+        _write_all(sys.stderr, f"error: {message}\n")
     except OSError:
         pass
 

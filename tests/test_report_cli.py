@@ -459,6 +459,7 @@ class TestMainEntryPoint:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "argv, status",
         [
@@ -467,11 +468,16 @@ class TestMainEntryPoint:
         ],
     )
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-    def test_error_into_a_full_stderr_keeps_the_exit_status(self, argv, status):
-        # the error line is dropped, as argparse drops its usage line, and the status stays
+    def test_error_into_a_full_stderr_keeps_the_exit_status(self, argv, status, unbuffered):
+        # the error line is dropped, as argparse drops its usage line, and the status
+        # stays: a buffered stderr keeps no bytes for the flush at exit to fail on
+        env = self.package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "wb") as full:
             result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=subprocess.PIPE,
-                                    stderr=full, env=self.package_env(), timeout=60)
+                                    stderr=full, env=env, timeout=60)
         assert (result.returncode, result.stdout) == (status, b"")
 
     def test_interrupt_into_a_failing_stderr_exits_130(self, monkeypatch):
