@@ -24,6 +24,7 @@ from .attacks import (
     InterceptResend,
     Value,
     check_range,
+    limit,
     parameters,
 )
 from .infotheory import info_from_fidelity
@@ -176,5 +177,5 @@ def at_disturbance(strategy: str, d_bob: float) -> float | None:
         value = 4.0 * d_bob
     else:
         value = math.acos(1.0 - 2.0 * d_bob)
-    return value if value <= FAMILIES[strategy].stop else None
+    return value if value <= limit(FAMILIES[strategy].swept) else None
 

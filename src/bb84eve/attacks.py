@@ -5,6 +5,9 @@ The closed forms (``analytic_strategies``), the Monte Carlo engine
 here, and every module builds its frozen values on ``Value``. The module holds
 no physics and imports only the standard library, so it loads neither route.
 
+A family is its config class (see FAMILIES). It takes phi exactly when it
+needs no quantum memory: Eve measures at her own angle before the basis reveal.
+
 phi covers [0, pi/4] only: the symmetrized protocol (a coin choosing between
 phi and its companion pi/2 - phi per round) makes larger angles redundant,
 so they are rejected rather than silently folded back.
@@ -13,8 +16,6 @@ so they are rejected rather than silently folded back.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from typing import NamedTuple
 
 INTERCEPT_RESEND = "intercept_resend"
 ANCILLA_NO_MEMORY = "ancilla_no_memory"
@@ -30,9 +31,13 @@ PARAMETERS = tuple(_LIMITS)
 
 
 def check_range(name: str, value: float) -> None:
-    """Raise ValueError unless 0 <= value <= the limit of the named parameter."""
-    limit, shown = _LIMITS[name]
-    if not (0.0 <= value <= limit):
+    """Raise ValueError unless value is a number with 0 <= value <= the named parameter's limit."""
+    upper, shown = _LIMITS[name]
+    try:
+        inside = 0.0 <= value <= upper
+    except TypeError:  # None, or another value that is not a number
+        inside = False
+    if not inside:
         raise ValueError(f"{name} must lie in [0, {shown}], got {value!r}")
 
 
@@ -85,6 +90,7 @@ class InterceptResend(Value):
     """
 
     __slots__ = ("phi", "fraction", "symmetrize")
+    name, swept, default = INTERCEPT_RESEND, "fraction", 1.0
 
     def __init__(self, phi: float, fraction: float = 1.0, symmetrize: bool = True) -> None:
         check_range("phi", phi)
@@ -96,6 +102,7 @@ class AncillaNoMemory(Value):
     """Entangle every qubit, measure the ancilla immediately at angle phi."""
 
     __slots__ = ("alpha", "phi", "symmetrize")
+    name, swept, default = ANCILLA_NO_MEMORY, "alpha", None
 
     def __init__(self, alpha: float, phi: float, symmetrize: bool = True) -> None:
         check_range("alpha", alpha)
@@ -107,6 +114,7 @@ class AncillaWithMemory(Value):
     """Entangle every qubit, store the ancilla, measure in the revealed basis."""
 
     __slots__ = ("alpha",)
+    name, swept, default = ANCILLA_WITH_MEMORY, "alpha", None
 
     def __init__(self, alpha: float) -> None:
         check_range("alpha", alpha)
@@ -121,46 +129,21 @@ def parameters(attack: AttackConfig) -> tuple:
     return tuple(getattr(attack, name, None) for name in PARAMETERS)
 
 
-class Family(NamedTuple):
-    """One attack family.
-
-    takes_phi: Eve measures at an angle phi of her own before the basis
-    reveal, i.e. the attack needs no quantum memory. swept names the
-    parameter a sweep varies over [0, stop], and default is its single-row
-    value when none is given (None: it is required). build makes the attack
-    from (phi, swept value, symmetrize).
-    """
-
-    name: str
-    takes_phi: bool
-    swept: str
-    default: float | None
-    build: Callable[[float | None, float, bool], AttackConfig]
-
-    @property
-    def stop(self) -> float:
-        return _LIMITS[self.swept][0]
-
-    def config(self, phi: float | None, value: float, symmetrize: bool = True) -> AttackConfig:
-        """The attack at one swept value; phi is given exactly when the family takes it."""
-        if self.takes_phi and phi is None:
-            raise ValueError(f"{self.name} requires phi")
-        if not self.takes_phi and phi is not None:
-            raise ValueError(f"{self.name} takes no phi parameter")
-        return self.build(phi, value, symmetrize)
+# Each family is its config class: __slots__ are the parameters it takes ("phi"
+# among them exactly when it is memoryless), name its --strategy choice, swept
+# the parameter a sweep varies over [0, limit], and default that parameter's
+# single-row value when none is given (None: it is required).
+FAMILIES = {cls.name: cls for cls in (InterceptResend, AncillaNoMemory, AncillaWithMemory)}
 
 
-FAMILIES = {
-    family.name: family
-    for family in (
-        Family(INTERCEPT_RESEND, takes_phi=True, swept="fraction", default=1.0,
-               build=lambda phi, f, symmetrize: InterceptResend(phi, f, symmetrize)),
-        Family(ANCILLA_NO_MEMORY, takes_phi=True, swept="alpha", default=None,
-               build=lambda phi, a, symmetrize: AncillaNoMemory(a, phi, symmetrize)),
-        Family(ANCILLA_WITH_MEMORY, takes_phi=False, swept="alpha", default=None,
-               build=lambda phi, a, symmetrize: AncillaWithMemory(a)),
-    )
-}
+def limit(name: str) -> float:
+    """The upper end of the named parameter's range [0, limit]."""
+    return _LIMITS[name][0]
+
+
+def from_fields(cls: type, fields: dict) -> AttackConfig:
+    """The config of class cls from a dict holding at least each of its fields by name."""
+    return cls(**{name: fields[name] for name in cls.__slots__})
 
 
 def sweep_grid(strategy: str, grid: int) -> list[float]:
@@ -169,7 +152,7 @@ def sweep_grid(strategy: str, grid: int) -> list[float]:
     The values are those of ``numpy.linspace(0, stop, grid)``, bit for bit:
     i * step, then stop.
     """
-    stop = FAMILIES[strategy].stop
+    stop = limit(FAMILIES[strategy].swept)
     if grid <= 1:
         return [0.0] * grid
     step = stop / (grid - 1)

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
-from .attacks import FAMILIES, PARAMETERS, AttackConfig, NoAttack, parameters, sweep_grid
+from .attacks import FAMILIES, PARAMETERS, AttackConfig, NoAttack, from_fields, parameters, sweep_grid
 
 # The engine names simulate uses, all reachable through protocol_sim. They load
 # with numpy only when the engine runs, so analytic, compare and --help import
@@ -102,16 +102,14 @@ def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackC
                 raise UsageError("--strategy none has nothing to sweep")
             return [NoAttack()]
         curves = [(family, phi) for family in FAMILIES.values()
-                  for phi in (STANDARD_PHIS if family.takes_phi else (None,))]
+                  for phi in (STANDARD_PHIS if "phi" in family.__slots__ else (None,))]
     else:
         family = FAMILIES[name]
-        if family.takes_phi and given["phi"] is None:
+        if "phi" in family.__slots__ and given["phi"] is None:
             raise UsageError(f"{name} requires --phi")
-        if not family.takes_phi and given["phi"] is not None:
-            raise UsageError(f"{name} takes no --phi")
-        fixed = "alpha" if family.swept == "fraction" else "fraction"
-        if given[fixed] is not None:
-            raise UsageError(f"{name} takes no --{fixed}")
+        for p in PARAMETERS:
+            if given[p] is not None and p not in family.__slots__:
+                raise UsageError(f"{name} takes no --{p}")
         curves = [(family, given["phi"])]
 
     symmetrize = not getattr(args, "no_symmetrize", False)
@@ -128,7 +126,8 @@ def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackC
             values = [family.default]
         else:
             raise UsageError(f"{family.name} requires --{family.swept} (or --grid to sweep it)")
-        attacks += [family.config(phi, value, symmetrize) for value in values]
+        attacks += [from_fields(family, {"phi": phi, family.swept: value, "symmetrize": symmetrize})
+                    for value in values]
     return attacks
 
 
@@ -345,8 +344,8 @@ def cmd_compare(args: argparse.Namespace) -> str:
     rows = []
     for name, family in FAMILIES.items():
         value = at_disturbance(name, d)
-        in_domain = value is not None
-        if family.takes_phi:
+        in_domain, memoryless = value is not None, "phi" in family.__slots__
+        if memoryless:
             angles = [(name, phi) for phi in STANDARD_PHIS]
             angles.append((name + "_opt", 0.0 if in_domain else None))
         else:
@@ -354,10 +353,10 @@ def cmd_compare(args: argparse.Namespace) -> str:
         for label, phi in angles:
             cells = [phi, None, None, None]
             if in_domain:
-                point = closed_form(family.config(phi, value))
+                point = closed_form(from_fields(family, {"phi": phi, family.swept: value, "symmetrize": True}))
                 cells = [point.phi, point.alpha, point.fraction, point.i_eve]
             # COMPARE_HEADER cells; the last says "memoryless" until it becomes the flag
-            rows.append([label, *cells[:3], d, cells[3], in_domain, family.takes_phi])
+            rows.append([label, *cells[:3], d, cells[3], in_domain, memoryless])
 
     rows.sort(key=lambda r: (r[0], -1.0 if r[1] is None else r[1]))
     # max keeps the first of equal values, so ties go to the first row in sort order

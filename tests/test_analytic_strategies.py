@@ -6,6 +6,7 @@ independent.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from bb84eve.attacks import (
     AncillaWithMemory,
     InterceptResend,
     NoAttack,
+    check_range,
+    from_fields,
     parameters,
     sweep_grid,
 )
@@ -400,7 +403,9 @@ class TestClosedForm:
 
 def sweep(strategy: str, phi=None, grid: int = 101) -> list[CurvePoint]:
     """A family's curve the way the CLI builds it: closed_form of each config of the grid."""
-    return [closed_form(FAMILIES[strategy].config(phi, v)) for v in sweep_grid(strategy, grid)]
+    family = FAMILIES[strategy]
+    return [closed_form(from_fields(family, {"phi": phi, family.swept: v, "symmetrize": True}))
+            for v in sweep_grid(strategy, grid)]
 
 
 class TestCurveSweep:
@@ -440,7 +445,7 @@ class TestCurveSweep:
             assert d_values == sorted(d_values), strategy
 
     def test_explicit_values_override_grid(self):
-        point = closed_form(FAMILIES[INTERCEPT_RESEND].config(0.1, 0.5))
+        point = closed_form(from_fields(InterceptResend, {"phi": 0.1, "fraction": 0.5, "symmetrize": True}))
         assert (point.phi, point.fraction) == (0.1, 0.5)
 
     @pytest.mark.parametrize("strategy", [INTERCEPT_RESEND, ANCILLA_WITH_MEMORY])
@@ -454,12 +459,26 @@ class TestCurveSweep:
             sweep_grid("teleport", 3)
 
     def test_rejects_missing_phi(self):
-        with pytest.raises(ValueError, match="ancilla_no_memory requires phi"):
-            FAMILIES[ANCILLA_NO_MEMORY].config(None, 0.5)
+        fields = {"phi": None, "alpha": 0.5, "fraction": None, "symmetrize": True}
+        for family in (InterceptResend, AncillaNoMemory):
+            with pytest.raises(ValueError, match=r"^phi must lie in \[0, pi/4\], got None$"):
+                from_fields(family, fields)
+        assert from_fields(AncillaWithMemory, fields) == AncillaWithMemory(0.5)
 
-    def test_rejects_phi_for_memory_strategy(self):
-        with pytest.raises(ValueError, match="ancilla_with_memory takes no phi parameter"):
-            FAMILIES[ANCILLA_WITH_MEMORY].config(0.1, 0.5)
+    @pytest.mark.parametrize("value", [None, "0.5", [0.5], complex(0.5)])
+    def test_range_check_rejects_a_non_number(self, value):
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, pi/2\], got {re.escape(repr(value))}$"):
+            check_range("alpha", value)
+        with pytest.raises(ValueError, match="^phi must lie"):
+            AncillaNoMemory(0.5, value)
+
+    @pytest.mark.parametrize("name, cls", FAMILIES.items())
+    def test_each_family_is_its_config_class(self, name, cls):
+        assert cls in (InterceptResend, AncillaNoMemory, AncillaWithMemory)
+        assert cls.name == name
+        assert cls.swept in cls.__slots__
+        if cls.default is not None:
+            check_range(cls.swept, cls.default)
 
     def test_curve_point_fields(self):
         point = CurvePoint(

@@ -850,8 +850,8 @@ class TestTraceEstimation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_working_set_per_thread_is_bounded(self, monkeypatch, workers):
         # 2.5 MiB is below the 4 MiB of one chunk's words, so only a kernel
-        # that works in blocks passes; the run starts on a fresh thread, so
-        # the caller's share allocates its workspace in view
+        # that works in blocks passes; every block allocates its raw words and
+        # numpy temporaries afresh, on whichever thread runs it, in view
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
         attack, peaks = InterceptResend(phi=0.3, fraction=0.5), []
         run_protocol(1_000, attack, 1)  # warm-up: what a first run allocates once

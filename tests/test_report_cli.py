@@ -1,5 +1,8 @@
 """Tests for the command-line interface and its CSV contracts."""
 
+import argparse
+import contextlib
+import csv
 import errno
 import gc
 import io
@@ -8,19 +11,20 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import bb84eve
 import oracles
 from reference import reference_trace_text
 from bb84eve import protocol_sim
-from bb84eve.attacks import AncillaWithMemory, InterceptResend, NoAttack
+from bb84eve.attacks import FAMILIES, AncillaWithMemory, InterceptResend, NoAttack
 from bb84eve.protocol_sim import run_protocol
 from bb84eve.report_cli import (
     ANALYTIC_HEADER,
@@ -56,6 +60,17 @@ def parse(*argv: str):
 def rows_of(csv_text: str) -> list[list[str]]:
     lines = csv_text.splitlines()
     return [line.split(",") for line in lines[1:]]
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, by name."""
+    (action,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+def strategy_choices(command: str) -> tuple:
+    (action,) = (a for a in subcommands()[command]._actions if a.dest == "strategy")
+    return tuple(action.choices)
 
 
 class TestParseAngle:
@@ -208,6 +223,42 @@ class TestSimulateCommand:
                     "--rounds", "1000",
                 )
             )
+
+
+class TestFamilyFlags:
+    """The refusal of each flag a family does not take, or needs and lacks."""
+
+    REFUSALS = [
+        pytest.param("intercept_resend", [], "intercept_resend requires --phi", id="intercept-phi"),
+        pytest.param("intercept_resend", ["--phi", "0", "--alpha", "0.5"],
+                     "intercept_resend takes no --alpha", id="intercept-alpha"),
+        pytest.param("intercept_resend", ["--fraction", "0.5"], "intercept_resend requires --phi",
+                     id="intercept-fraction"),
+        pytest.param("ancilla_no_memory", ["--alpha", "0.5"], "ancilla_no_memory requires --phi",
+                     id="no_memory-alpha"),
+        pytest.param("ancilla_no_memory", ["--fraction", "0.5"], "ancilla_no_memory requires --phi",
+                     id="no_memory-fraction-without-phi"),
+        pytest.param("ancilla_no_memory", ["--phi", "0", "--alpha", "0.5", "--fraction", "0.5"],
+                     "ancilla_no_memory takes no --fraction", id="no_memory-fraction"),
+        pytest.param("ancilla_with_memory", ["--phi", "0"], "ancilla_with_memory takes no --phi",
+                     id="with_memory-phi"),
+        pytest.param("ancilla_with_memory", ["--phi", "0", "--alpha", "0.5", "--fraction", "0.5"],
+                     "ancilla_with_memory takes no --phi", id="with_memory-phi-first"),
+        pytest.param("ancilla_with_memory", ["--alpha", "0.5", "--fraction", "0.5"],
+                     "ancilla_with_memory takes no --fraction", id="with_memory-fraction"),
+    ]
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    @pytest.mark.parametrize("strategy, flags, message", REFUSALS)
+    def test_refusal_is_one_error_line(self, capsys, command, strategy, flags, message):
+        rounds = ["--rounds", "1000"] if command == "simulate" else []
+        assert main([command, "--strategy", strategy, *flags, *rounds]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_strategy_choices_are_the_families(self):
+        assert strategy_choices("analytic") == (*FAMILIES, "all")
+        assert strategy_choices("simulate") == ("none", *FAMILIES)
 
 
 class TestCompareCommand:
@@ -1042,3 +1093,75 @@ class TestCliDeterminism:
         serial = self.run_to_bytes(tmp_path, ["--jobs", "1"], "serial.csv")
         parallel = self.run_to_bytes(tmp_path, ["--jobs", "4"], "parallel.csv")
         assert serial == parallel
+
+
+# Flag values for the fuzzed command lines, as (in range, hostile): one value
+# in four is drawn from both, the rest from the first. Hostile values are range
+# ends, signed zero, non-finite and huge values, and malformed pi and exponent
+# forms; --rounds and --grid stay small enough to run, or are refused before any row.
+NUMBERS = (("0.25", "0.5", "0", "-0.0", "pi/4"),
+           ("1", "pi/2", "3pi/8", "0.7853981633974483", "-1e-9", "nan", "inf", "-inf", "1e308",
+            "1e-400", "-1", "2", "pi/", "2pi/0", "1e", "e5", "pipi", "1e+", ""))
+INTEGERS = {
+    "rounds": (("2000", "200"), ("0", "1", "7", "-1", str(-2**70), "1.5", "1e3", "x", "")),
+    "grid": (("1", "3"), ("0", "50", "-1", str(MAX_GRID + 1), str(2**70), "1.5", "x")),
+    "seed": (("0", "7"), (str(2**64 - 2), str(2**64), str(2**70), "-1", "x")),
+    "jobs": (("1", "2"), ("0", "-3", str(2**70), "x")),
+}
+HEADERS = {"analytic": ANALYTIC_HEADER, "simulate": SIMULATE_HEADER, "compare": COMPARE_HEADER}
+
+
+def coins(draw, n: int) -> bool:
+    """True with odds 1 in 2**n."""
+    return all(draw(st.booleans()) for _ in range(n))
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """An argv from the parser's own grammar, {tmp} standing for a scratch directory."""
+    command = draw(st.sampled_from(sorted(subcommands())))
+    flags = []
+    for action in subcommands()[command]._actions:
+        if not action.option_strings or isinstance(action, argparse._HelpAction):
+            continue
+        # hypothesis favours the ends of an integer range, so odds come from coin flips
+        if coins(draw, 3) if action.required else not coins(draw, 2):
+            continue
+        if action.nargs == 0:
+            flags.append([action.option_strings[-1]])
+            continue
+        if action.choices:
+            in_range, hostile = tuple(action.choices), ("teleport", "")
+        elif action.type is Path:
+            in_range, hostile = ("{tmp}/%s.csv" % action.dest,), ("{tmp}/missing/%s.csv" % action.dest,)
+        else:
+            in_range, hostile = INTEGERS[action.dest] if action.type is int else NUMBERS
+        pool = in_range + hostile if coins(draw, 2) else in_range
+        flags.append([action.option_strings[-1], draw(st.sampled_from(pool))])
+    return [command, *(token for flag in draw(st.permutations(flags)) for token in flag)]
+
+
+class TestFuzzedCommandLines:
+    @settings(max_examples=150, deadline=None)
+    @given(command_lines())
+    def test_every_command_line_keeps_the_exit_contract(self, template):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [token.format(tmp=tmp) for token in template]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = main(argv)
+            out, err = stdout.getvalue(), stderr.getvalue()
+            event(f"{argv[0]} exits {status}")
+            assert status in (EXIT_OK, EXIT_USAGE, EXIT_INSUFFICIENT_SAMPLE), (argv, err)
+            if status != EXIT_OK:
+                assert out == "" and os.listdir(tmp) == [], argv
+                assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+                return
+            assert err == ""
+            documents = {HEADERS[argv[0]]: Path(tmp, "out.csv").read_text() if "--out" in argv else out}
+            if "--trace" in argv:
+                documents[TRACE_HEADER] = Path(tmp, "trace.csv").read_text()
+            for header, text in documents.items():
+                rows = list(csv.reader(io.StringIO(text)))
+                assert rows[0] == header.split(",") and len(rows) > 1, argv
+                assert all(len(row) == len(rows[0]) for row in rows), argv
