@@ -447,8 +447,8 @@ def run_protocol(
     InsufficientSampleError hands out no round. keep_trace also returns the
     Trace of every round, which holds 2 bytes per round.
     """
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be at least 1, got {n_rounds!r}")
+    if not (1 <= n_rounds < 2**63):  # key counts are int64
+        raise ValueError(f"n_rounds must lie in [1, 2**63), got {n_rounds!r}")
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if chunk_rounds < 1:

@@ -12,6 +12,9 @@ Ctrl-C, and 141, silently, when the reader of an output pipe closed it.
 Every --out and --trace path is opened before any work, on exit 2 or 3
 stdout holds no CSV, and on any nonzero exit an existing output file is
 left as it was.
+
+Each command imports what it runs where it runs it: only simulate loads
+numpy and the engine, and only analytic and compare the closed forms.
 """
 
 from __future__ import annotations
@@ -30,13 +33,6 @@ from pathlib import Path
 from typing import TextIO
 
 from .attacks import FAMILIES, PARAMETERS, AttackConfig, NoAttack, from_fields, parameters, sweep_grid
-
-# The engine names simulate uses, all reachable through protocol_sim. They load
-# with numpy only when the engine runs, so analytic, compare and --help import
-# neither; simulate and --help in turn never import the closed forms.
-_ENGINE_NAMES = (
-    "BASIS_LABELS", "N_CODES", "InsufficientSampleError", "Outcome", "run_protocol", "unpack",
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,21 +60,6 @@ STANDARD_PHIS = (0.0, math.pi / 4)
 
 class UsageError(Exception):
     """Invalid flag combination or out-of-range configuration."""
-
-
-def _load_engine() -> None:
-    """Bind the engine names here; a name already bound (say, wrapped) is kept."""
-    from . import protocol_sim
-
-    for name in _ENGINE_NAMES:
-        globals().setdefault(name, getattr(protocol_sim, name))
-
-
-def __getattr__(name: str):
-    if name not in _ENGINE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_engine()
-    return globals()[name]
 
 
 def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackConfig]:
@@ -211,8 +192,15 @@ def cmd_analytic_curves(args: argparse.Namespace) -> str:
 # --- simulate ----------------------------------------------------------------
 
 
+def run_protocol(*args, **kwargs):
+    """protocol_sim.run_protocol; tests and the benchmark swap this name for a fake or a wrapper."""
+    from .protocol_sim import run_protocol
+    return run_protocol(*args, **kwargs)
+
+
 def _trace_cells(codes, eve_labels: tuple) -> list[str]:
     """The TRACE_HEADER cells after the round index, for each of an array of round codes."""
+    from .protocol_sim import BASIS_LABELS, Outcome, unpack
     rows = []
     # unpack lists the fields in ROUND_FIELDS order
     for acted, slot, eve_bit, guess, alice_basis, alice_bit, bob_basis, bob_bit in zip(
@@ -243,7 +231,7 @@ class _TraceWriter:
     def __init__(self, out: TextIO):
         import numpy as np
 
-        _load_engine()
+        from .protocol_sim import N_CODES
         self.out, self.start = out, 0
         self.tails = {}  # code -> tail
         self.lead = 0  # digit columns of the table
@@ -264,13 +252,13 @@ class _TraceWriter:
 
         n = len(codes)
         width = len(str(start + n - 1))  # digits of the largest index
-        new = [code for code in np.flatnonzero(np.bincount(codes, minlength=N_CODES)).tolist()
+        new = [code for code in np.flatnonzero(np.bincount(codes, minlength=len(self.table))).tolist()
                if code not in self.tails]
         if new:
             self.tails.update(zip(new, (f",{cells}\n".encode() for cells in _trace_cells(new, eve_labels))))
         if new or width > self.lead:
             self.lead = max(self.lead, width)
-            self.table = np.zeros((N_CODES, self.lead + max(map(len, self.tails.values()))), dtype=np.uint8)
+            self.table = np.zeros((len(self.table), self.lead + max(map(len, self.tails.values()))), np.uint8)
             for code, tail in self.tails.items():
                 self.table[code, self.lead : self.lead + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
         text = bytearray(n * self.table.shape[1])
@@ -294,9 +282,10 @@ def cmd_simulate(args: argparse.Namespace, *, on_trace=None) -> str:
     on_trace goes to run_protocol. Tracing is limited to single-row runs
     because a trace belongs to exactly one (attack, seed) pair.
     """
-    _load_engine()
     if args.rounds < 1:
         raise UsageError("--rounds must be a positive integer")
+    if args.rounds >= 2**63:
+        raise UsageError(f"--rounds must be below 2**63, got {args.rounds}")
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
     if args.jobs < 1:
@@ -477,8 +466,7 @@ def main(argv=None) -> int:
             # the return-code contract so callers never see the exception
             return int(exc.code or 0)
         if args.command == "simulate":
-            _load_engine()  # the except clause below names an engine class
-            too_few_sifted = InsufficientSampleError
+            from .protocol_sim import InsufficientSampleError as too_few_sifted
         paths = (args.out, getattr(args, "trace", None))
         if (None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1])
                 and (os.path.isfile(args.out) or not os.path.exists(args.out))):

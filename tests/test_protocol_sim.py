@@ -283,6 +283,11 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="workers"):
             run_protocol(1000, NoAttack(), seed=1, workers=0)
 
+    @pytest.mark.parametrize("n_rounds", [2**63, 10**30])
+    def test_rejects_rounds_beyond_int64_key_counts(self, n_rounds):
+        with pytest.raises(ValueError, match="n_rounds"):
+            run_protocol(n_rounds, NoAttack(), seed=1)
+
 
 class TestScalarReplay:
     N_ROUNDS = 256
@@ -553,6 +558,33 @@ class TestExpectedHistogram:
             assert (got is None) == (want is None), name
             if want is not None:
                 assert got == pytest.approx(want, rel=0, abs=1e-12), name
+
+
+class TestMultinomialCalibration:
+    """The ±2 SE intervals over exact multinomial draws of the code histogram, with no engine run.
+
+    At a light interception (f = 0.02, n = 4000 rounds, about 10 errors in
+    2000 sifted rounds) the Wald qber interval covers the closed form less
+    often than a normal ±2 SE interval should, and the plug-in MI estimate
+    sits above the closed form by a fraction of its SE. Both facts are
+    pinned by binomial bounds; they are what a Wilson interval and the
+    Miller-Madow correction would mend.
+    """
+
+    N_ROUNDS, N_DRAWS = 4000, 2000
+    NOMINAL = math.erf(2 / math.sqrt(2))  # the normal's mass within 2 SE, 0.9545
+
+    def test_wald_qber_undercovers_and_plug_in_mi_runs_high(self):
+        attack = InterceptResend(phi=0.0, fraction=0.02)
+        want = closed_form(attack)
+        draws = np.random.default_rng(1).multinomial(self.N_ROUNDS, code_probabilities(attack), size=self.N_DRAWS)
+        estimates = [protocol_sim._estimate_from_counts(counts) for counts in draws]
+        # a draw with no error has a zero-width Wald interval, which misses the closed form
+        qber_covered = np.mean([abs(e.qber - want.d_bob) <= 2 * e.qber_se for e in estimates])
+        z = np.array([(e.eve_mutual_info - want.i_eve) / e.eve_mutual_info_se for e in estimates])
+        binomial_se = math.sqrt(self.NOMINAL * (1 - self.NOMINAL) / self.N_DRAWS)
+        assert qber_covered < self.NOMINAL - 3 * binomial_se
+        assert z.mean() > 3 * z.std(ddof=1) / math.sqrt(self.N_DRAWS)
 
 
 def g_test_p_value(observed: np.ndarray, expected: np.ndarray) -> float:

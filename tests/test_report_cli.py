@@ -613,6 +613,18 @@ class TestMainEntryPoint:
         assert calls == []
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rounds, jobs", [(2**63, "1"), (10**30, "2")])
+    def test_rounds_beyond_int64_key_counts_exit_two(self, tmp_path, monkeypatch, capsys, rounds, jobs):
+        import bb84eve.report_cli as report_cli
+
+        calls = []
+        monkeypatch.setattr(report_cli, "run_protocol", lambda *a, **k: calls.append(a))
+        argv = ["simulate", "--strategy", "none", "--rounds", str(rounds), "--jobs", jobs,
+                "--out", str(tmp_path / "run.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert calls == [] and os.listdir(tmp_path) == []
+        assert capsys.readouterr() == ("", f"error: --rounds must be below 2**63, got {rounds}\n")
+
     def test_small_sample_exits_three(self, tmp_path, capsys):
         out, trace = tmp_path / "run.csv", tmp_path / "trace.csv"
         out.write_text("previous\n")
@@ -873,6 +885,9 @@ class TestLazyEngine:
         "    code = main(sys.argv[1:])\n"
         "print(code, *sorted(m for m in {heavy!r} if m in sys.modules))\n"
     )
+    # the trace writer imports the engine names it needs where it uses them
+    TRACED = ["simulate", "--strategy", "intercept_resend", "--phi", "0", "--fraction", "0.5", "--rounds", "2000",
+              "--trace", "{tmp}/trace.csv"]
 
     @pytest.mark.parametrize(
         "argv, loads_engine",
@@ -902,10 +917,16 @@ class TestLazyEngine:
             (["compare", "--d-bob", "0.1"], ("dataclasses", "inspect")),
             # numpy imports inspect itself
             (["simulate", "--strategy", "none", "--rounds", "1000"], ("dataclasses",)),
+            (TRACED, ("bb84eve.analytic_strategies", "dataclasses")),
         ],
     )
-    def test_commands_skip_modules_they_never_run(self, argv, unused):
-        assert self.loaded(argv, unused) == []
+    def test_commands_skip_modules_they_never_run(self, tmp_path, argv, unused):
+        assert self.loaded([token.format(tmp=tmp_path) for token in argv], unused) == []
+
+    def test_traced_simulate_loads_the_engine(self, tmp_path):
+        argv = [token.format(tmp=tmp_path) for token in self.TRACED]
+        assert self.loaded(argv, ("numpy", "bb84eve.protocol_sim")) == ["bb84eve.protocol_sim", "numpy"]
+        assert (tmp_path / "trace.csv").read_text().startswith(TRACE_HEADER + "\n")
 
     def loaded(self, argv, modules) -> list[str]:
         """Which of modules a fresh process running main(argv) has imported."""
@@ -928,10 +949,6 @@ class TestLazyEngine:
     def test_unexpected_error_propagates_as_itself(self, monkeypatch, command, argv):
         import bb84eve.report_cli as report_cli
 
-        # as in a fresh process: no engine name bound yet
-        for name in report_cli._ENGINE_NAMES:
-            monkeypatch.delitem(vars(report_cli), name, raising=False)
-
         def fail(args):
             raise RuntimeError("unexpected")
 
@@ -939,32 +956,32 @@ class TestLazyEngine:
         with pytest.raises(RuntimeError, match="unexpected"):
             main(argv)
 
-    def test_loading_keeps_a_name_bound_before_it(self, monkeypatch, capsys):
-        import bb84eve.protocol_sim as protocol_sim
+    def test_every_simulate_row_calls_the_patched_run_protocol(self, monkeypatch, capsys):
         import bb84eve.report_cli as report_cli
 
-        for name in report_cli._ENGINE_NAMES:
-            monkeypatch.delitem(vars(report_cli), name, raising=False)
         calls = []
 
         def wrapped(*args, **kwargs):
             calls.append(args)
-            return protocol_sim.run_protocol(*args, **kwargs)
+            return run_protocol(*args, **kwargs)
 
-        monkeypatch.setitem(vars(report_cli), "run_protocol", wrapped)
-        assert main(["simulate", "--strategy", "none", "--rounds", "1000"]) == EXIT_OK
-        assert len(calls) == 1 and report_cli.run_protocol is wrapped
-        capsys.readouterr()
+        monkeypatch.setattr(report_cli, "run_protocol", wrapped)
+        argv = ["simulate", "--strategy", "intercept_resend", "--phi", "0", "--grid", "3", "--rounds", "1000"]
+        assert main(argv) == EXIT_OK
+        assert [args[2] for args in calls] == [0, 1, 2]  # one call per row, each with its row seed
+        assert len(rows_of(capsys.readouterr().out)) == 3
 
-    def test_engine_names_resolve_as_module_attributes(self):
-        import bb84eve.protocol_sim as protocol_sim
-        import bb84eve.quantum_core as quantum_core
+    def test_run_protocol_forwards_to_the_engine(self):
         import bb84eve.report_cli as report_cli
 
-        assert report_cli.run_protocol is protocol_sim.run_protocol
-        assert report_cli.Outcome is quantum_core.Outcome
-        with pytest.raises(AttributeError):
-            report_cli.intercept_resend
+        attack = InterceptResend(phi=0.0, fraction=0.5)
+        assert report_cli.run_protocol(2000, attack, 5, workers=2) == run_protocol(2000, attack, 5, workers=2)
+
+    def test_engine_names_are_not_module_attributes(self):
+        import bb84eve.report_cli as report_cli
+
+        names = ("Outcome", "unpack", "N_CODES", "BASIS_LABELS", "InsufficientSampleError")
+        assert [name for name in names if hasattr(report_cli, name)] == []
 
 
 class TestTraceCsv:
@@ -1103,7 +1120,7 @@ NUMBERS = (("0.25", "0.5", "0", "-0.0", "pi/4"),
            ("1", "pi/2", "3pi/8", "0.7853981633974483", "-1e-9", "nan", "inf", "-inf", "1e308",
             "1e-400", "-1", "2", "pi/", "2pi/0", "1e", "e5", "pipi", "1e+", ""))
 INTEGERS = {
-    "rounds": (("2000", "200"), ("0", "1", "7", "-1", str(-2**70), "1.5", "1e3", "x", "")),
+    "rounds": (("2000", "200"), ("0", "1", "7", "-1", str(-2**70), str(2**63), str(10**30), "1.5", "1e3", "x", "")),
     "grid": (("1", "3"), ("0", "50", "-1", str(MAX_GRID + 1), str(2**70), "1.5", "x")),
     "seed": (("0", "7"), (str(2**64 - 2), str(2**64), str(2**70), "-1", "x")),
     "jobs": (("1", "2"), ("0", "-3", str(2**70), "x")),
