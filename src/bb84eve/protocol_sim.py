@@ -31,9 +31,9 @@ overwrites the column's bit. Each block adds the bincount of its keys to
 the chunk's counts, and a traced run also writes their codes. One 256-entry
 table per run maps each key to its round code, a uint16 below N_CODES = 384
 that packs the fields of ROUND_FIELDS (acted, slot, eve_bit, guess, the two
-bases and the two key bits); unpack decodes it. Every estimate derives from
-the run's histogram of codes, and a trace keeps the codes themselves, so
-estimating from a trace reproduces the run's estimate exactly.
+bases and the two key bits); unpack decodes it. count_codes, the one run loop,
+returns the run's histogram of codes, estimate_counts derives every estimate
+from it, and a trace keeps the codes, so its estimate is the run's exactly.
 
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
@@ -191,7 +191,7 @@ class _EngineTables(NamedTuple):
 
     codes[key] is the round code of a finished key; it applies Eve's
     maximum-likelihood reading of her outcome, so the kernel never guesses.
-    An untraced run hands the kernel tables without codes, so it only counts keys.
+    count_codes hands an untraced run's kernel tables without codes, so it only counts keys.
     eve_labels[slot] is the trace label of Eve's angle slot.
 
     Sequential mode (joint_cdf None): rounds with u3 < fraction are
@@ -359,62 +359,96 @@ def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> tuple
     return counts, codes
 
 
-def _key_histogram(tables: _EngineTables, n_rounds: int, seed: int, workers: int, chunk_rounds: int,
-                   on_codes: Callable[[np.ndarray], None] | None) -> np.ndarray:
-    """The key counts of every round; on_codes, if given, receives each
-    chunk's round codes in round order.
+def count_codes(
+    n_rounds: int,
+    attack: AttackConfig,
+    seed: int,
+    *,
+    on_trace: Callable[[Trace], None] | None = None,
+    workers: int = 1,
+    chunk_rounds: int = _DEFAULT_CHUNK,
+) -> np.ndarray:
+    """The run's histogram of round codes: N_CODES int64 counts, hist[code].
 
-    A run with on_codes runs every chunk on this thread. Any other run uses
-    at most min(workers, chunks, CPUs) threads, each over every threads-th
-    chunk with its own histogram; this thread runs chunks 0, threads,
-    2 * threads, ... and adds the histograms once every thread is done.
+    Deterministic: the per-round stream depends only on (seed, round index),
+    and the counts are integers, so the histogram is bit-identical for any
+    workers/chunk_rounds combination. An untraced run uses at most
+    min(workers, chunks, CPUs) threads, each over every threads-th chunk
+    with its own key histogram; this thread runs chunks 0, threads,
+    2 * threads, ... and adds the histograms once every thread is done. A
+    traced run (on_trace) runs every chunk on this thread, whatever workers
+    is. Each thread's kernel draws one block's words (512 KiB) at a time,
+    and its temporaries hold one block, so memory grows neither with
+    n_rounds nor with chunk_rounds.
+
+    on_trace, if given, receives the trace as the run goes: each time a
+    chunk finishes, it is called with a Trace of the next rounds in round
+    order, so only one chunk's codes (2 bytes a round) wait for it and
+    memory still does not grow with n_rounds. The first call waits until
+    the rounds so far hold MIN_SIFTED sifted rounds, so a run whose
+    histogram estimate_counts refuses hands out no round.
     """
+    if not (1 <= n_rounds < 2**63):  # key counts are int64
+        raise ValueError(f"n_rounds must lie in [1, 2**63), got {n_rounds!r}")
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    if chunk_rounds < 1:
+        raise ValueError(f"chunk_rounds must be at least 1, got {chunk_rounds!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+
+    tables = _build_tables(attack)
     starts = range(0, n_rounds, chunk_rounds)
-    traced = on_codes is not None
+    traced = on_trace is not None
     threads = 1 if traced else min(workers, len(starts), os.cpu_count() or 1)
     kernel_tables = tables if traced else tables._replace(codes=None)  # untraced: count keys only
     hists = [None] * threads
     errors = []  # any error stops every share at its next chunk
+    held = []  # the first codes, until they hold MIN_SIFTED sifted rounds; None once handed out
+
+    def hand_out(codes):
+        nonlocal held
+        if held is not None:
+            codes = np.concatenate([*held, codes])
+            if np.count_nonzero(_SIFTED.take(codes)) < MIN_SIFTED:
+                held = [codes]
+                return
+            held = None
+        on_trace(Trace(codes, tables.eve_labels))
 
     def share(first):
         """Run chunks first, first + threads, ... until a share fails."""
-        # allocated in the share's own thread: a helper's histogram made by the
-        # caller raised a --jobs 2 peak by 0.4 MB (glibc's per-thread arenas)
-        hists[first] = hist = np.zeros(N_KEYS, dtype=np.int64)
-        for index in range(first, len(starts), threads):
-            if errors:
-                return
-            start = starts[index]
-            counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
-            hist += counts
-            if traced:
-                on_codes(codes)
-
-    def run_share(first):
         try:
-            share(first)
-        except BaseException as exc:  # the caller raises it
+            # allocated in the share's own thread: a helper's histogram made by the
+            # caller raised a --jobs 2 peak by 0.4 MB (glibc's per-thread arenas)
+            hists[first] = hist = np.zeros(N_KEYS, dtype=np.int64)
+            for index in range(first, len(starts), threads):
+                if errors:
+                    return
+                start = starts[index]
+                counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
+                hist += counts
+                if traced:
+                    hand_out(codes)
+        except BaseException as exc:  # failed or interrupted: the caller raises it
             errors.append(exc)
 
     # shares 1 .. threads - 1 run on helper threads, share 0 on this one
-    helpers = [threading.Thread(target=run_share, args=(first,)) for first in range(1, threads)]
+    helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, threads)]
     for helper in helpers:
         helper.start()
-    try:
-        share(0)
-    except BaseException as exc:  # failed or interrupted
-        errors.append(exc)
-        raise
-    finally:
-        for helper in helpers:
-            try:
-                helper.join()
-            except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next chunk
-                errors.append(exc)
-                helper.join()
+    share(0)
+    for helper in helpers:
+        try:
+            helper.join()
+        except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next chunk
+            errors.append(exc)
+            helper.join()
     if errors:
         raise errors[0]
-    return sum(hists)
+    hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
+    np.add.at(hist, tables.codes, sum(hists))
+    return hist
 
 
 def run_protocol(
@@ -427,59 +461,22 @@ def run_protocol(
     workers: int = 1,
     chunk_rounds: int = _DEFAULT_CHUNK,
 ) -> tuple[SimEstimate, Trace | None]:
-    """Run BB84 rounds under an attack and estimate the observable statistics.
-
-    Deterministic: the per-round stream depends only on (seed, round index),
-    and histograms of round keys are integer-valued, so the result is
-    bit-identical for any workers/chunk_rounds combination. An untraced
-    run uses at most min(workers, chunks, CPUs) threads, each over every
-    threads-th chunk and with its own histogram; a traced run (keep_trace
-    or on_trace) runs every chunk on this thread, whatever workers is. Each
-    thread's kernel draws one block's words (512 KiB) at a time, and its
-    temporaries hold one block, so memory grows neither with n_rounds nor
-    with chunk_rounds.
-
-    on_trace, if given, receives the trace as the run goes: each time a
-    chunk finishes, it is called with a Trace of the next rounds in round
-    order, so only one chunk's codes (2 bytes a round) wait for it and
-    memory still does not grow with n_rounds. The first call waits until
-    the rounds so far hold MIN_SIFTED sifted rounds, so a run that raises
-    InsufficientSampleError hands out no round. keep_trace also returns the
-    Trace of every round, which holds 2 bytes per round.
+    """Run BB84 rounds under an attack and estimate the observable statistics:
+    estimate_counts(count_codes(...)), where count_codes takes every argument
+    but keep_trace. keep_trace also returns the Trace of every round, which
+    holds 2 bytes per round.
     """
-    if not (1 <= n_rounds < 2**63):  # key counts are int64
-        raise ValueError(f"n_rounds must lie in [1, 2**63), got {n_rounds!r}")
-    if not (0 <= seed < 2**64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if chunk_rounds < 1:
-        raise ValueError(f"chunk_rounds must be at least 1, got {chunk_rounds!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    kept = []
 
-    tables = _build_tables(attack)
-    kept, held, n_sifted = [], [], 0  # held: the first codes, until they hold MIN_SIFTED sifted rounds
+    def keep(trace):
+        kept.append(trace)
+        if on_trace is not None:
+            on_trace(trace)
 
-    def take(codes):
-        nonlocal n_sifted
-        if keep_trace:
-            kept.append(codes)
-        if on_trace is None:
-            return
-        if n_sifted < MIN_SIFTED:
-            n_sifted += int(np.count_nonzero(_SIFTED.take(codes)))
-            held.append(codes)
-            if n_sifted < MIN_SIFTED:
-                return
-            codes = np.concatenate(held)
-            held.clear()
-        on_trace(Trace(codes, tables.eve_labels))
-
-    key_hist = _key_histogram(tables, n_rounds, seed, workers, chunk_rounds,
-                              take if keep_trace or on_trace is not None else None)
-    hist = np.zeros(N_CODES, dtype=np.int64)  # each key's count lands on its code
-    np.add.at(hist, tables.codes, key_hist)
-    trace = Trace(np.concatenate(kept), tables.eve_labels) if keep_trace else None
-    return _estimate_from_counts(hist), trace
+    est = estimate_counts(count_codes(n_rounds, attack, seed, on_trace=keep if keep_trace else on_trace,
+                                      workers=workers, chunk_rounds=chunk_rounds))
+    trace = Trace(np.concatenate([block.codes for block in kept]), kept[0].eve_labels) if keep_trace else None
+    return est, trace
 
 
 # --- estimation -------------------------------------------------------------
@@ -528,8 +525,12 @@ def _stratified_mi(strata: np.ndarray) -> tuple[float | None, float | None]:
     return point, math.sqrt(variance / n)
 
 
-def _estimate_from_counts(hist: np.ndarray) -> SimEstimate:
-    """Estimates from a histogram of round codes."""
+def estimate_counts(hist: np.ndarray) -> SimEstimate:
+    """Estimates from a histogram of round codes, such as count_codes returns.
+
+    Refuses to report when fewer than MIN_SIFTED sifted rounds are counted,
+    since the normal-approximation standard errors would be meaningless.
+    """
     # sifted[rb]: rounds with both bases rb, over acted, slot, eve_bit, guess, alice_bit, bob_bit
     h = hist.reshape(_SHAPE)
     sifted = np.stack([h[..., rb, :, rb, :] for rb in (0, 1)])
@@ -578,9 +579,5 @@ def _estimate_from_counts(hist: np.ndarray) -> SimEstimate:
 
 
 def estimate(trace: Trace) -> SimEstimate:
-    """Re-estimate a run from its trace; the result equals the run's own estimate.
-
-    Refuses to report when fewer than 100 sifted rounds are available, since
-    the normal-approximation standard errors would be meaningless.
-    """
-    return _estimate_from_counts(np.bincount(trace.codes, minlength=N_CODES))
+    """Re-estimate a run from its trace; the result equals the run's own estimate."""
+    return estimate_counts(np.bincount(trace.codes, minlength=N_CODES))

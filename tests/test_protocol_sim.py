@@ -48,8 +48,11 @@ from bb84eve.protocol_sim import (
     ROUND_FIELDS,
     UNIFORMS_PER_ROUND,
     InsufficientSampleError,
+    Trace,
     _pack,
+    count_codes,
     estimate,
+    estimate_counts,
     run_protocol,
     unpack,
 )
@@ -497,6 +500,84 @@ class TestKernelBlocks:
             assert np.array_equal(small_trace.codes, trace.codes)
 
 
+class CraftedStream:
+    """Stands in for a run's Philox stream: random_raw hands out the given words in order."""
+
+    def __init__(self, words):
+        self.words, self.drawn = np.asarray(words, dtype=np.uint64).ravel(), 0
+
+    def random_raw(self, n):
+        self.drawn += n
+        return self.words[self.drawn - n : self.drawn].copy()
+
+
+class TestCraftedWords:
+    """Words whose top 53 bits equal a draw's threshold, or lie one below it,
+    fed to the kernel through the _stream seam: each drawn bit of the round
+    keys is the u < fraction or u >= p of the uniform u = m * 2**-53."""
+
+    # a draw's table reads only the key's bits below the columns the kernel has yet to draw
+    EVE_MASK, BOB_MASK = 0x1F, 0x3F
+
+    @staticmethod
+    def at_or_below(threshold, below):
+        """threshold - below, or threshold - (1 - below) where that leaves the 53-bit range."""
+        m = threshold - below
+        return m if 0 <= m < 2**53 else threshold - (1 - below)
+
+    @staticmethod
+    def word(m, rng):
+        """A word with top 53 bits m and random low bits."""
+        return m << 11 | int(rng.integers(1 << 11))
+
+    @staticmethod
+    def coin(bit, rng):
+        """A word with top bit bit and random other bits."""
+        return bit << 63 | int(rng.integers(1 << 63))
+
+    def kernel_keys(self, monkeypatch, tables, words):
+        monkeypatch.setattr(protocol_sim, "_stream", lambda seed, start: CraftedStream(words))
+        identity = tables._replace(codes=np.arange(protocol_sim.N_KEYS, dtype=np.uint16))  # a round's code is its key
+        return protocol_sim._run_chunk(identity, 0, 0, len(words))[1].tolist()
+
+    @pytest.mark.parametrize(
+        "attack", [InterceptResend(phi=0.3, fraction=0.3), InterceptResend(phi=0.2, fraction=0.7, symmetrize=False)]
+    )
+    def test_sequential_draws_at_their_thresholds(self, monkeypatch, attack):
+        tables, born, rng = protocol_sim._build_tables(attack), protocol_sim._born_tables(attack), np.random.default_rng(5)
+        keys = np.arange(protocol_sim.N_KEYS)
+        assert np.array_equal(tables.p_eve, tables.p_eve[keys & self.EVE_MASK])
+        assert np.array_equal(tables.p_bob, tables.p_bob[keys & self.BOB_MASK])
+        words, want = [], []
+        for coins, below3, below5, below6 in itertools.product(range(32), (0, 1), (0, 1), (0, 1)):
+            bit = dict(zip((0, 1, 2, 4, 7), (coins >> i & 1 for i in range(5))))  # the columns not drawn
+            m3 = self.at_or_below(int(tables.fraction), below3)
+            key = bit[0] | bit[1] << 1 | bit[2] << 2 | (m3 * 2.0**-53 < born.fraction) << 3 | bit[4] << 4
+            m5 = self.at_or_below(int(tables.p_eve[key]), below5)
+            key |= (m5 * 2.0**-53 >= born.p_eve[key]) << 5
+            m6 = self.at_or_below(int(tables.p_bob[key]), below6)
+            want.append(key | (m6 * 2.0**-53 >= born.p_bob[key]) << 6 | bit[7] << 7)
+            words.append([self.coin(bit[0], rng), self.coin(bit[1], rng), self.coin(bit[2], rng), self.word(m3, rng),
+                          self.coin(bit[4], rng), self.word(m5, rng), self.word(m6, rng), self.coin(bit[7], rng)])
+        assert self.kernel_keys(monkeypatch, tables, words) == want
+
+    @pytest.mark.parametrize("attack", [AncillaNoMemory(alpha=1.0, phi=0.3), AncillaWithMemory(alpha=0.8)])
+    def test_joint_cell_at_each_cdf_row(self, monkeypatch, attack):
+        tables, born, rng = protocol_sim._build_tables(attack), protocol_sim._born_tables(attack), np.random.default_rng(6)
+        cdf = tables.joint_cdf
+        assert np.array_equal(cdf, cdf[:, np.arange(protocol_sim.N_KEYS) & self.EVE_MASK])
+        words, want = [], []
+        for coins, row, below in itertools.product(range(128), range(3), (0, 1)):
+            bit = dict(zip((0, 1, 2, 3, 4, 6, 7), (coins >> i & 1 for i in range(7))))  # the columns not drawn
+            key = sum(bit[c] << c for c in range(5))
+            m5 = self.at_or_below(int(cdf[row, key]), below)
+            cell = sum(m5 * 2.0**-53 >= born.joint_cdf[j, key] for j in range(3))  # the cell u5 falls in
+            want.append(key | (cell & 1) << 5 | (cell >= 2) << 6 | bit[7] << 7)
+            words.append([self.coin(bit[c], rng) for c in range(5)] + [self.word(m5, rng)]
+                         + [self.coin(bit[6], rng), self.coin(bit[7], rng)])
+        assert self.kernel_keys(monkeypatch, tables, words) == want
+
+
 def expected_estimates(attack) -> dict:
     """The SimEstimate fields that the closed forms fix, at the exact expected histogram."""
     if isinstance(attack, NoAttack):
@@ -538,7 +619,7 @@ def expected_histogram_estimate(attack):
 
     The counts stay int64-safe, and rounding them moves no estimate by more than about 1e-15.
     """
-    return protocol_sim._estimate_from_counts(np.rint(2**62 * code_probabilities(attack)).astype(np.int64))
+    return estimate_counts(np.rint(2**62 * code_probabilities(attack)).astype(np.int64))
 
 
 class TestExpectedHistogram:
@@ -578,7 +659,7 @@ class TestMultinomialCalibration:
         attack = InterceptResend(phi=0.0, fraction=0.02)
         want = closed_form(attack)
         draws = np.random.default_rng(1).multinomial(self.N_ROUNDS, code_probabilities(attack), size=self.N_DRAWS)
-        estimates = [protocol_sim._estimate_from_counts(counts) for counts in draws]
+        estimates = [estimate_counts(counts) for counts in draws]
         # a draw with no error has a zero-width Wald interval, which misses the closed form
         qber_covered = np.mean([abs(e.qber - want.d_bob) <= 2 * e.qber_se for e in estimates])
         z = np.array([(e.eve_mutual_info - want.i_eve) / e.eve_mutual_info_se for e in estimates])
@@ -612,8 +693,7 @@ class TestCodeHistogram:
         ids=lambda attack: type(attack).__name__,
     )
     def test_code_histogram_fits_the_code_probabilities(self, attack):
-        _, trace = run_protocol(self.N_ROUNDS, attack, seed=11, keep_trace=True)
-        observed = np.bincount(trace.codes, minlength=N_CODES)
+        observed = count_codes(self.N_ROUNDS, attack, seed=11)
         expected = self.N_ROUNDS * code_probabilities(attack)
         assert not observed[expected == 0].any(), "a round got an impossible code"
         assert g_test_p_value(observed, expected) >= 1e-6
@@ -804,6 +884,31 @@ class TestEstimates:
         assert abs(est.eve_mutual_info - report.eve_avg_info) < max(
             4.0 * est.eve_mutual_info_se, 0.003
         )
+
+
+class TestCountCodes:
+    """count_codes is the engine's product: the run's estimate and trace both derive from its histogram."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("chunk_rounds", [1, 37, 65536])
+    def test_histogram_is_the_traces_and_gives_the_runs_estimate(self, monkeypatch, workers, chunk_rounds):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)  # an untraced run at workers=8 runs 8 threads
+        attack, blocks = InterceptResend(phi=0.3, fraction=0.5), []
+        hist = count_codes(401, attack, 4, workers=workers, chunk_rounds=chunk_rounds)
+        traced = count_codes(401, attack, 4, on_trace=blocks.append, workers=workers, chunk_rounds=chunk_rounds)
+        trace = Trace(np.concatenate([block.codes for block in blocks]), blocks[0].eve_labels)
+        assert hist.dtype == np.int64 and hist.shape == (N_CODES,)
+        assert np.array_equal(hist, traced)
+        assert np.array_equal(hist, np.bincount(trace.codes, minlength=N_CODES))
+        assert estimate_counts(hist) == run_protocol(401, attack, 4, workers=workers,
+                                                     chunk_rounds=chunk_rounds)[0] == estimate(trace)
+
+        # too few sifted rounds: the histogram comes back, no round is handed out, and the estimate refuses
+        blocks = []
+        small = count_codes(150, NoAttack(), 1, on_trace=blocks.append, workers=workers, chunk_rounds=chunk_rounds)
+        assert blocks == [] and small.sum() == 150
+        with pytest.raises(InsufficientSampleError):
+            estimate_counts(small)
 
 
 class TestTraceEstimation:

@@ -841,6 +841,27 @@ class TestProcessEntryPoint:
             cli()
         assert exit_.value.code == status
 
+    def test_exit_codes_are_the_documented_literals(self):
+        # the README and the shell read these numbers, so they are pinned as literals, not as the constants
+        assert (EXIT_OK, EXIT_USAGE, EXIT_INSUFFICIENT_SAMPLE, EXIT_INTERRUPTED, EXIT_BROKEN_PIPE) == (0, 2, 3, 130, 141)
+
+    def test_too_few_sifted_rounds_exit_3(self):
+        argv = ["simulate", "--strategy", "none", "--rounds", "50"]
+        result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], capture_output=True,
+                                env=TestMainEntryPoint.package_env(), timeout=60)
+        assert result.returncode == 3
+
+    def test_a_closed_output_pipe_exits_141(self):
+        argv = ["analytic", "--strategy", "ancilla_with_memory", "--grid", "3"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=write_end,
+                                    stderr=subprocess.PIPE, env=TestMainEntryPoint.package_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+
     def test_freezes_once_after_main_returns(self, monkeypatch):
         import bb84eve.report_cli as report_cli
 
