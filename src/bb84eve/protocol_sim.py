@@ -2,10 +2,9 @@
 
 Every round consumes one fixed-width row of 8 64-bit words from a Philox
 stream keyed by the run seed, so results are bit-identical for a given
-(n_rounds, attack, seed) regardless of chunking or thread count. Word w
-stands for the uniform u = (w >> 11) * 2**-53, the double numpy's
-Generator.random makes of it. Column semantics, fixed for the life of the
-format:
+(n_rounds, attack, seed) regardless of thread count. Word w stands for the
+uniform u = (w >> 11) * 2**-53, the double numpy's Generator.random makes
+of it. Column semantics, fixed for the life of the format:
 
     0 Alice basis   1 Alice bit      2 Bob basis      3 intercept coin
     4 symmetrization coin 5 Eve outcome / joint outcome draw
@@ -18,22 +17,24 @@ Eve's angle slot (phi or its companion pi/2 - phi) comes from column 4
 under symmetrization and is 0 without it; for the stored probe, which is
 read in the revealed basis, the slot comes from column 0.
 
-Chunk execution: a chunk runs in blocks of _BLOCK rounds, each drawn as one
-(n, 8) array of raw words, so no kernel array grows with the chunk. One
-sign pass over the words gives every fair-coin bit, and no word becomes a
-double: a run stores each Born-rule probability p as the integer threshold
-ceil(p * 2**53), and u >= p holds exactly when the word's top 53 bits,
-w >> 11, reach it. Each draw against a threshold (interception, Eve's
-outcome, Bob's outcome, the joint cell) compares the top bits of its column
-(3, 5 or 6) with a threshold read from a flat per-run table by one take on
-the round key, the byte that gathers the round's 8 column bits, and
-overwrites the column's bit. Each block adds the bincount of its keys to
-the chunk's counts, and a traced run also writes their codes. One 256-entry
-table per run maps each key to its round code, a uint16 below N_CODES = 384
-that packs the fields of ROUND_FIELDS (acted, slot, eve_bit, guess, the two
-bases and the two key bits); unpack decodes it. count_codes, the one run loop,
-returns the run's histogram of codes, estimate_counts derives every estimate
-from it, and a trace keeps the codes, so its estimate is the run's exactly.
+Share execution: count_codes gives each thread one contiguous share of the
+rounds and one stream from the share's first round on. A share runs in
+blocks of _BLOCK rounds, each drawn as one (n, 8) array of raw words, so no
+kernel array grows with the share. One sign pass over the words gives every
+fair-coin bit, and no word becomes a double: a run stores each Born-rule
+probability p as the integer threshold ceil(p * 2**53), and u >= p holds
+exactly when the word's top 53 bits, w >> 11, reach it. Each draw against a
+threshold (interception, Eve's outcome, Bob's outcome, the joint cell)
+compares the top bits of its column (3, 5 or 6) with a threshold read from
+a flat per-run table by one take on the round key, the byte that gathers
+the round's 8 column bits, and overwrites the column's bit. Each block adds
+the bincount of its keys to the share's counts, and a traced run also hands
+out their codes. One 256-entry table per run maps each key to its round
+code, a uint16 below N_CODES = 384 that packs the fields of ROUND_FIELDS
+(acted, slot, eve_bit, guess, the two bases and the two key bits); unpack
+decodes it. count_codes, the one run loop, returns the run's histogram of
+codes, estimate_counts derives every estimate from it, and a trace keeps
+the codes, so its estimate is the run's exactly.
 
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
@@ -63,10 +64,11 @@ from .quantum_core import (
 
 UNIFORMS_PER_ROUND = 8
 # Philox4x64 yields 4 words per counter block, so one 8-word round row is
-# exactly 2 blocks; advancing 2*start blocks aligns a chunk with the
-# corresponding rows of a one-shot draw.
+# exactly 2 counter blocks; advancing 2*start of them aligns a share's stream
+# with the corresponding rows of a one-shot draw.
 _BLOCKS_PER_ROUND = 2
-_DEFAULT_CHUNK = 1 << 16
+# An untraced run starts one thread per this many rounds, up to workers and CPUs.
+_THREAD_ROUNDS = 1 << 16
 
 TIE_TOL = 1e-12
 MIN_SIFTED = 100
@@ -191,7 +193,6 @@ class _EngineTables(NamedTuple):
 
     codes[key] is the round code of a finished key; it applies Eve's
     maximum-likelihood reading of her outcome, so the kernel never guesses.
-    count_codes hands an untraced run's kernel tables without codes, so it only counts keys.
     eve_labels[slot] is the trace label of Eve's angle slot.
 
     Sequential mode (joint_cdf None): rounds with u3 < fraction are
@@ -207,7 +208,7 @@ class _EngineTables(NamedTuple):
     each as its uint64 threshold (see _thresholds).
     """
 
-    codes: np.ndarray | None
+    codes: np.ndarray
     eve_labels: tuple = ()
     fraction: float = 0.0
     p_eve: np.ndarray | None = None
@@ -297,10 +298,11 @@ def _build_tables(attack: AttackConfig) -> _EngineTables:
     return tables._replace(**{name: _thresholds(p) for name, p in probabilities.items() if p is not None})
 
 
-# --- chunk execution --------------------------------------------------------
+# --- share execution --------------------------------------------------------
 
-# Rounds per kernel block: one block's words (512 KiB) and its temporaries,
-# none above 64 KiB, fit a 2 MB L2 together.
+# Rounds per kernel block, the unit a share runs, checks for errors and hands
+# out as trace: one block's words (512 KiB) and its temporaries, none above
+# 64 KiB, fit a 2 MB L2 together.
 _BLOCK = 1 << 13
 # w >> 11 is the word's top 53 bits, the integer m of its uniform m * 2**-53
 _MANTISSA_SHIFT = np.uint64(64 - 53)
@@ -344,21 +346,6 @@ def _run_block(tables: _EngineTables, stream: np.random.Philox, n: int) -> np.nd
     return _keys(bits)
 
 
-def _run_chunk(tables: _EngineTables, seed: int, start: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The key counts of rounds start .. start + size - 1, and their round
-    codes, or None when tables carries no code table."""
-    stream = _stream(seed, start)
-    counts = np.zeros(N_KEYS, dtype=np.int64)
-    codes = None if tables.codes is None else np.empty(size, dtype=np.uint16)
-    for first in range(0, size, _BLOCK):
-        n = min(_BLOCK, size - first)
-        keys = _run_block(tables, stream, n)
-        counts += np.bincount(keys, minlength=N_KEYS)
-        if codes is not None:
-            tables.codes.take(keys, out=codes[first:first + n], mode="clip")
-    return counts, codes
-
-
 def count_codes(
     n_rounds: int,
     attack: AttackConfig,
@@ -366,44 +353,38 @@ def count_codes(
     *,
     on_trace: Callable[[Trace], None] | None = None,
     workers: int = 1,
-    chunk_rounds: int = _DEFAULT_CHUNK,
 ) -> np.ndarray:
     """The run's histogram of round codes: N_CODES int64 counts, hist[code].
 
     Deterministic: the per-round stream depends only on (seed, round index),
     and the counts are integers, so the histogram is bit-identical for any
-    workers/chunk_rounds combination. An untraced run uses at most
-    min(workers, chunks, CPUs) threads, each over every threads-th chunk
-    with its own key histogram; this thread runs chunks 0, threads,
-    2 * threads, ... and adds the histograms once every thread is done. A
-    traced run (on_trace) runs every chunk on this thread, whatever workers
-    is. Each thread's kernel draws one block's words (512 KiB) at a time,
-    and its temporaries hold one block, so memory grows neither with
-    n_rounds nor with chunk_rounds.
+    workers. An untraced run uses min(workers, ceil(n_rounds /
+    _THREAD_ROUNDS), CPUs) threads; thread i runs the contiguous share of
+    rounds n_rounds * i // threads up to n_rounds * (i + 1) // threads from
+    one stream, with its own key histogram, and this thread runs share 0
+    and adds the histograms once every thread is done. A traced run
+    (on_trace) runs every round on this thread, whatever workers is. Each
+    share draws one block's words (512 KiB) at a time, and its temporaries
+    hold one block, so memory does not grow with n_rounds.
 
     on_trace, if given, receives the trace as the run goes: each time a
-    chunk finishes, it is called with a Trace of the next rounds in round
-    order, so only one chunk's codes (2 bytes a round) wait for it and
-    memory still does not grow with n_rounds. The first call waits until
-    the rounds so far hold MIN_SIFTED sifted rounds, so a run whose
-    histogram estimate_counts refuses hands out no round.
+    block finishes, it is called with a Trace of the next rounds in round
+    order, so only one block's codes (2 bytes a round) wait for it. The
+    first call waits until the rounds so far hold MIN_SIFTED sifted rounds,
+    so a run whose histogram estimate_counts refuses hands out no round.
     """
     if not (1 <= n_rounds < 2**63):  # key counts are int64
         raise ValueError(f"n_rounds must lie in [1, 2**63), got {n_rounds!r}")
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if chunk_rounds < 1:
-        raise ValueError(f"chunk_rounds must be at least 1, got {chunk_rounds!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
 
     tables = _build_tables(attack)
-    starts = range(0, n_rounds, chunk_rounds)
     traced = on_trace is not None
-    threads = 1 if traced else min(workers, len(starts), os.cpu_count() or 1)
-    kernel_tables = tables if traced else tables._replace(codes=None)  # untraced: count keys only
+    threads = 1 if traced else min(workers, -(-n_rounds // _THREAD_ROUNDS), os.cpu_count() or 1)
     hists = [None] * threads
-    errors = []  # any error stops every share at its next chunk
+    errors = []  # any error stops every share at its next block
     held = []  # the first codes, until they hold MIN_SIFTED sifted rounds; None once handed out
 
     def hand_out(codes):
@@ -416,32 +397,33 @@ def count_codes(
             held = None
         on_trace(Trace(codes, tables.eve_labels))
 
-    def share(first):
-        """Run chunks first, first + threads, ... until a share fails."""
+    def share(i):
+        """Run share i's rounds block by block until a share fails."""
         try:
             # allocated in the share's own thread: a helper's histogram made by the
             # caller raised a --jobs 2 peak by 0.4 MB (glibc's per-thread arenas)
-            hists[first] = hist = np.zeros(N_KEYS, dtype=np.int64)
-            for index in range(first, len(starts), threads):
+            hists[i] = hist = np.zeros(N_KEYS, dtype=np.int64)
+            start, stop = n_rounds * i // threads, n_rounds * (i + 1) // threads
+            stream = _stream(seed, start)
+            for first in range(start, stop, _BLOCK):
                 if errors:
                     return
-                start = starts[index]
-                counts, codes = _run_chunk(kernel_tables, seed, start, min(chunk_rounds, n_rounds - start))
-                hist += counts
+                keys = _run_block(tables, stream, min(_BLOCK, stop - first))
+                hist += np.bincount(keys, minlength=N_KEYS)
                 if traced:
-                    hand_out(codes)
+                    hand_out(tables.codes.take(keys))
         except BaseException as exc:  # failed or interrupted: the caller raises it
             errors.append(exc)
 
     # shares 1 .. threads - 1 run on helper threads, share 0 on this one
-    helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, threads)]
+    helpers = [threading.Thread(target=share, args=(i,)) for i in range(1, threads)]
     for helper in helpers:
         helper.start()
     share(0)
     for helper in helpers:
         try:
             helper.join()
-        except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next chunk
+        except BaseException as exc:  # Ctrl-C while waiting: every share stops at its next block
             errors.append(exc)
             helper.join()
     if errors:
@@ -459,7 +441,6 @@ def run_protocol(
     keep_trace: bool = False,
     on_trace: Callable[[Trace], None] | None = None,
     workers: int = 1,
-    chunk_rounds: int = _DEFAULT_CHUNK,
 ) -> tuple[SimEstimate, Trace | None]:
     """Run BB84 rounds under an attack and estimate the observable statistics:
     estimate_counts(count_codes(...)), where count_codes takes every argument
@@ -474,7 +455,7 @@ def run_protocol(
             on_trace(trace)
 
     est = estimate_counts(count_codes(n_rounds, attack, seed, on_trace=keep if keep_trace else on_trace,
-                                      workers=workers, chunk_rounds=chunk_rounds))
+                                      workers=workers))
     trace = Trace(np.concatenate([block.codes for block in kept]), kept[0].eve_labels) if keep_trace else None
     return est, trace
 

@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rounds", type=int, required=True, help="protocol rounds per row")
     p_sim.add_argument("--seed", type=int, default=0, help="base seed; row i uses seed + i")
     p_sim.add_argument("--jobs", type=int, default=1,
-                       help="worker threads, at most one per chunk and per CPU; a --trace run "
+                       help="worker threads, at most one per 65536 rounds and per CPU; a --trace run "
                             "uses one (output is identical for any value)")
     p_sim.add_argument("--no-symmetrize", action="store_true",
                        help="always measure at phi instead of coin-flipping with its companion")

@@ -1,6 +1,6 @@
 """Single-shot quantum helpers and oracles used only as test references.
 
-The engine samples whole chunks from precomputed Born tables; these helpers
+The engine samples whole blocks from precomputed Born tables; these helpers
 draw, collapse and interpret one round at a time, so tests can re-derive a
 round without going through any of the engine's code. The plug-in mutual
 information of a 2x2 count table is here too, written apart from the

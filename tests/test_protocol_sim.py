@@ -67,7 +67,7 @@ from bb84eve.quantum_core import (
 
 
 def raw_uniforms(seed: int, n_rounds: int, start: int = 0) -> np.ndarray:
-    """The engine's uniform stream from round start on, regenerated without chunking."""
+    """The engine's uniform stream from round start on, regenerated in one draw."""
     bit_gen = np.random.Philox(key=seed)
     bit_gen.advance(start * protocol_sim._BLOCKS_PER_ROUND)
     return np.random.Generator(bit_gen).random((n_rounds, UNIFORMS_PER_ROUND))
@@ -258,19 +258,22 @@ class TestDeterminism:
         second, _ = run_protocol(40_000, attack, seed=6)
         assert first != second
 
-    def test_workers_and_chunking_do_not_change_results(self):
+    def test_workers_and_block_size_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
         attack = AncillaNoMemory(alpha=1.0, phi=0.3)
         base, _ = run_protocol(100_001, attack, seed=9)
-        for workers, chunk in ((1, 1 << 12), (3, 4096), (4, 977)):
-            other, _ = run_protocol(
-                100_001, attack, seed=9, workers=workers, chunk_rounds=chunk
-            )
+        for workers, rounds in ((1, 1 << 12), (3, 4096), (4, 977)):
+            with monkeypatch.context() as patch:  # a thread per `rounds` rounds, in blocks of `rounds`
+                patch.setattr(protocol_sim, "_THREAD_ROUNDS", rounds)
+                patch.setattr(protocol_sim, "_BLOCK", rounds)
+                other, _ = run_protocol(100_001, attack, seed=9, workers=workers)
             assert other == base
 
-    def test_trace_is_deterministic_too(self):
+    def test_trace_is_deterministic_too(self, monkeypatch):
         attack = AncillaWithMemory(alpha=0.8)
         _, trace_a = run_protocol(500, attack, seed=3, keep_trace=True)
-        _, trace_b = run_protocol(500, attack, seed=3, keep_trace=True, chunk_rounds=64)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 64)
+        _, trace_b = run_protocol(500, attack, seed=3, keep_trace=True)
         assert np.array_equal(trace_a.codes, trace_b.codes)
         assert trace_a.eve_labels == trace_b.eve_labels
 
@@ -281,8 +284,6 @@ class TestDeterminism:
             run_protocol(100, NoAttack(), seed=-1)
         with pytest.raises(ValueError):
             run_protocol(100, NoAttack(), seed=1 << 64)
-        with pytest.raises(ValueError):
-            run_protocol(100, NoAttack(), seed=1, chunk_rounds=0)
         with pytest.raises(ValueError, match="workers"):
             run_protocol(1000, NoAttack(), seed=1, workers=0)
 
@@ -295,10 +296,10 @@ class TestDeterminism:
 class TestScalarReplay:
     N_ROUNDS = 256
     SEED = 2024
-    # about one round in fifty intercepted: at SPARSE_CHUNK rounds per chunk
-    # the run mixes chunks with and without an intercepted round
+    # about one round in fifty intercepted: at SPARSE_BLOCK rounds per block
+    # the run mixes blocks with and without an intercepted round
     SPARSE = InterceptResend(phi=0.3, fraction=0.02)
-    SPARSE_CHUNK = 16
+    SPARSE_BLOCK = 16
     CONFIGS = [
         NoAttack(),
         InterceptResend(phi=0.3, fraction=0.6),
@@ -311,20 +312,20 @@ class TestScalarReplay:
         SPARSE,
     ]
 
-    def test_sparse_run_mixes_chunks_with_and_without_interception(self):
+    def test_sparse_run_mixes_blocks_with_and_without_interception(self):
         acted = raw_uniforms(self.SEED, self.N_ROUNDS)[:, 3] < self.SPARSE.fraction
-        chunks = {
-            bool(acted[s : s + self.SPARSE_CHUNK].any())
-            for s in range(0, self.N_ROUNDS, self.SPARSE_CHUNK)
+        blocks = {
+            bool(acted[s : s + self.SPARSE_BLOCK].any())
+            for s in range(0, self.N_ROUNDS, self.SPARSE_BLOCK)
         }
-        assert chunks == {False, True}
+        assert blocks == {False, True}
 
     @pytest.mark.parametrize("attack", CONFIGS, ids=lambda a: type(a).__name__)
-    def test_trace_matches_scalar_rederivation(self, attack):
+    def test_trace_matches_scalar_rederivation(self, monkeypatch, attack):
         n = self.N_ROUNDS
         seed = self.SEED
-        chunk = self.SPARSE_CHUNK if attack == self.SPARSE else 91
-        est, trace = run_protocol(n, attack, seed=seed, keep_trace=True, chunk_rounds=chunk)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", self.SPARSE_BLOCK if attack == self.SPARSE else 91)
+        est, trace = run_protocol(n, attack, seed=seed, keep_trace=True)
         uniforms = raw_uniforms(seed, n)
         assert trace is not None and len(trace) == n
         assert trace.codes.dtype == np.uint16
@@ -360,7 +361,7 @@ class TestWordStream:
     @example(seed=0, start=0, size=1)
     @example(seed=2**64 - 1, start=2**40, size=64)
     def test_words_are_the_generators_uniforms(self, seed, start, size):
-        # the kernel draws a chunk's words block by block from one stream
+        # the kernel draws a share's words block by block from one stream
         stream = protocol_sim._stream(seed, start)
         head = size // 2
         words = np.concatenate([stream.random_raw(head * UNIFORMS_PER_ROUND),
@@ -432,18 +433,17 @@ class TestKernelProperties:
         seed=st.one_of(st.integers(2**64 - 8, 2**64 - 1), st.integers(0, 2**64 - 1)),
         start=st.integers(1, 600),
         size=st.integers(1, 48),
-        chunk=st.integers(1, 48),
+        share=st.integers(1, 48),
     )
-    @example(attack=InterceptResend(phi=0.2, fraction=0.0), seed=2**64 - 1, start=3, size=40, chunk=7)
-    @example(attack=InterceptResend(phi=0.2, fraction=5e-324), seed=0, start=1, size=40, chunk=48)
-    def test_chunks_at_any_start_match_scalar_replay(self, attack, seed, start, size, chunk):
+    @example(attack=InterceptResend(phi=0.2, fraction=0.0), seed=2**64 - 1, start=3, size=40, share=7)
+    @example(attack=InterceptResend(phi=0.2, fraction=5e-324), seed=0, start=1, size=40, share=48)
+    def test_streams_at_any_start_match_scalar_replay(self, attack, seed, start, size, share):
         tables = protocol_sim._build_tables(attack)
         stop = start + size
-        codes = np.concatenate(
-            [protocol_sim._run_chunk(tables, seed, s, min(chunk, stop - s))[1] for s in range(start, stop, chunk)]
-        )
+        keys = np.concatenate([protocol_sim._run_block(tables, protocol_sim._stream(seed, s), min(share, stop - s))
+                               for s in range(start, stop, share)])
         uniforms = raw_uniforms(seed, stop)[start:]
-        assert_codes_replay(attack, codes, tables.eve_labels, uniforms)
+        assert_codes_replay(attack, tables.codes.take(keys), tables.eve_labels, uniforms)
 
     @settings(max_examples=30)
     @given(_JOINT_ATTACKS)
@@ -456,7 +456,7 @@ class TestKernelProperties:
 
 
 class TestKernelBlocks:
-    """Blocks inside a chunk change no round: at 5 rounds a block, every edge is crossed."""
+    """Blocks inside a share change no round: at 5 rounds a block, every edge is crossed."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -464,38 +464,35 @@ class TestKernelBlocks:
         seed=st.one_of(st.integers(2**64 - 8, 2**64 - 1), st.integers(0, 2**64 - 1)),
         start=st.one_of(st.integers(0, 30), st.sampled_from([2**40 - 7, 2**40]), st.integers(0, 2**40)),
         size=st.integers(1, 40),
-        chunk=st.integers(1, 17),
+        share=st.integers(1, 17),
     )
-    @example(attack=AncillaWithMemory(alpha=0.8), seed=2**64 - 1, start=2**40, size=40, chunk=17)
-    @example(attack=InterceptResend(phi=0.2, fraction=0.5), seed=0, start=4, size=11, chunk=6)
-    def test_blocks_across_chunk_edges_match_scalar_replay(self, attack, seed, start, size, chunk):
+    @example(attack=AncillaWithMemory(alpha=0.8), seed=2**64 - 1, start=2**40, size=40, share=17)
+    @example(attack=InterceptResend(phi=0.2, fraction=0.5), seed=0, start=4, size=11, share=6)
+    def test_blocks_across_share_edges_match_scalar_replay(self, attack, seed, start, size, share):
         tables = protocol_sim._build_tables(attack)
-        counted = tables._replace(codes=None)
-        codes = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocol_sim, "_BLOCK", 5)
-            for s in range(start, start + size, chunk):
-                n = min(chunk, start + size - s)
-                counts, chunk_codes = protocol_sim._run_chunk(tables, seed, s, n)
-                assert np.array_equal(protocol_sim._run_chunk(counted, seed, s, n)[0], counts)
-                hist = np.zeros(N_CODES, dtype=np.int64)
-                np.add.at(hist, tables.codes, counts)  # each key's count lands on its code
-                assert np.array_equal(hist, np.bincount(chunk_codes, minlength=N_CODES))
-                codes.append(chunk_codes)
-        assert_codes_replay(attack, np.concatenate(codes), tables.eve_labels, raw_uniforms(seed, size, start))
+        keys = []
+        for s in range(start, start + size, share):  # each share draws its 5-round blocks from one stream
+            stream, stop = protocol_sim._stream(seed, s), min(s + share, start + size)
+            keys += [protocol_sim._run_block(tables, stream, min(5, stop - b)) for b in range(s, stop, 5)]
+        keys = np.concatenate(keys)
+        codes = tables.codes.take(keys)
+        hist = np.zeros(N_CODES, dtype=np.int64)
+        np.add.at(hist, tables.codes, np.bincount(keys, minlength=protocol_sim.N_KEYS))  # as count_codes folds
+        assert np.array_equal(hist, np.bincount(codes, minlength=N_CODES))
+        assert_codes_replay(attack, codes, tables.eve_labels, raw_uniforms(seed, size, start))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("chunk", [37, 65536])
-    def test_block_size_changes_no_estimate_or_code(self, monkeypatch, workers, chunk):
+    @pytest.mark.parametrize("thread_rounds", [37, 65536])
+    def test_block_size_changes_no_estimate_or_code(self, monkeypatch, workers, thread_rounds):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
-        n_rounds = chunk + 1000  # two or more chunks, so an untraced run at workers=2 runs a helper
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", thread_rounds)
+        n_rounds = thread_rounds + 1000  # so an untraced run at workers=2 runs a helper
         for attack in (InterceptResend(phi=0.3, fraction=0.5), AncillaNoMemory(alpha=1.0, phi=0.3)):
-            est, trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers, chunk_rounds=chunk)
+            est, trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers)
             with monkeypatch.context() as patch:
                 patch.setattr(protocol_sim, "_BLOCK", 5)
-                small, small_trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers,
-                                                  chunk_rounds=chunk)
-                untraced, _ = run_protocol(n_rounds, attack, seed=8, workers=workers, chunk_rounds=chunk)
+                small, small_trace = run_protocol(n_rounds, attack, seed=8, keep_trace=True, workers=workers)
+                untraced, _ = run_protocol(n_rounds, attack, seed=8, workers=workers)
             assert small == untraced == est
             assert np.array_equal(small_trace.codes, trace.codes)
 
@@ -513,8 +510,8 @@ class CraftedStream:
 
 class TestCraftedWords:
     """Words whose top 53 bits equal a draw's threshold, or lie one below it,
-    fed to the kernel through the _stream seam: each drawn bit of the round
-    keys is the u < fraction or u >= p of the uniform u = m * 2**-53."""
+    fed to the kernel as its stream: each drawn bit of the round keys is the
+    u < fraction or u >= p of the uniform u = m * 2**-53."""
 
     # a draw's table reads only the key's bits below the columns the kernel has yet to draw
     EVE_MASK, BOB_MASK = 0x1F, 0x3F
@@ -535,15 +532,14 @@ class TestCraftedWords:
         """A word with top bit bit and random other bits."""
         return bit << 63 | int(rng.integers(1 << 63))
 
-    def kernel_keys(self, monkeypatch, tables, words):
-        monkeypatch.setattr(protocol_sim, "_stream", lambda seed, start: CraftedStream(words))
-        identity = tables._replace(codes=np.arange(protocol_sim.N_KEYS, dtype=np.uint16))  # a round's code is its key
-        return protocol_sim._run_chunk(identity, 0, 0, len(words))[1].tolist()
+    @staticmethod
+    def kernel_keys(tables, words):
+        return protocol_sim._run_block(tables, CraftedStream(words), len(words)).tolist()
 
     @pytest.mark.parametrize(
         "attack", [InterceptResend(phi=0.3, fraction=0.3), InterceptResend(phi=0.2, fraction=0.7, symmetrize=False)]
     )
-    def test_sequential_draws_at_their_thresholds(self, monkeypatch, attack):
+    def test_sequential_draws_at_their_thresholds(self, attack):
         tables, born, rng = protocol_sim._build_tables(attack), protocol_sim._born_tables(attack), np.random.default_rng(5)
         keys = np.arange(protocol_sim.N_KEYS)
         assert np.array_equal(tables.p_eve, tables.p_eve[keys & self.EVE_MASK])
@@ -559,10 +555,10 @@ class TestCraftedWords:
             want.append(key | (m6 * 2.0**-53 >= born.p_bob[key]) << 6 | bit[7] << 7)
             words.append([self.coin(bit[0], rng), self.coin(bit[1], rng), self.coin(bit[2], rng), self.word(m3, rng),
                           self.coin(bit[4], rng), self.word(m5, rng), self.word(m6, rng), self.coin(bit[7], rng)])
-        assert self.kernel_keys(monkeypatch, tables, words) == want
+        assert self.kernel_keys(tables, words) == want
 
     @pytest.mark.parametrize("attack", [AncillaNoMemory(alpha=1.0, phi=0.3), AncillaWithMemory(alpha=0.8)])
-    def test_joint_cell_at_each_cdf_row(self, monkeypatch, attack):
+    def test_joint_cell_at_each_cdf_row(self, attack):
         tables, born, rng = protocol_sim._build_tables(attack), protocol_sim._born_tables(attack), np.random.default_rng(6)
         cdf = tables.joint_cdf
         assert np.array_equal(cdf, cdf[:, np.arange(protocol_sim.N_KEYS) & self.EVE_MASK])
@@ -575,7 +571,7 @@ class TestCraftedWords:
             want.append(key | (cell & 1) << 5 | (cell >= 2) << 6 | bit[7] << 7)
             words.append([self.coin(bit[c], rng) for c in range(5)] + [self.word(m5, rng)]
                          + [self.coin(bit[6], rng), self.coin(bit[7], rng)])
-        assert self.kernel_keys(monkeypatch, tables, words) == want
+        assert self.kernel_keys(tables, words) == want
 
 
 def expected_estimates(attack) -> dict:
@@ -890,22 +886,23 @@ class TestCountCodes:
     """count_codes is the engine's product: the run's estimate and trace both derive from its histogram."""
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("chunk_rounds", [1, 37, 65536])
-    def test_histogram_is_the_traces_and_gives_the_runs_estimate(self, monkeypatch, workers, chunk_rounds):
+    @pytest.mark.parametrize("rounds", [1, 37, 65536])
+    def test_histogram_is_the_traces_and_gives_the_runs_estimate(self, monkeypatch, workers, rounds):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)  # an untraced run at workers=8 runs 8 threads
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", rounds)  # a thread per `rounds` rounds
+        monkeypatch.setattr(protocol_sim, "_BLOCK", rounds)
         attack, blocks = InterceptResend(phi=0.3, fraction=0.5), []
-        hist = count_codes(401, attack, 4, workers=workers, chunk_rounds=chunk_rounds)
-        traced = count_codes(401, attack, 4, on_trace=blocks.append, workers=workers, chunk_rounds=chunk_rounds)
+        hist = count_codes(401, attack, 4, workers=workers)
+        traced = count_codes(401, attack, 4, on_trace=blocks.append, workers=workers)
         trace = Trace(np.concatenate([block.codes for block in blocks]), blocks[0].eve_labels)
         assert hist.dtype == np.int64 and hist.shape == (N_CODES,)
         assert np.array_equal(hist, traced)
         assert np.array_equal(hist, np.bincount(trace.codes, minlength=N_CODES))
-        assert estimate_counts(hist) == run_protocol(401, attack, 4, workers=workers,
-                                                     chunk_rounds=chunk_rounds)[0] == estimate(trace)
+        assert estimate_counts(hist) == run_protocol(401, attack, 4, workers=workers)[0] == estimate(trace)
 
         # too few sifted rounds: the histogram comes back, no round is handed out, and the estimate refuses
         blocks = []
-        small = count_codes(150, NoAttack(), 1, on_trace=blocks.append, workers=workers, chunk_rounds=chunk_rounds)
+        small = count_codes(150, NoAttack(), 1, on_trace=blocks.append, workers=workers)
         assert blocks == [] and small.sum() == 150
         with pytest.raises(InsufficientSampleError):
             estimate_counts(small)
@@ -939,46 +936,51 @@ class TestTraceEstimation:
         assert 0 < est.n_intercepted < est.n_sifted
         assert estimate(trace) == est
 
-    def test_trace_records_round_indices_in_order(self):
-        # round i is codes[i], whatever the chunking
+    def test_trace_records_round_indices_in_order(self, monkeypatch):
+        # round i is codes[i], whatever the block size
         _, whole = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True)
         assert len(whole) == 1_000
-        for chunk_rounds in (1, 37, 64):
-            _, chunked = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True, chunk_rounds=chunk_rounds)
-            assert np.array_equal(whole.codes, chunked.codes)
+        for block in (1, 37, 64):
+            monkeypatch.setattr(protocol_sim, "_BLOCK", block)
+            _, blocked = run_protocol(1_000, NoAttack(), seed=2, keep_trace=True)
+            assert np.array_equal(whole.codes, blocked.codes)
 
-    @pytest.mark.parametrize("chunk_rounds", [1, 37, 65536])
-    def test_streamed_blocks_are_the_trace_in_round_order(self, chunk_rounds):
+    @pytest.mark.parametrize("block", [1, 37, 65536])
+    def test_streamed_blocks_are_the_trace_in_round_order(self, monkeypatch, block):
         attack = InterceptResend(phi=0.3, fraction=0.5)
         blocks = []
-        est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, on_trace=blocks.append,
-                                  chunk_rounds=chunk_rounds)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol_sim, "_BLOCK", block)
+            est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, on_trace=blocks.append)
         assert np.array_equal(np.concatenate([block.codes for block in blocks]), trace.codes)
         assert {block.eve_labels for block in blocks} == {trace.eve_labels}
         assert est == estimate(trace) == run_protocol(3_001, attack, seed=4)[0]
 
-    def test_stream_starts_once_the_sample_suffices(self):
+    def test_stream_starts_once_the_sample_suffices(self, monkeypatch):
         # a run that ends with too few sifted rounds hands out none of its
         # rounds; one that passes hands them out from the round that makes
         # MIN_SIFTED sifted rounds
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 1)
         blocks = []
         with pytest.raises(InsufficientSampleError):
-            run_protocol(150, NoAttack(), seed=1, on_trace=blocks.append, chunk_rounds=1)
+            run_protocol(150, NoAttack(), seed=1, on_trace=blocks.append)
         assert blocks == []
-        run_protocol(1_000, NoAttack(), seed=1, on_trace=blocks.append, chunk_rounds=1)
+        run_protocol(1_000, NoAttack(), seed=1, on_trace=blocks.append)
         fields = unpack(blocks[0].codes)
         assert np.count_nonzero(fields["alice_basis"] == fields["bob_basis"]) == protocol_sim.MIN_SIFTED
         assert [len(block) for block in blocks[1:]] == [1] * (1_000 - len(blocks[0]))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_memory_does_not_grow_with_chunks(self, workers):
-        # one histogram or one future per chunk kept until the end would
+    def test_memory_does_not_grow_with_blocks(self, monkeypatch, workers):
+        # one histogram or one array per block kept until the end would
         # hold several MB here
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 1)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 1)
         attack = InterceptResend(phi=0.3, fraction=0.5)
-        run_protocol(400, attack, seed=1, chunk_rounds=1, workers=workers)  # warm-up
+        run_protocol(400, attack, seed=1, workers=workers)  # warm-up
         tracemalloc.start()
         try:
-            run_protocol(2_000, attack, seed=1, chunk_rounds=1, workers=workers)
+            run_protocol(2_000, attack, seed=1, workers=workers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -986,7 +988,7 @@ class TestTraceEstimation:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_working_set_per_thread_is_bounded(self, monkeypatch, workers):
-        # 2.5 MiB is below the 4 MiB of one chunk's words, so only a kernel
+        # 2.5 MiB is below the 4 MiB of 65536 rounds' words, so only a kernel
         # that works in blocks passes; every block allocates its raw words and
         # numpy temporaries afresh, on whichever thread runs it, in view
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
@@ -1013,136 +1015,216 @@ class TestTraceEstimation:
 
 class TestWorkerCap:
     @pytest.mark.parametrize(
-        "workers,n_chunks,cpus,threads", [(10**6, 40, 2, 2), (10**6, 3, 8, 3), (4, 40, 8, 4)]
+        "workers,n_rounds,cpus,threads",
+        [(10**6, 40 * 128, 2, 2), (10**6, 3 * 128, 8, 3), (10**6, 3 * 128 + 1, 8, 4), (4, 40 * 128, 8, 4)],
     )
-    def test_threads_capped_by_chunks_and_cpus(self, monkeypatch, workers, n_chunks, cpus, threads):
+    def test_threads_capped_by_rounds_and_cpus(self, monkeypatch, workers, n_rounds, cpus, threads):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: cpus)
-        # each share's first chunk waits until all `threads` shares run, so
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 128)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 64)
+        # each share's first block waits until all `threads` shares run, so
         # no thread exits (and frees its ident for reuse) before the others start;
         # a run on fewer threads breaks the barrier
-        barrier, run_chunk, seen = threading.Barrier(threads, timeout=10), protocol_sim._run_chunk, set()
+        barrier, run_block, seen = threading.Barrier(threads, timeout=10), protocol_sim._run_block, set()
 
-        def chunk(tables, seed, start, size):
-            if start < 128 * threads:
+        def block(tables, stream, n):
+            if threading.get_ident() not in seen:
                 barrier.wait()
             seen.add(threading.get_ident())
-            return run_chunk(tables, seed, start, size)
+            return run_block(tables, stream, n)
 
-        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
-        est, _ = run_protocol(128 * n_chunks, NoAttack(), seed=1, workers=workers, chunk_rounds=128)
+        monkeypatch.setattr(protocol_sim, "_run_block", block)
+        est, _ = run_protocol(n_rounds, NoAttack(), seed=1, workers=workers)
         assert len(seen) == threads and threading.get_ident() in seen
         monkeypatch.undo()
-        assert est == run_protocol(128 * n_chunks, NoAttack(), seed=1)[0]
+        assert est == run_protocol(n_rounds, NoAttack(), seed=1)[0]
+
+    @pytest.mark.parametrize(
+        "n_rounds,workers,traced,threads",
+        [
+            (1_500_000, 1, False, 1),  # bulk at --jobs 1
+            (1_500_000, 2, False, 2),  # bulk at --jobs 2
+            (10_000, 2, False, 1),  # a sweep row
+            (50_000, 2, True, 1),  # a traced run
+            (65_536, 2, False, 1),  # one thread per 65536 rounds begun
+            (65_537, 2, False, 2),
+        ],
+    )
+    def test_workloads_keep_their_thread_counts(self, monkeypatch, n_rounds, workers, traced, threads):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        stream, starts = protocol_sim._stream, []
+
+        def counted(seed, start):
+            starts.append(start)
+            return stream(seed, start)
+
+        monkeypatch.setattr(protocol_sim, "_stream", counted)
+        # every share opens one stream; the kernel itself is not needed to see that
+        monkeypatch.setattr(protocol_sim, "_run_block", lambda tables, stream, n: np.zeros(n, dtype=np.int64))
+        on_trace = (lambda trace: None) if traced else None
+        assert count_codes(n_rounds, NoAttack(), 1, on_trace=on_trace, workers=workers).sum() == n_rounds
+        assert len(starts) == threads
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_each_thread_runs_one_contiguous_share(self, monkeypatch, workers):
+        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 16)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 7)
+        n_rounds, threads = 1_001, workers  # 1001 rounds allow 63 threads of 16 rounds
+        stream, run_block, starts, shares = protocol_sim._stream, protocol_sim._run_block, [], {}
+        barrier, waited = threading.Barrier(threads, timeout=10), threading.local()
+
+        def counted(seed, start):
+            starts.append(start)
+            shares[threading.get_ident()] = share = [start, 0, stream(seed, start)]
+            return share[2]
+
+        def block(tables, bit_gen, n):
+            if not getattr(waited, "done", False):  # no thread exits, freeing its ident, before all run
+                barrier.wait()
+                waited.done = True
+            share = shares[threading.get_ident()]
+            assert bit_gen is share[2]  # the thread's one stream
+            share[1] += n
+            return run_block(tables, bit_gen, n)
+
+        monkeypatch.setattr(protocol_sim, "_stream", counted)
+        monkeypatch.setattr(protocol_sim, "_run_block", block)
+        attack = InterceptResend(phi=0.3, fraction=0.5)
+        hist = count_codes(n_rounds, attack, 4, workers=workers)
+        bounds = [n_rounds * i // threads for i in range(threads + 1)]
+        assert sorted(starts) == bounds[:-1]
+        rounds = [share[1] for share in shares.values()]
+        assert len(rounds) == threads and sum(rounds) == n_rounds and max(rounds) - min(rounds) <= 1
+        assert sorted(share[:2] for share in shares.values()) == [[a, b - a] for a, b in itertools.pairwise(bounds)]
+        monkeypatch.undo()
+        assert np.array_equal(hist, count_codes(n_rounds, attack, 4))
 
     def test_unknown_cpu_count_runs_inline(self, monkeypatch):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: None)
-        run_chunk, seen = protocol_sim._run_chunk, set()
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 64)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 64)
+        run_block, seen = protocol_sim._run_block, set()
 
-        def chunk(tables, seed, start, size):
+        def block(tables, stream, n):
             seen.add(threading.get_ident())
-            return run_chunk(tables, seed, start, size)
+            return run_block(tables, stream, n)
 
-        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
-        run_protocol(640, NoAttack(), seed=1, workers=4, chunk_rounds=64)
+        monkeypatch.setattr(protocol_sim, "_run_block", block)
+        run_protocol(640, NoAttack(), seed=1, workers=4)
         assert seen == {threading.get_ident()}
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # every share writes its own histogram; a lost or misplaced count
-        # changes the estimate, and a misordered chunk the trace
+        # changes the estimate, and a misordered block the trace
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
         attack = InterceptResend(phi=0.3, fraction=0.5)
         base, base_trace = run_protocol(3_001, attack, seed=4, keep_trace=True)
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 37)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 37)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, workers=8, chunk_rounds=37)
+                est, trace = run_protocol(3_001, attack, seed=4, keep_trace=True, workers=8)
                 assert est == base
                 assert np.array_equal(trace.codes, base_trace.codes)
                 # an untraced run is the one that runs on 8 threads
-                assert run_protocol(3_001, attack, seed=4, workers=8, chunk_rounds=37)[0] == base
+                assert run_protocol(3_001, attack, seed=4, workers=8)[0] == base
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("traced", ["on_trace", "keep_trace"])
     def test_traced_run_stays_on_the_calling_thread(self, monkeypatch, traced):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
-        run_chunk, seen = protocol_sim._run_chunk, []
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 64)  # untraced, these 640 rounds would run 4 threads
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 64)
+        run_block, seen = protocol_sim._run_block, []
 
-        def chunk(tables, seed, start, size):
+        def block(tables, stream, n):
             seen.append(threading.get_ident())
-            return run_chunk(tables, seed, start, size)
+            return run_block(tables, stream, n)
 
-        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        monkeypatch.setattr(protocol_sim, "_run_block", block)
         trace_args = {"on_trace": lambda trace: None} if traced == "on_trace" else {"keep_trace": True}
-        run_protocol(640, NoAttack(), seed=1, workers=4, chunk_rounds=64, **trace_args)
+        run_protocol(640, NoAttack(), seed=1, workers=4, **trace_args)
         assert seen == [threading.get_ident()] * 10
 
 
 class TestHelperFailure:
     def test_helper_error_reaches_the_caller_and_stops_every_share(self, monkeypatch):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
-        main_thread, run_chunk, raised_on, caller_ran = threading.get_ident(), protocol_sim._run_chunk, [], []
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 1)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 1)
+        main_thread, run_block, raised_on, caller_ran = threading.get_ident(), protocol_sim._run_block, [], []
 
-        def chunk(tables, seed, start, size):
-            if start == 1:  # the helper's first chunk
+        def block(tables, stream, n):
+            if threading.get_ident() != main_thread:  # the helper's first block
                 raised_on.append(threading.get_ident())
-                raise ValueError("chunk 1 failed")
-            keys = run_chunk(tables, seed, start, size)
-            if threading.get_ident() == main_thread:
-                caller_ran.append(start)
+                raise ValueError("the helper's block failed")
+            keys = run_block(tables, stream, n)
+            caller_ran.append(n)
             time.sleep(0.001)
             return keys
 
-        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        monkeypatch.setattr(protocol_sim, "_run_block", block)
         before = set(threading.enumerate())
-        with pytest.raises(ValueError, match="chunk 1 failed"):
-            run_protocol(2000, NoAttack(), seed=1, workers=2, chunk_rounds=1)
+        with pytest.raises(ValueError, match="the helper's block failed"):
+            run_protocol(2000, NoAttack(), seed=1, workers=2)
         assert raised_on and raised_on[0] != main_thread
-        assert len(caller_ran) < 100  # of the caller's 1000 chunks
+        assert len(caller_ran) < 100  # of the caller's 1000 blocks
         assert set(threading.enumerate()) <= before  # the helper was joined
 
 
     def test_trace_consumer_error_reaches_the_caller_and_stops_the_run(self, monkeypatch):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
-        run_chunk, starts, blocks, error = protocol_sim._run_chunk, [], [], RuntimeError("consumer failed")
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 1000)
+        stream, run_block = protocol_sim._stream, protocol_sim._run_block
+        starts, sizes, blocks, error = [], [], [], RuntimeError("consumer failed")
 
-        def chunk(tables, seed, start, size):
+        def counted(seed, start):
             starts.append(start)
-            return run_chunk(tables, seed, start, size)
+            return stream(seed, start)
+
+        def block(tables, bit_gen, n):
+            sizes.append(n)
+            return run_block(tables, bit_gen, n)
 
         def on_trace(block):
             blocks.append(len(block))
             if len(blocks) == 2:
                 raise error
 
-        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        monkeypatch.setattr(protocol_sim, "_stream", counted)
+        monkeypatch.setattr(protocol_sim, "_run_block", block)
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError) as raised:  # the first chunk alone holds MIN_SIFTED sifted rounds
-            run_protocol(10_000, NoAttack(), seed=1, on_trace=on_trace, workers=2, chunk_rounds=1000)
+        with pytest.raises(RuntimeError) as raised:  # the first block alone holds MIN_SIFTED sifted rounds
+            run_protocol(10_000, NoAttack(), seed=1, on_trace=on_trace, workers=2)
         assert raised.value is error
-        assert starts == [0, 1000] and blocks == [1000, 1000]
+        assert starts == [0] and sizes == [1000, 1000] and blocks == [1000, 1000]
         assert set(threading.enumerate()) <= before
 
 
 class TestInterrupt:
-    def test_ctrl_c_stops_the_workers_at_their_next_chunk(self, monkeypatch):
+    def test_ctrl_c_stops_the_workers_at_their_next_block(self, monkeypatch):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
-        main_thread, run_chunk, ran = threading.get_ident(), protocol_sim._run_chunk, []
+        monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 1)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 1)
+        main_thread, run_block, ran = threading.get_ident(), protocol_sim._run_block, []
 
-        def chunk(tables, seed, start, size):
-            keys = run_chunk(tables, seed, start, size)
-            ran.append(start)
-            if start == 0:  # Ctrl-C once the first chunk is done
+        def block(tables, stream, n):
+            keys = run_block(tables, stream, n)
+            ran.append(threading.get_ident())
+            if threading.get_ident() == main_thread and ran.count(main_thread) == 1:  # the caller's first block is done
                 signal.pthread_kill(main_thread, signal.SIGINT)
             time.sleep(0.001)
             return keys
 
-        monkeypatch.setattr(protocol_sim, "_run_chunk", chunk)
+        monkeypatch.setattr(protocol_sim, "_run_block", block)
         handler = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             with pytest.raises(KeyboardInterrupt):
-                run_protocol(2000, NoAttack(), seed=1, workers=2, chunk_rounds=1)
+                run_protocol(2000, NoAttack(), seed=1, workers=2)
         finally:
             signal.signal(signal.SIGINT, handler)
         assert 1 <= len(ran) < 100

@@ -679,11 +679,11 @@ class TestMainEntryPoint:
             write(self, block)
 
         monkeypatch.setattr(report_cli._TraceWriter, "__call__", fail_on_second_block)
-        # 100000 rounds are two chunks, so the first block is written before the second fails
+        # 100000 rounds are 13 blocks, so the first block is written before the second fails
         argv = ["simulate", "--strategy", "none", "--rounds", "100000", "--trace", str(trace)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: disk full\n")
-        assert blocks == [65536, 100000 - 65536]
+        assert blocks == [8192, 8192]
         assert trace.read_bytes() == b"previous\n"
         assert os.listdir(tmp_path) == ["trace.csv"]
 
@@ -926,10 +926,10 @@ class TestLazyEngine:
         "argv, unused",
         [
             (["--help"], ("bb84eve.analytic_strategies", "bb84eve.infotheory")),
-            # 1000 rounds are one chunk, so --jobs 2 starts no second thread
+            # 1000 rounds are below 65536, so --jobs 2 starts no second thread
             (["simulate", "--strategy", "none", "--rounds", "1000", "--jobs", "2"],
              ("bb84eve.analytic_strategies", "concurrent.futures")),
-            # 200000 rounds are 4 chunks: a helper thread runs, and still no pool
+            # 200000 rounds are above 65536: a helper thread runs, and still no pool
             (["simulate", "--strategy", "none", "--rounds", "200000", "--jobs", "2"],
              ("bb84eve.analytic_strategies", "concurrent.futures")),
             # the value types need neither dataclasses nor the inspect it loads
@@ -1077,29 +1077,30 @@ class TestStreamedTrace:
     @pytest.mark.parametrize("name", sorted(TestTraceCsv.GOLDENS))
     def test_streamed_goldens(self, monkeypatch, name):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 7)
         args = parse("simulate", *TestTraceCsv.GOLDENS[name], "--rounds", "1000", "--seed", "7")
         (attack,) = _attacks(args, default_grid=None)
         stream = io.StringIO(newline="")
-        run_protocol(1000, attack, 7, workers=2, chunk_rounds=7, on_trace=_TraceWriter(stream))
+        run_protocol(1000, attack, 7, workers=2, on_trace=_TraceWriter(stream))
         assert stream.getvalue().encode() == (GOLDEN / name).read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_rounds(self, monkeypatch, workers):
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
-        attack, chunk = InterceptResend(phi=0.3, fraction=0.5), 4096
+        attack, block = InterceptResend(phi=0.3, fraction=0.5), 4096
+        monkeypatch.setattr(protocol_sim, "_BLOCK", block)
         peaks = []
         with open(os.devnull, "w") as sink:
-            run_protocol(4 * chunk, attack, 1, workers=workers, chunk_rounds=chunk, on_trace=_TraceWriter(sink))
-            for n_chunks in (4, 64):
+            run_protocol(4 * block, attack, 1, workers=workers, on_trace=_TraceWriter(sink))
+            for n_blocks in (4, 64):
                 tracemalloc.start()
                 try:
-                    run_protocol(n_chunks * chunk, attack, 1, workers=workers, chunk_rounds=chunk,
-                                 on_trace=_TraceWriter(sink))
+                    run_protocol(n_blocks * block, attack, 1, workers=workers, on_trace=_TraceWriter(sink))
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-        # one chunk's worth: the Philox words of its rounds
-        assert abs(peaks[1] - peaks[0]) < chunk * protocol_sim.UNIFORMS_PER_ROUND * 8
+        # one block's worth: the Philox words of its rounds
+        assert abs(peaks[1] - peaks[0]) < block * protocol_sim.UNIFORMS_PER_ROUND * 8
 
 
 class TestCliDeterminism:
