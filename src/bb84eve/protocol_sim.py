@@ -195,13 +195,14 @@ class _EngineTables(NamedTuple):
     maximum-likelihood reading of her outcome, so the kernel never guesses.
     eve_labels[slot] is the trace label of Eve's angle slot.
 
-    Sequential mode (joint_cdf None): rounds with u3 < fraction are
-    intercepted, Eve's outcome is u5 >= p_eve[key] and Bob's u6 >= p_bob[key];
-    p_bob reads Eve's forwarded eigenstate on intercepted rounds and the
-    untouched qubit on the others. Joint mode: Eve acts every round, and the
-    joint cell, whose high bit is Bob's outcome and low bit Eve's, counts the
-    j < 3 with u5 >= joint_cdf[j, key]. joint_cdf[:, key] is the cumulative
-    distribution of the cell, so that count is the cell u5 falls in.
+    Sequential mode (joint_cdf None): Bob's outcome is u6 >= p_bob[key].
+    Eve's draw runs whenever the run has an interception table, p_eve: rounds
+    with u3 < fraction are intercepted, and her outcome, which the codes read
+    only on them, is u5 >= p_eve[key]; p_bob reads her forwarded eigenstate
+    there and the untouched qubit elsewhere. Joint mode: Eve acts every round,
+    and the joint cell, whose high bit is Bob's outcome and low bit Eve's,
+    counts the j < 3 with u5 >= joint_cdf[j, key]. joint_cdf[:, key] is the
+    cumulative distribution of the cell, so that count is the cell u5 falls in.
 
     _born_tables holds fraction, p_eve, p_bob and joint_cdf as the Born-rule
     probabilities, doubles; the kernel's tables, from _build_tables, hold
@@ -210,7 +211,7 @@ class _EngineTables(NamedTuple):
 
     codes: np.ndarray
     eve_labels: tuple = ()
-    fraction: float = 0.0
+    fraction: float | None = None
     p_eve: np.ndarray | None = None
     p_bob: np.ndarray | None = None
     joint_cdf: np.ndarray | None = None
@@ -239,7 +240,6 @@ def _born_tables(attack: AttackConfig) -> _EngineTables:
         angles = labels = (attack.phi, math.pi / 2 - attack.phi)
         k = slot if attack.symmetrize else 0  # Eve's angle slot
         forwarded = [[EquatorBasis(t).eigenstate(Outcome.from_bit(bit)) for bit in (0, 1)] for t in angles]
-        acted = acted if attack.fraction > 0 else 0  # the kernel writes column 3 only then
         scale = 1.0
         p_forward = _p_plus(forwarded, BASIS_ANGLES)[k, e, bb]
         thresholds = dict(
@@ -331,10 +331,9 @@ def _run_block(tables: _EngineTables, stream: np.random.Philox, n: int) -> np.nd
         return words[:, column] >> _MANTISSA_SHIFT
 
     if tables.joint_cdf is None:
-        if tables.fraction > 0:
+        if tables.p_eve is not None:  # Eve's draw runs whenever the run has an interception table
             bits[:, 3] = top(3) < tables.fraction
-            if bits[:, 3].any():  # Eve's draw only where she can have intercepted
-                bits[:, 5] = top(5) >= tables.p_eve.take(_keys(bits))
+            bits[:, 5] = top(5) >= tables.p_eve.take(_keys(bits))
         bits[:, 6] = top(6) >= tables.p_bob.take(_keys(bits))
     else:
         # the cell counts the rows u5 passes, and rows are nondecreasing: Bob's
@@ -512,23 +511,24 @@ def estimate_counts(hist: np.ndarray) -> SimEstimate:
     Refuses to report when fewer than MIN_SIFTED sifted rounds are counted,
     since the normal-approximation standard errors would be meaningless.
     """
-    # sifted[rb]: rounds with both bases rb, over acted, slot, eve_bit, guess, alice_bit, bob_bit
-    h = hist.reshape(_SHAPE)
-    sifted = np.stack([h[..., rb, :, rb, :] for rb in (0, 1)])
-    n_sifted_by_basis = sifted.sum(axis=(1, 2, 3, 4, 5, 6))
-    n_errors_by_basis = (sifted[..., 0, 1] + sifted[..., 1, 0]).sum(axis=(1, 2, 3, 4))
-    n_sifted = int(n_sifted_by_basis.sum())
+    f = _CODE_FIELDS  # f[name][code]: the field's value in each code
+    in_basis = [_SIFTED & (f["alice_basis"] == rb) for rb in (0, 1)]  # the sifted codes of basis rb
+    n_sifted_by_basis = [int(hist[codes].sum()) for codes in in_basis]
+    n_errors_by_basis = [int(hist[codes & (f["alice_bit"] != f["bob_bit"])].sum()) for codes in in_basis]
+    n_sifted = sum(n_sifted_by_basis)
     if n_sifted < MIN_SIFTED:
         raise InsufficientSampleError(
             f"need at least {MIN_SIFTED} sifted rounds to report standard errors, got {n_sifted}"
         )
-    n_err = int(n_errors_by_basis.sum())
-    qber, qber_se = _rate(n_err, n_sifted)
-    qber_x, _ = _rate(int(n_errors_by_basis[0]), int(n_sifted_by_basis[0]))
-    qber_y, _ = _rate(int(n_errors_by_basis[1]), int(n_sifted_by_basis[1]))
+    qber, qber_se = _rate(sum(n_errors_by_basis), n_sifted)
+    qber_x, _ = _rate(n_errors_by_basis[0], n_sifted_by_basis[0])
+    qber_y, _ = _rate(n_errors_by_basis[1], n_sifted_by_basis[1])
 
-    # gc[acted, t, rb, alice_bit, guess], t = Eve's slot; rounds without a guess drop out
-    gc = sifted[:, :, :, :, :NO_GUESS].sum(axis=(3, 6)).transpose(1, 2, 0, 4, 3)
+    # gc[acted, slot, rb, alice_bit, guess] over sifted rounds; rounds without a guess drop out
+    guessed = _SIFTED & (f["guess"] != NO_GUESS)
+    gc = np.zeros((2,) * 5, dtype=np.int64)
+    np.add.at(gc, tuple(f[name][guessed] for name in ("acted", "slot", "alice_basis", "alice_bit", "guess")),
+              hist[guessed])
     mi_full, mi_full_se = _stratified_mi(gc.reshape(8, 2, 2))
     mi_int, mi_int_se = _stratified_mi(gc[1].reshape(4, 2, 2))
 

@@ -201,16 +201,14 @@ def run_protocol(*args, **kwargs):
 def _trace_cells(codes, eve_labels: tuple) -> list[str]:
     """The TRACE_HEADER cells after the round index, for each of an array of round codes."""
     from .protocol_sim import BASIS_LABELS, Outcome, unpack
+    fields = {name: values.tolist() for name, values in unpack(codes).items()}
     rows = []
-    # unpack lists the fields in ROUND_FIELDS order
-    for acted, slot, eve_bit, guess, alice_basis, alice_bit, bob_basis, bob_bit in zip(
-        *(values.tolist() for values in unpack(codes).values())
-    ):
+    for f in (dict(zip(fields, values)) for values in zip(*fields.values())):
         eve = [None] * 3
-        if acted:
-            eve = [eve_labels[slot], Outcome.from_bit(eve_bit).name.lower(), guess]
-        cells = [BASIS_LABELS[alice_basis], alice_bit, bool(acted), *eve,
-                 BASIS_LABELS[bob_basis], bob_bit, alice_basis == bob_basis]
+        if f["acted"]:
+            eve = [eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
+        cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], bool(f["acted"]), *eve,
+                 BASIS_LABELS[f["bob_basis"]], f["bob_bit"], f["alice_basis"] == f["bob_basis"]]
         rows.append(",".join(_fmt(cell) for cell in cells))
     return rows
 
@@ -221,12 +219,11 @@ class _TraceWriter:
     Blocks come in round order, and the first call writes the header. A row
     is its round index's digits and its code's tail, the bytes ",<cells>\n".
     A table holds, for each code met so far (at most N_CODES), a row of NUL
-    digit columns and then its tail, NUL-padded. Rows are formatted ROWS at
-    a time: one take of the table, the digits written over the NULs, and
-    every NUL deleted, which leaves the text since no cell contains one.
+    digit columns and then its tail, NUL-padded. Each call formats its
+    block, one engine block of rounds, in one go: one take of the table, the
+    digits written over the NULs, and every NUL deleted, which leaves the
+    text since no cell contains one.
     """
-
-    ROWS = 8192  # a few hundred KB of text, which stays in cache; 65536 rows take twice as long
 
     def __init__(self, out: TextIO):
         import numpy as np
@@ -242,8 +239,7 @@ class _TraceWriter:
     def __call__(self, block) -> None:
         if not self.start:
             _write_all(self.out, TRACE_HEADER + "\n")
-        for i in range(0, len(block), self.ROWS):
-            _write_all(self.out, self.rows(block.codes[i : i + self.ROWS], block.eve_labels, self.start + i))
+        _write_all(self.out, self.rows(block.codes, block.eve_labels, self.start))
         self.start += len(block)
 
     def rows(self, codes, eve_labels: tuple, start: int) -> bytearray:

@@ -5,7 +5,8 @@ draw, collapse and interpret one round at a time, so tests can re-derive a
 round without going through any of the engine's code. The plug-in mutual
 information of a 2x2 count table is here too, written apart from the
 engine's one-pass estimator that tests check against it, and so is a
-row-at-a-time trace writer, the byte oracle of the CLI's block formatter.
+row-at-a-time trace writer, the byte oracle of the CLI's block formatter,
+and a code-at-a-time estimator, the exact oracle of estimate_counts.
 An instrument oracle places any memoryless attack, given as Kraus
 operators in raw numpy amplitudes, on the information-disturbance plane.
 Last, code_probabilities gives the exact expected histogram of round codes
@@ -222,6 +223,45 @@ def reference_trace_text(codes, eve_labels: tuple, start: int = 0) -> str:
     codes = np.asarray(codes).tolist()
     rows = {code: _trace_cells(code, eve_labels) for code in set(codes)}
     return "".join(f"{i},{rows[code]}\n" for i, code in enumerate(codes, start))
+
+
+# --- the estimator, one code at a time -------------------------------------
+
+
+def reference_estimate(hist) -> protocol_sim.SimEstimate:
+    """estimate_counts by a loop over codes, each read by field name through unpack.
+
+    The counts go into the same _rate and _stratified_mi as the engine's, so
+    the two agree exactly, and a histogram with too few sifted rounds raises
+    the same error with the same message.
+    """
+    n_sifted, n_errors, n_acted, n_correct = ([0, 0] for _ in range(4))
+    gc = np.zeros((2,) * 5, dtype=np.int64)  # gc[acted, slot, rb, alice_bit, guess]
+    for code, count in enumerate(np.asarray(hist).tolist()):
+        f = {name: int(value) for name, value in protocol_sim.unpack(code).items()}
+        rb = f["alice_basis"]
+        if rb != f["bob_basis"]:
+            continue
+        n_sifted[rb] += count
+        n_errors[rb] += count if f["alice_bit"] != f["bob_bit"] else 0
+        if f["guess"] == protocol_sim.NO_GUESS:  # no eavesdropper: the round adds to none of Eve's counts
+            continue
+        gc[f["acted"], f["slot"], rb, f["alice_bit"], f["guess"]] += count
+        if f["acted"]:
+            n_acted[rb] += count
+            n_correct[rb] += count if f["guess"] == f["alice_bit"] else 0
+    if sum(n_sifted) < protocol_sim.MIN_SIFTED:
+        raise protocol_sim.InsufficientSampleError(
+            f"need at least {protocol_sim.MIN_SIFTED} sifted rounds to report standard errors, got {sum(n_sifted)}"
+        )
+    rate, stratified_mi = protocol_sim._rate, protocol_sim._stratified_mi
+    mi_full, mi_int = stratified_mi(gc.reshape(8, 2, 2)), stratified_mi(gc[1].reshape(4, 2, 2))
+    fid_x, fid_y = rate(n_correct[0], n_acted[0]), rate(n_correct[1], n_acted[1])
+    return protocol_sim.SimEstimate(
+        int(np.sum(hist)), sum(n_sifted), sum(n_acted), *rate(sum(n_errors), sum(n_sifted)),
+        rate(n_errors[0], n_sifted[0])[0], rate(n_errors[1], n_sifted[1])[0],
+        *mi_full, *mi_int, *fid_x, *fid_y,
+    )
 
 
 # --- memoryless instruments, in raw amplitudes ------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bb84eve
 import oracles
@@ -33,6 +34,7 @@ from reference import (
     fresh_eigenstate,
     interpret_outcome,
     mutual_information,
+    reference_estimate,
     unmemoized_tables,
 )
 from bb84eve import protocol_sim, quantum_core
@@ -537,7 +539,10 @@ class TestCraftedWords:
         return protocol_sim._run_block(tables, CraftedStream(words), len(words)).tolist()
 
     @pytest.mark.parametrize(
-        "attack", [InterceptResend(phi=0.3, fraction=0.3), InterceptResend(phi=0.2, fraction=0.7, symmetrize=False)]
+        "attack",
+        [InterceptResend(phi=0.3, fraction=0.3), InterceptResend(phi=0.2, fraction=0.7, symmetrize=False),
+         # at fraction 0 no round is intercepted, and Eve's draw still writes column 5
+         InterceptResend(phi=0.3, fraction=0.0), InterceptResend(phi=0.3, fraction=0.0, symmetrize=False)],
     )
     def test_sequential_draws_at_their_thresholds(self, attack):
         tables, born, rng = protocol_sim._build_tables(attack), protocol_sim._born_tables(attack), np.random.default_rng(5)
@@ -801,6 +806,26 @@ class TestStratifiedMi:
         assert point == sum((n_s / n) * mutual_information(t) for t, n_s in zip(strata, totals) if n_s)
 
 
+class TestEstimateOracle:
+    """estimate_counts against a loop over codes, on any histogram, not only those a run can produce."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_estimate_counts_is_the_code_loop(self, data):
+        high = data.draw(st.sampled_from([1, 2, 1000, 2**50]), label="high")
+        # mostly one background count, 0 to 2, with the drawn cells set apart
+        hist = data.draw(hnp.arrays(np.int64, N_CODES, elements=st.integers(0, high), fill=st.integers(0, 2)),
+                         label="hist")
+        try:
+            want = reference_estimate(hist)
+        except InsufficientSampleError as refused:
+            with pytest.raises(InsufficientSampleError) as raised:
+                estimate_counts(hist)
+            assert str(raised.value) == str(refused)
+            return
+        assert estimate_counts(hist) == want
+
+
 class TestEstimates:
     def test_sifting_rate_is_about_half(self):
         est, _ = run_protocol(200_000, NoAttack(), seed=17)
@@ -969,6 +994,26 @@ class TestTraceEstimation:
         fields = unpack(blocks[0].codes)
         assert np.count_nonzero(fields["alice_basis"] == fields["bob_basis"]) == protocol_sim.MIN_SIFTED
         assert [len(block) for block in blocks[1:]] == [1] * (1_000 - len(blocks[0]))
+
+    @pytest.mark.parametrize(
+        "attack", [NoAttack(), InterceptResend(phi=0.0, fraction=0.5), AncillaWithMemory(alpha=math.pi / 3)],
+        ids=lambda attack: type(attack).__name__,
+    )
+    def test_trace_blocks_are_engine_blocks(self, monkeypatch, attack):
+        # the trace writer formats each call's rounds at once, which stays
+        # bounded because every call is one engine block, except that the
+        # first also holds the rounds kept back until MIN_SIFTED sifted ones
+        block, n = 64, 5000
+        monkeypatch.setattr(protocol_sim, "_BLOCK", block)
+        blocks = []
+        count_codes(n, attack, 3, on_trace=blocks.append)
+        sizes = [len(b) for b in blocks]
+        assert sum(sizes) == n and len(sizes) > 1  # far more than MIN_SIFTED sifted rounds
+        assert all(size == block for size in sizes[1:-1]) and sizes[-1] <= block
+        assert sizes[0] % block == 0
+        held = blocks[0].codes[: (sizes[0] - 1) // block * block]  # the rounds before its last block
+        fields = unpack(held)
+        assert np.count_nonzero(fields["alice_basis"] == fields["bob_basis"]) < protocol_sim.MIN_SIFTED
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_blocks(self, monkeypatch, workers):

@@ -21,6 +21,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import bb84eve
+import manifest
 import oracles
 from reference import reference_trace_text
 from bb84eve import protocol_sim
@@ -1027,9 +1028,9 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("name", sorted(GOLDENS))
     def test_blocked_write_matches_golden(self, monkeypatch, name):
-        # 7-row batches split the 1000 rounds unevenly and meet new codes
-        # in later batches; the bytes must still be the golden's
-        monkeypatch.setattr(_TraceWriter, "ROWS", 7)
+        # 7-round engine blocks split the 1000 rounds unevenly and meet new
+        # codes in later blocks; the bytes must still be the golden's
+        monkeypatch.setattr(protocol_sim, "_BLOCK", 7)
         args = _build_parser().parse_args(["simulate", *self.GOLDENS[name], "--rounds", "1000", "--seed", "7"])
         stream = io.StringIO(newline="")
         cmd_simulate(args, on_trace=_TraceWriter(stream))
@@ -1132,6 +1133,13 @@ class TestCliDeterminism:
         serial = self.run_to_bytes(tmp_path, ["--jobs", "1"], "serial.csv")
         parallel = self.run_to_bytes(tmp_path, ["--jobs", "4"], "parallel.csv")
         assert serial == parallel
+
+    def test_manifest_invocations_parse(self):
+        # the byte-identity manifest's command lines stay valid as the CLI changes
+        parser = _build_parser()
+        assert len(manifest.INVOCATIONS) >= 52
+        for argv in manifest.INVOCATIONS:
+            parser.parse_args(manifest.with_trace(argv, "trace.csv"))
 
 
 # Flag values for the fuzzed command lines, as (in range, hostile): one value
