@@ -15,6 +15,8 @@ left as it was.
 
 Each command imports what it runs where it runs it: only simulate loads
 numpy and the engine, and only analytic and compare the closed forms.
+The process entry point, cli, sets OPENBLAS_NUM_THREADS to 1 before main
+unless the caller set it, and freezes the collector's objects after main.
 """
 
 from __future__ import annotations
@@ -504,15 +506,21 @@ def main(argv=None) -> int:
 
 
 def cli() -> None:
-    """The process entry point: run main, then exit with its status.
+    """The process entry point: set OPENBLAS_NUM_THREADS, run main, then exit with its status.
 
-    Before the exit, gc.freeze() moves every live object, most of them made
-    by numpy's import, to the collector's permanent generation, so the
-    collections of interpreter finalization skip them. It comes only after
-    main returns: during a run the collector still reclaims every cycle the
-    run makes. main never touches gc, since tests and benchmarks call it in
-    process.
+    Before main, OPENBLAS_NUM_THREADS becomes 1 unless the caller set it,
+    so numpy's OpenBLAS, which reads it when numpy loads, starts no worker
+    threads. Before the exit, gc.freeze() moves every live object, most of
+    them made by numpy's import, to the collector's permanent generation, so
+    the collections of interpreter finalization skip them. It comes only
+    after main returns: during a run the collector still reclaims every
+    cycle the run makes. main touches neither the environment nor gc, since
+    tests and benchmarks call it in process.
     """
+    # OpenBLAS starts a worker per further CPU, which spins before it sleeps
+    # and so takes a CPU from a --jobs share thread; the program's only linear
+    # algebra is on 2- and 4-element state vectors, which a pool cannot speed up
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = main()
     gc.freeze()
     sys.exit(status)

@@ -83,6 +83,17 @@ class TestReadme:
         for block in blocks:
             exec(compile(block, str(README), "exec"), {})
 
+    def test_thread_share_is_the_engines(self):
+        # the --jobs help states the share size as a literal, since reading the
+        # engine's constant would load numpy for every command
+        from bb84eve.protocol_sim import _THREAD_ROUNDS
+
+        (commands,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        (jobs,) = (a for a in commands.choices["simulate"]._actions if a.dest == "jobs")
+        readme = " ".join(README.read_text().split())
+        assert re.findall(r"one per (\d+) rounds", jobs.help) == [str(_THREAD_ROUNDS)]
+        assert re.findall(r"one thread per (\d+) rounds", readme) == [str(_THREAD_ROUNDS)]
+
     def test_command_lines_parse(self):
         lines = [line for block in self.blocks("sh") for line in block.replace("\\\n", " ").splitlines()]
         commands = [shlex.split(line, comments=True) for line in lines if line.startswith("bb84eve ")]

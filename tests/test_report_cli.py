@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its CSV contracts."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import errno
@@ -831,6 +832,11 @@ class TestMainEntryPoint:
 class TestProcessEntryPoint:
     """cli, which every way of starting the program runs: main, then gc.freeze, then the exit."""
 
+    @pytest.fixture(autouse=True)
+    def blas_variable(self, monkeypatch):
+        # cli sets OPENBLAS_NUM_THREADS; monkeypatch restores the test process's value afterwards
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
     @pytest.mark.parametrize(
         "status", [EXIT_OK, EXIT_USAGE, EXIT_INSUFFICIENT_SAMPLE, EXIT_INTERRUPTED, EXIT_BROKEN_PIPE])
     def test_exits_with_the_status_of_main(self, monkeypatch, status):
@@ -894,6 +900,71 @@ class TestProcessEntryPoint:
                                 text=True, env=TestMainEntryPoint.package_env(), timeout=60)
         assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
         assert result.stderr == "error: --rounds must be a positive integer\n"
+
+
+class TestBlasWorkers:
+    """cli keeps numpy's OpenBLAS from starting worker threads beside the --jobs share threads."""
+
+    BLAS = "OPENBLAS_NUM_THREADS"
+    # python -m bb84eve with main wrapped: it records the variable as main starts and,
+    # from each _run_block call, the thread running it and the threads the process holds
+    PROBE = (
+        "import os, runpy, sys, threading\n"
+        "import bb84eve.report_cli as report_cli\n"
+        "real_main, seen, tasks, shares = report_cli.main, [], set(), set()\n"
+        "def main():\n"
+        "    seen.extend([os.environ.get({blas!r}), 'numpy' in sys.modules])\n"
+        "    from bb84eve import protocol_sim\n"
+        "    run_block = protocol_sim._run_block\n"
+        "    def probe(*args):\n"
+        "        shares.add(threading.get_native_id())\n"
+        "        if os.path.isdir('/proc/self/task'):\n"
+        "            tasks.update(map(int, os.listdir('/proc/self/task')))\n"
+        "        return run_block(*args)\n"
+        "    protocol_sim._run_block = probe\n"
+        "    return real_main()\n"
+        "report_cli.main = main\n"
+        "try:\n"
+        "    runpy.run_module('bb84eve', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(repr((exc.code, *seen, sorted(tasks), sorted(shares))))\n"
+    )
+    # 200000 rounds are above 65536, so each CPU up to two runs a share
+    JOBS2 = ["simulate", "--strategy", "none", "--rounds", "200000", "--jobs", "2"]
+
+    @pytest.fixture(scope="class")
+    def unset_run(self):
+        return self.run(self.JOBS2, None)
+
+    def run(self, argv, blas) -> tuple:
+        """(status, the variable main saw, whether numpy was loaded then, task ids, share thread ids)."""
+        env = TestMainEntryPoint.package_env()
+        env.pop(self.BLAS, None)
+        if blas is not None:
+            env[self.BLAS] = blas
+        result = subprocess.run([sys.executable, "-c", self.PROBE.format(blas=self.BLAS), *argv],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return ast.literal_eval(result.stdout.splitlines()[-1])
+
+    def test_cli_sets_one_thread_before_numpy_loads(self, unset_run):
+        assert unset_run[:3] == (EXIT_OK, "1", False)
+
+    def test_a_value_the_caller_set_is_kept(self):
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000"]
+        assert self.run(argv, "2")[:3] == (EXIT_OK, "2", False)
+
+    def test_main_leaves_the_environment_alone(self, monkeypatch, capsys):
+        monkeypatch.delenv(self.BLAS, raising=False)
+        environ = dict(os.environ)
+        assert main(self.JOBS2) == EXIT_OK
+        assert dict(os.environ) == environ
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_only_the_share_threads_run(self, unset_run):
+        *_, tasks, shares = unset_run
+        assert len(shares) == min(2, os.cpu_count() or 1)
+        assert tasks == shares
 
 
 class TestLazyEngine:
