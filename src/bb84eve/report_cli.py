@@ -15,8 +15,10 @@ left as it was.
 
 Each command imports what it runs where it runs it: only simulate loads
 numpy and the engine, and only analytic and compare the closed forms.
-The process entry point, cli, sets OPENBLAS_NUM_THREADS to 1 before main
-unless the caller set it, and freezes the collector's objects after main.
+The process entry point, cli, sets OPENBLAS_NUM_THREADS to 1 unless the
+caller set it and turns the cyclic garbage collector off before main, and
+freezes the collector's objects after main. main, which tests and the
+benchmark call in process, leaves both alone.
 """
 
 from __future__ import annotations
@@ -135,6 +137,8 @@ def parse_angle(text: str) -> float:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells, so tested first
+        return format(value, ".12g")
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -506,21 +510,25 @@ def main(argv=None) -> int:
 
 
 def cli() -> None:
-    """The process entry point: set OPENBLAS_NUM_THREADS, run main, then exit with its status.
+    """The process entry point: set OPENBLAS_NUM_THREADS, turn the collector off, run main, exit with its status.
 
     Before main, OPENBLAS_NUM_THREADS becomes 1 unless the caller set it,
     so numpy's OpenBLAS, which reads it when numpy loads, starts no worker
-    threads. Before the exit, gc.freeze() moves every live object, most of
+    threads, and gc.disable() turns off the collector, whose passes during
+    numpy's import cost a few milliseconds on every call. A run makes no
+    cyclic garbage that grows with its work: its only cycles are argparse's
+    parser, a fixed couple of hundred objects that the exit frees with the
+    process. Before the exit, gc.freeze() moves every live object, most of
     them made by numpy's import, to the collector's permanent generation, so
-    the collections of interpreter finalization skip them. It comes only
-    after main returns: during a run the collector still reclaims every
-    cycle the run makes. main touches neither the environment nor gc, since
-    tests and benchmarks call it in process.
+    the full collection of interpreter finalization, which runs even with
+    the collector off, skips them. main touches neither the environment nor
+    gc, since tests and benchmarks call it in process.
     """
     # OpenBLAS starts a worker per further CPU, which spins before it sleeps
     # and so takes a CPU from a --jobs share thread; the program's only linear
     # algebra is on 2- and 4-element state vectors, which a pool cannot speed up
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
     status = main()
     gc.freeze()
     sys.exit(status)

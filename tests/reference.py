@@ -6,7 +6,8 @@ round without going through any of the engine's code. The plug-in mutual
 information of a 2x2 count table is here too, written apart from the
 engine's one-pass estimator that tests check against it, and so is a
 row-at-a-time trace writer, the byte oracle of the CLI's block formatter,
-and a code-at-a-time estimator, the exact oracle of estimate_counts.
+and a code-at-a-time estimator, the exact oracle of estimate_counts, with
+the stratified MI as a loop over numpy arrays.
 An instrument oracle places any memoryless attack, given as Kraus
 operators in raw numpy amplitudes, on the information-disturbance plane.
 Last, code_probabilities gives the exact expected histogram of round codes
@@ -152,11 +153,13 @@ def fresh_joint_outcome_probabilities(
 
 
 def unmemoized_tables(attack):
-    """The engine's Born tables for attack, built with every eigenstate and bra made afresh."""
+    """The engine's Born tables for attack, built with every state, eigenstate, bra and table made afresh."""
     with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(EquatorBasis, "eigenstate", fresh_eigenstate))
         patches.enter_context(mock.patch.object(
             protocol_sim, "joint_outcome_probabilities", fresh_joint_outcome_probabilities))
+        for name in ("_protocol_states", "_untouched_p_plus"):  # built once per process
+            patches.enter_context(mock.patch.object(protocol_sim, name, getattr(protocol_sim, name).__wrapped__))
         return protocol_sim._born_tables(attack)
 
 
@@ -228,12 +231,42 @@ def reference_trace_text(codes, eve_labels: tuple, start: int = 0) -> str:
 # --- the estimator, one code at a time -------------------------------------
 
 
+def reference_stratified_mi(strata: np.ndarray) -> tuple[float | None, float | None]:
+    """protocol_sim._stratified_mi as a loop over numpy arrays, the bit-exact oracle of its loop over floats."""
+    totals = strata.sum(axis=(1, 2))
+    n = int(totals.sum())
+    if n == 0:
+        return None, None
+    point = 0.0
+    score_sum = 0.0
+    score_sq = 0.0
+    for table, n_s in zip(strata, totals):
+        if n_s == 0:
+            continue
+        p = table / n_s
+        p_a = p.sum(axis=1)
+        p_g = p.sum(axis=0)
+        mi = 0.0
+        for a in (0, 1):
+            for g in (0, 1):
+                if table[a, g] > 0:
+                    score = math.log2(p[a, g] / (p_a[a] * p_g[g]))
+                    mi += p[a, g] * score
+                    score_sum += table[a, g] * score
+                    score_sq += table[a, g] * score * score
+        point += (n_s / n) * (0.0 if mi < 0.0 else 1.0 if mi > 1.0 else mi)
+    mean = score_sum / n
+    variance = max(score_sq / n - mean * mean, 0.0)
+    return point, math.sqrt(variance / n)
+
+
 def reference_estimate(hist) -> protocol_sim.SimEstimate:
     """estimate_counts by a loop over codes, each read by field name through unpack.
 
-    The counts go into the same _rate and _stratified_mi as the engine's, so
-    the two agree exactly, and a histogram with too few sifted rounds raises
-    the same error with the same message.
+    The counts go into the engine's _rate and into reference_stratified_mi,
+    which is bit-exact with the engine's _stratified_mi, so the two agree
+    exactly, and a histogram with too few sifted rounds raises the same error
+    with the same message.
     """
     n_sifted, n_errors, n_acted, n_correct = ([0, 0] for _ in range(4))
     gc = np.zeros((2,) * 5, dtype=np.int64)  # gc[acted, slot, rb, alice_bit, guess]
@@ -254,8 +287,8 @@ def reference_estimate(hist) -> protocol_sim.SimEstimate:
         raise protocol_sim.InsufficientSampleError(
             f"need at least {protocol_sim.MIN_SIFTED} sifted rounds to report standard errors, got {sum(n_sifted)}"
         )
-    rate, stratified_mi = protocol_sim._rate, protocol_sim._stratified_mi
-    mi_full, mi_int = stratified_mi(gc.reshape(8, 2, 2)), stratified_mi(gc[1].reshape(4, 2, 2))
+    rate = protocol_sim._rate
+    mi_full, mi_int = reference_stratified_mi(gc.reshape(8, 2, 2)), reference_stratified_mi(gc[1].reshape(4, 2, 2))
     fid_x, fid_y = rate(n_correct[0], n_acted[0]), rate(n_correct[1], n_acted[1])
     return protocol_sim.SimEstimate(
         int(np.sum(hist)), sum(n_sifted), sum(n_acted), *rate(sum(n_errors), sum(n_sifted)),

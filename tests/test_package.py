@@ -157,9 +157,22 @@ def process_wide_uses(path: Path) -> list[tuple[str, str, str]]:
 def test_process_wide_state_stays_out_of_library_code(tmp_path):
     sources = sorted((ROOT / "src" / "bb84eve").glob("*.py"))
     uses = [use for path in sources for use in process_wide_uses(path)]
-    # only the process entry point freezes, after main returns
-    assert uses == [("report_cli.py", "cli", "gc.freeze")]
+    # only the process entry point touches the collector: off before main, frozen after it returns
+    assert uses == [("report_cli.py", "cli", "gc.disable"), ("report_cli.py", "cli", "gc.freeze")]
     probe = tmp_path / "probe.py"
     probe.write_text("import gc\nfrom os import _exit\ndef run():\n    gc.disable()\n")
     assert process_wide_uses(probe) == [
         ("probe.py", "<module>", "os._exit"), ("probe.py", "run", "gc.disable")]
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # the suite runs on one interpreter, so syntax newer than requires-python would pass it unseen
+    (minor,) = re.findall(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    oldest = (3, int(minor))
+    sources = sorted([*(ROOT / "src" / "bb84eve").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert len(sources) > 15
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=oldest)
+    # the check sees syntax that came later: except* is Python 3.11's
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -11,11 +11,13 @@ import itertools
 import math
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -35,6 +37,7 @@ from reference import (
     interpret_outcome,
     mutual_information,
     reference_estimate,
+    reference_stratified_mi,
     unmemoized_tables,
 )
 from bb84eve import protocol_sim, quantum_core
@@ -261,7 +264,7 @@ class TestDeterminism:
         assert first != second
 
     def test_workers_and_block_size_do_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 8)
         attack = AncillaNoMemory(alpha=1.0, phi=0.3)
         base, _ = run_protocol(100_001, attack, seed=9)
         for workers, rounds in ((1, 1 << 12), (3, 4096), (4, 977)):
@@ -486,7 +489,7 @@ class TestKernelBlocks:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("thread_rounds", [37, 65536])
     def test_block_size_changes_no_estimate_or_code(self, monkeypatch, workers, thread_rounds):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", thread_rounds)
         n_rounds = thread_rounds + 1000  # so an untraced run at workers=2 runs a helper
         for attack in (InterceptResend(phi=0.3, fraction=0.5), AncillaNoMemory(alpha=1.0, phi=0.3)):
@@ -730,15 +733,17 @@ class TestFggnpBound:
 
 
 _MEMOS = (EquatorBasis.eigenstate, quantum_core._product_bras)
+# the attack-independent tables each process builds once
+_PROCESS_TABLES = (protocol_sim._protocol_states, protocol_sim._untouched_p_plus)
 _SIGNED_PHIS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 4]), st.floats(0.0, math.pi / 4))
 
 
 def assert_tables_equal_unmemoized(attack):
     """The engine's Born tables for attack equal, bit for bit, those built with no memo."""
     tables = protocol_sim._born_tables(attack)
-    used = [memo.cache_info() for memo in _MEMOS]
+    used = [memo.cache_info() for memo in (*_MEMOS, *_PROCESS_TABLES)]
     reference = unmemoized_tables(attack)
-    assert [memo.cache_info() for memo in _MEMOS] == used, "the reference read a memo"
+    assert [memo.cache_info() for memo in (*_MEMOS, *_PROCESS_TABLES)] == used, "the reference read a memo"
     for name in ("codes", "p_eve", "p_bob", "joint_cdf"):
         got, want = getattr(tables, name), getattr(reference, name)
         assert (got is None) == (want is None), name
@@ -747,7 +752,8 @@ def assert_tables_equal_unmemoized(attack):
 
 
 class TestBornMemo:
-    """The memoized eigenstates and product bras change no bit of the tables."""
+    """The memoized eigenstates and product bras, and the tables built once per process, change no bit of the
+    tables."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -774,6 +780,15 @@ class TestBornMemo:
             for symmetrize in (True, False):
                 assert_tables_equal_unmemoized(InterceptResend(phi, 0.5, symmetrize))
                 assert_tables_equal_unmemoized(AncillaNoMemory(1.0, phi, symmetrize))
+
+    def test_process_tables_are_built_once_and_read_only(self):
+        states, p_plus = protocol_sim._protocol_states(), protocol_sim._untouched_p_plus()
+        assert protocol_sim._protocol_states() is states and protocol_sim._untouched_p_plus() is p_plus
+        assert isinstance(states, tuple) and all(isinstance(row, tuple) for row in states)
+        assert not any(s.amplitudes.flags.writeable for row in states for s in row)
+        assert not p_plus.flags.writeable
+        with pytest.raises(ValueError):
+            p_plus[0, 0, 0] = 0.5
 
     def test_memos_stay_bounded(self):
         state = apply_eve_unitary(make_bb84_state(X_BASIS, Outcome.PLUS), 1.0)
@@ -804,6 +819,48 @@ class TestStratifiedMi:
             assert (point, se) == (None, None)
             return
         assert point == sum((n_s / n) * mutual_information(t) for t, n_s in zip(strata, totals) if n_s)
+
+
+# count tables whose counts run past 2**53, where a count becomes a double only approximately
+wide_strata = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.one_of(st.just(0), st.integers(1, 5), st.integers(2**50, 2**57)),
+                       min_size=4 * n, max_size=4 * n)
+).map(lambda cells: np.array(cells, dtype=np.int64).reshape(-1, 2, 2))
+# count tables small enough to expand into one score per round
+small_strata = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(0, 30), min_size=4 * n, max_size=4 * n)
+).map(lambda cells: np.array(cells, dtype=np.int64).reshape(-1, 2, 2))
+
+
+class TestStratifiedMiOracles:
+    """_stratified_mi's loop over floats against its loop over numpy arrays, and its SE against the scores."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(count_strata, wide_strata))
+    @example(np.array([[[2**53 + 1, 3], [5, 2**55 + 3]], [[0, 0], [0, 0]], [[2**54 + 1, 1], [1, 2**53 + 3]]]))
+    def test_bit_identical_to_the_numpy_loop(self, strata):
+        got, want = protocol_sim._stratified_mi(strata), reference_stratified_mi(strata)
+        assert [None if v is None else float(v).hex() for v in got] == [
+            None if v is None else float(v).hex() for v in want]
+
+    @settings(max_examples=300)
+    @given(small_strata)
+    @example(np.array([[[7, 0], [0, 7]], [[30, 0], [0, 29]]]))  # every score near 1: the variance cancels most
+    def test_se_is_the_deviation_of_the_per_round_scores(self, strata):
+        # each round's score log2(p(a,g) / (p(a) p(g))) in its stratum, with exact ratios; the SE is
+        # the scores' standard deviation (over n, as the delta method takes it) over sqrt(n)
+        scores = []
+        for table in strata.tolist():
+            rows, cols = [sum(row) for row in table], [sum(col) for col in zip(*table)]
+            for a, g in itertools.product((0, 1), repeat=2):
+                if table[a][g]:
+                    ratio = Fraction(table[a][g] * sum(rows), rows[a] * cols[g])
+                    scores += [math.log2(ratio)] * table[a][g]
+        point, se = protocol_sim._stratified_mi(strata)
+        if not scores:
+            assert (point, se) == (None, None)
+            return
+        assert math.isclose(se, statistics.pstdev(scores) / math.sqrt(len(scores)), rel_tol=1e-12, abs_tol=1e-15)
 
 
 class TestEstimateOracle:
@@ -913,7 +970,7 @@ class TestCountCodes:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("rounds", [1, 37, 65536])
     def test_histogram_is_the_traces_and_gives_the_runs_estimate(self, monkeypatch, workers, rounds):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)  # an untraced run at workers=8 runs 8 threads
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 8)  # an untraced run at workers=8 runs 8 threads
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", rounds)  # a thread per `rounds` rounds
         monkeypatch.setattr(protocol_sim, "_BLOCK", rounds)
         attack, blocks = InterceptResend(phi=0.3, fraction=0.5), []
@@ -1036,7 +1093,7 @@ class TestTraceEstimation:
         # 2.5 MiB is below the 4 MiB of 65536 rounds' words, so only a kernel
         # that works in blocks passes; every block allocates its raw words and
         # numpy temporaries afresh, on whichever thread runs it, in view
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         attack, peaks = InterceptResend(phi=0.3, fraction=0.5), []
         run_protocol(1_000, attack, 1)  # warm-up: what a first run allocates once
 
@@ -1064,7 +1121,7 @@ class TestWorkerCap:
         [(10**6, 40 * 128, 2, 2), (10**6, 3 * 128, 8, 3), (10**6, 3 * 128 + 1, 8, 4), (4, 40 * 128, 8, 4)],
     )
     def test_threads_capped_by_rounds_and_cpus(self, monkeypatch, workers, n_rounds, cpus, threads):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 128)
         monkeypatch.setattr(protocol_sim, "_BLOCK", 64)
         # each share's first block waits until all `threads` shares run, so
@@ -1096,7 +1153,7 @@ class TestWorkerCap:
         ],
     )
     def test_workloads_keep_their_thread_counts(self, monkeypatch, n_rounds, workers, traced, threads):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         stream, starts = protocol_sim._stream, []
 
         def counted(seed, start):
@@ -1112,7 +1169,7 @@ class TestWorkerCap:
 
     @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_each_thread_runs_one_contiguous_share(self, monkeypatch, workers):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 16)
         monkeypatch.setattr(protocol_sim, "_BLOCK", 7)
         n_rounds, threads = 1_001, workers  # 1001 rounds allow 63 threads of 16 rounds
@@ -1146,6 +1203,8 @@ class TestWorkerCap:
         assert np.array_equal(hist, count_codes(n_rounds, attack, 4))
 
     def test_unknown_cpu_count_runs_inline(self, monkeypatch):
+        # a platform with no affinity mask and no CPU count
+        monkeypatch.delattr(protocol_sim.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: None)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 64)
         monkeypatch.setattr(protocol_sim, "_BLOCK", 64)
@@ -1159,10 +1218,34 @@ class TestWorkerCap:
         run_protocol(640, NoAttack(), seed=1, workers=4)
         assert seen == {threading.get_ident()}
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_a_process_pinned_to_one_cpu_runs_one_share_thread(self):
+        # os.cpu_count() ignores the mask, so it would start a second share on the one CPU
+        probe = (
+            "import os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from bb84eve import protocol_sim\n"
+            "from bb84eve.attacks import NoAttack\n"
+            "run_block, seen = protocol_sim._run_block, set()\n"
+            "def block(*args):\n"
+            "    seen.add(threading.get_ident())\n"
+            "    return run_block(*args)\n"
+            "protocol_sim._run_block = block\n"
+            "hist = protocol_sim.count_codes(200_000, NoAttack(), 1, workers=2)\n"
+            "print(len(seen), hist.tolist())\n"
+        )
+        paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        threads, hist = result.stdout.split(" ", 1)
+        assert threads == "1"
+        assert ast.literal_eval(hist) == count_codes(200_000, NoAttack(), 1, workers=2).tolist()
+
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # every share writes its own histogram; a lost or misplaced count
         # changes the estimate, and a misordered block the trace
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 8)
         attack = InterceptResend(phi=0.3, fraction=0.5)
         base, base_trace = run_protocol(3_001, attack, seed=4, keep_trace=True)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 37)
@@ -1181,7 +1264,7 @@ class TestWorkerCap:
 
     @pytest.mark.parametrize("traced", ["on_trace", "keep_trace"])
     def test_traced_run_stays_on_the_calling_thread(self, monkeypatch, traced):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 64)  # untraced, these 640 rounds would run 4 threads
         monkeypatch.setattr(protocol_sim, "_BLOCK", 64)
         run_block, seen = protocol_sim._run_block, []
@@ -1198,7 +1281,7 @@ class TestWorkerCap:
 
 class TestHelperFailure:
     def test_helper_error_reaches_the_caller_and_stops_every_share(self, monkeypatch):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 1)
         monkeypatch.setattr(protocol_sim, "_BLOCK", 1)
         main_thread, run_block, raised_on, caller_ran = threading.get_ident(), protocol_sim._run_block, [], []
@@ -1222,7 +1305,7 @@ class TestHelperFailure:
 
 
     def test_trace_consumer_error_reaches_the_caller_and_stops_the_run(self, monkeypatch):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(protocol_sim, "_BLOCK", 1000)
         stream, run_block = protocol_sim._stream, protocol_sim._run_block
         starts, sizes, blocks, error = [], [], [], RuntimeError("consumer failed")
@@ -1252,7 +1335,7 @@ class TestHelperFailure:
 
 class TestInterrupt:
     def test_ctrl_c_stops_the_workers_at_their_next_block(self, monkeypatch):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(protocol_sim, "_THREAD_ROUNDS", 1)
         monkeypatch.setattr(protocol_sim, "_BLOCK", 1)
         main_thread, run_block, ran = threading.get_ident(), protocol_sim._run_block, []

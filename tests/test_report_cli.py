@@ -830,7 +830,11 @@ class TestMainEntryPoint:
 
 
 class TestProcessEntryPoint:
-    """cli, which every way of starting the program runs: main, then gc.freeze, then the exit."""
+    """cli, which every way of starting the program runs: gc.disable, main, gc.freeze, then the exit.
+
+    The in-process calls of cli patch gc.disable and gc.freeze, so the test
+    process keeps its collector.
+    """
 
     @pytest.fixture(autouse=True)
     def blas_variable(self, monkeypatch):
@@ -843,6 +847,7 @@ class TestProcessEntryPoint:
         import bb84eve.report_cli as report_cli
 
         monkeypatch.setattr(report_cli, "main", lambda: status)
+        monkeypatch.setattr(gc, "disable", lambda: None)
         monkeypatch.setattr(gc, "freeze", lambda: None)
         with pytest.raises(SystemExit) as exit_:
             cli()
@@ -874,19 +879,26 @@ class TestProcessEntryPoint:
 
         calls = []
         monkeypatch.setattr(report_cli, "main", lambda: calls.append("main") or EXIT_OK)
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         with pytest.raises(SystemExit):
             cli()
-        assert calls == ["main", "freeze"]
+        assert calls == ["disable", "main", "freeze"]
 
+    @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("argv", [
         ["simulate", "--strategy", "intercept_resend", "--phi", "0", "--rounds", "2000"],
         ["analytic", "--strategy", "all", "--grid", "3"],
         ["compare", "--d-bob", "0.1"],
     ])
-    def test_main_leaves_the_collector_alone(self, capsys, argv):
-        frozen = gc.get_freeze_count()
-        assert main(argv) == EXIT_OK
+    def test_main_leaves_the_collector_alone(self, capsys, argv, enabled):
+        frozen, was_enabled = gc.get_freeze_count(), gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == EXIT_OK
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
         assert gc.get_freeze_count() == frozen
 
     def test_console_script_runs_cli(self):
@@ -963,8 +975,73 @@ class TestBlasWorkers:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     def test_only_the_share_threads_run(self, unset_run):
         *_, tasks, shares = unset_run
-        assert len(shares) == min(2, os.cpu_count() or 1)
+        assert len(shares) == min(2, protocol_sim._usable_cpus())
         assert tasks == shares
+
+
+class TestCollectorOff:
+    """cli runs main with the cyclic garbage collector off, which is safe because a run's cyclic
+    garbage does not grow with its work."""
+
+    SIM = ["simulate", "--strategy", "intercept_resend", "--phi", "0"]
+    # python -m bb84eve with main wrapped: it records whether the collector is on as main
+    # starts, and a gc.callbacks hook the generation of each collection from then on
+    PROBE = (
+        "import gc, runpy\n"
+        "import bb84eve.report_cli as report_cli\n"
+        "real_main, enabled, passes = report_cli.main, [], []\n"
+        "def hook(phase, info):\n"
+        "    if enabled and phase == 'start':\n"
+        "        passes.append(info['generation'])\n"
+        "gc.callbacks.append(hook)\n"
+        "def main():\n"
+        "    enabled.append(gc.isenabled())\n"
+        "    return real_main()\n"
+        "report_cli.main = main\n"
+        "try:\n"
+        "    runpy.run_module('bb84eve', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(repr((exc.code, enabled, passes)))\n"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        # numpy's import alone ran 30-odd collections with the collector on
+        [*SIM, "--grid", "11", "--rounds", "10000"],
+        [*SIM, "--rounds", "200000", "--jobs", "2"],
+        ["analytic", "--strategy", "all", "--grid", "101"],
+    ])
+    def test_main_runs_with_the_collector_off_and_no_collection_before_the_exit(self, argv):
+        result = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True,
+                                env=TestMainEntryPoint.package_env(), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert ast.literal_eval(result.stdout.splitlines()[-1]) == (EXIT_OK, [False], [])
+
+    @pytest.mark.parametrize("small, large, status", [
+        ([*SIM, "--rounds", "1000"], [*SIM, "--rounds", "1000000"], EXIT_OK),
+        ([*SIM, "--grid", "2", "--rounds", "1000"], [*SIM, "--grid", "40", "--rounds", "1000"], EXIT_OK),
+        ([*SIM, "--rounds", "100000"], [*SIM, "--rounds", "300000", "--jobs", "2"], EXIT_OK),
+        ([*SIM, "--fraction", "0.5", "--rounds", "1000", "--trace", "{tmp}/small.csv"],
+         [*SIM, "--fraction", "0.5", "--rounds", "100000", "--trace", "{tmp}/large.csv"], EXIT_OK),
+        (["analytic", "--strategy", "all", "--grid", "3"], ["analytic", "--strategy", "all", "--grid", "1001"],
+         EXIT_OK),
+        (["simulate", "--strategy", "none", "--rounds", "0"], [*SIM, "--grid", "20000", "--rounds", "1000"],
+         EXIT_USAGE),
+        (["simulate", "--strategy", "none", "--rounds", "50"], [*SIM, "--grid", "5", "--rounds", "150"],
+         EXIT_INSUFFICIENT_SAMPLE),
+    ])
+    def test_cyclic_garbage_does_not_grow_with_the_run(self, capsys, tmp_path, small, large, status):
+        def garbage(argv) -> int:
+            """The objects a collection finds unreachable after main(argv) ran with the collector off."""
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([arg.format(tmp=tmp_path) for arg in argv]) == status
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(small)  # warm-up: what a first run imports and caches once
+        assert garbage(small) == garbage(large)
 
 
 class TestLazyEngine:
@@ -1148,7 +1225,7 @@ class TestStreamedTrace:
 
     @pytest.mark.parametrize("name", sorted(TestTraceCsv.GOLDENS))
     def test_streamed_goldens(self, monkeypatch, name):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(protocol_sim, "_BLOCK", 7)
         args = parse("simulate", *TestTraceCsv.GOLDENS[name], "--rounds", "1000", "--seed", "7")
         (attack,) = _attacks(args, default_grid=None)
@@ -1158,7 +1235,7 @@ class TestStreamedTrace:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_rounds(self, monkeypatch, workers):
-        monkeypatch.setattr(protocol_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(protocol_sim, "_usable_cpus", lambda: 2)
         attack, block = InterceptResend(phi=0.3, fraction=0.5), 4096
         monkeypatch.setattr(protocol_sim, "_BLOCK", block)
         peaks = []
