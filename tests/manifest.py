@@ -13,7 +13,10 @@ one diff:
 
 The optional argument is the source directory whose package runs; it
 defaults to the ``src`` beside this file's directory. Only the standard
-library is used, and pytest does not collect this file.
+library is used, and pytest does not collect this file. Its output is
+committed as ``golden/manifest.txt``, which ``test_manifest.py`` recomputes
+in process with the same INVOCATIONS and frame; that golden changes only
+with a change that means to change bytes.
 """
 
 from __future__ import annotations
@@ -82,30 +85,48 @@ def with_trace(argv, path: str) -> list[str]:
     return [path if arg == TRACE else arg for arg in argv]
 
 
-def digest(argv, src: Path) -> str:
-    """The SHA-256 of one invocation's exit code, stdout, stderr and trace file."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    with tempfile.TemporaryDirectory() as tmp:
-        trace = Path(tmp, "trace.csv")
-        done = subprocess.run([sys.executable, "-m", "bb84eve", *with_trace(argv, str(trace))],
-                              capture_output=True, env=env, cwd=tmp, check=False)
-        parts = [str(done.returncode).encode(), done.stdout, done.stderr]
-        if TRACE in argv:
-            parts.append(trace.read_bytes() if trace.exists() else b"no trace file")
+def frame(argv, returncode: int, stdout: bytes, stderr: bytes, trace: Path) -> str:
+    """The SHA-256 of what one invocation showed: its exit code, stdout, stderr
+    and, if argv names TRACE, the trace file at trace, or the fact that none was written."""
+    parts = [str(returncode).encode(), stdout, stderr]
+    if TRACE in argv:
+        parts.append(trace.read_bytes() if trace.exists() else b"no trace file")
     h = hashlib.sha256()
     for part in parts:  # each part after its length, so no two outputs frame alike
         h.update(b"%d:" % len(part) + part)
     return h.hexdigest()
 
 
+def digest(argv, src: Path) -> str:
+    """frame of one invocation run as ``python -m bb84eve`` from src in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp, "trace.csv")
+        done = subprocess.run([sys.executable, "-m", "bb84eve", *with_trace(argv, str(trace))],
+                              capture_output=True, env=env, cwd=tmp, check=False)
+        return frame(argv, done.returncode, done.stdout, done.stderr, trace)
+
+
+def line(argv, digest_: str) -> str:
+    """The manifest line of one invocation."""
+    return f"{digest_}  {' '.join(argv)}"
+
+
+def total_line(lines) -> str:
+    """The manifest's last line: the SHA-256 of every invocation line before it."""
+    total = hashlib.sha256()
+    for text in lines:
+        total.update(text.encode() + b"\n")
+    return f"{total.hexdigest()}  total of {len(lines)}"
+
+
 def main(args: list[str]) -> None:
     src = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src"
-    total = hashlib.sha256()
+    lines = []
     for argv in INVOCATIONS:
-        line = f"{digest(argv, src.resolve())}  {' '.join(argv)}"
-        total.update(line.encode() + b"\n")
-        print(line, flush=True)
-    print(f"{total.hexdigest()}  total of {len(INVOCATIONS)}")
+        lines.append(line(argv, digest(argv, src.resolve())))
+        print(lines[-1], flush=True)
+    print(total_line(lines))
 
 
 if __name__ == "__main__":
