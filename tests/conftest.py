@@ -1,4 +1,22 @@
-"""Shared pytest wiring: a visible per-criterion summary for the acceptance gate."""
+"""Shared pytest wiring: a visible per-criterion summary for the acceptance gate, and
+hypothesis's patch writer loaded before any test can fail.
+
+When hypothesis finds a failing example by generation, its pytest plugin
+imports hypothesis.extra._patching, and that import of libcst warns that
+mypy_extensions.TypedDict is deprecated. Under the suite's
+error::DeprecationWarning filter the warning would end the session with an
+INTERNALERROR, so no later test would run. The module is imported here,
+with only that warning ignored; the filters stay as they are. Without
+libcst the plugin skips the patch, and so does this import.
+"""
+
+import contextlib
+import importlib
+import warnings
+
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    importlib.import_module("hypothesis.extra._patching")
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
 

@@ -68,6 +68,12 @@ def test_unknown_attribute_raises_attribute_error():
         bb84eve.no_such_name
 
 
+def test_hypothesis_patch_writer_loads_before_any_test():
+    # conftest imports it, so a failure hypothesis generates cannot end the session
+    pytest.importorskip("libcst")
+    assert "hypothesis.extra._patching" in sys.modules
+
+
 class TestReadme:
     def blocks(self, language: str) -> list[str]:
         return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
