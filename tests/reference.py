@@ -10,9 +10,11 @@ and a code-at-a-time estimator, the exact oracle of estimate_counts, with
 the stratified MI as a loop over numpy arrays.
 An instrument oracle places any memoryless attack, given as Kraus
 operators in raw numpy amplitudes, on the information-disturbance plane.
-Last, code_probabilities gives the exact expected histogram of round codes
+code_probabilities gives the exact expected histogram of round codes
 that the engine's tables define, so the estimator can be checked against
-the closed forms with no sampling noise.
+the closed forms with no sampling noise. Last, philox_words is the engine's
+word stream from Philox4x64-10 in Python integers, so the scalar replay
+does not read numpy's generator.
 """
 
 import contextlib
@@ -369,3 +371,37 @@ def code_probabilities(attack) -> np.ndarray:
         cell = bits[5] + 2 * bits[6]  # Bob's bit high, Eve's low
         p *= cdf[cell + 1, keys] - cdf[cell, keys]
     return np.bincount(tables.codes, weights=p, minlength=N_CODES)
+
+
+# --- Philox4x64-10 in Python integers ----------------------------------------
+
+_MASK64 = (1 << 64) - 1
+# the round multipliers and the Weyl key increments of Salmon, Moraes, Dror &
+# Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def philox4x64_10(counter: int, key: int) -> tuple[int, int, int, int]:
+    """The 4 words Philox4x64-10 makes of a 256-bit counter and a 128-bit key, low word first in each."""
+    c0, c1, c2, c3 = (counter >> shift & _MASK64 for shift in (0, 64, 128, 192))
+    k0, k1 = key & _MASK64, key >> 64 & _MASK64
+    for _ in range(10):
+        p0, p1 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2  # mulhilo: the high and low words of each product
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    return c0, c1, c2, c3
+
+
+def philox_words(seed: int, n_rounds: int, start: int = 0) -> list[int]:
+    """The engine's 8 words a round for n_rounds rounds from round start on.
+
+    The stream is numpy's Philox(key=seed): the key is (seed mod 2**64,
+    seed >> 64), and the 256-bit counter is incremented before each block,
+    so after an advance of 2 * start blocks round r's words are the blocks
+    at counters 2r + 1 and 2r + 2.
+    """
+    words = []
+    for counter in range(2 * start + 1, 2 * (start + n_rounds) + 1):
+        words.extend(philox4x64_10(counter, seed))
+    return words

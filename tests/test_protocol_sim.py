@@ -36,6 +36,7 @@ from reference import (
     fresh_eigenstate,
     interpret_outcome,
     mutual_information,
+    philox_words,
     reference_estimate,
     reference_stratified_mi,
     unmemoized_tables,
@@ -72,10 +73,9 @@ from bb84eve.quantum_core import (
 
 
 def raw_uniforms(seed: int, n_rounds: int, start: int = 0) -> np.ndarray:
-    """The engine's uniform stream from round start on, regenerated in one draw."""
-    bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(start * protocol_sim._BLOCKS_PER_ROUND)
-    return np.random.Generator(bit_gen).random((n_rounds, UNIFORMS_PER_ROUND))
+    """The engine's uniform stream from round start on, from the reference Philox: u = (w >> 11) * 2**-53."""
+    uniforms = [(w >> 11) * 2.0**-53 for w in philox_words(seed, n_rounds, start)]
+    return np.array(uniforms).reshape(n_rounds, UNIFORMS_PER_ROUND)
 
 
 def replay_round(attack, u: np.ndarray) -> dict:
@@ -355,28 +355,39 @@ _ATTACKS = st.one_of(
 
 
 class TestWordStream:
-    """The engine reads the raw Philox words, which stand for numpy's uniforms."""
+    """The engine reads Philox4x64-10's raw words, which stand for numpy's uniforms."""
+
+    # the first round's first 4 words at (seed, start), frozen from the reference and numpy's Philox
+    FROZEN = {
+        (0, 0): (0x02F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79, 0x907D7A052FD5B4DC),
+        (2**63 + 5, 65536): (0x6BCCA2786D980D5A, 0x9C4683B0E43D8067, 0x756BBADF6F5C67F1, 0xDF72C143AFFB85E6),
+        (2**64 - 1, 2**40): (0x543426DF1F97AF07, 0xEAC788A2FE224BD1, 0x76BD4A28C16EBBF4, 0x8CA73B0ADEE6A96D),
+    }
 
     @settings(max_examples=60, deadline=None)
     @given(
-        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-        start=st.sampled_from([0, 1, 65536, 2**40]),
+        seed=st.one_of(st.sampled_from([0, 2**63 + 5, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        start=st.one_of(st.sampled_from([0, 1, 65536, 2**40]), st.integers(0, 2**63 - 65)),
         size=st.integers(1, 64),
     )
     @example(seed=0, start=0, size=1)
+    @example(seed=2**63 + 5, start=65536, size=3)
     @example(seed=2**64 - 1, start=2**40, size=64)
-    def test_words_are_the_generators_uniforms(self, seed, start, size):
+    def test_words_are_the_reference_philox_and_the_generators_uniforms(self, seed, start, size):
         # the kernel draws a share's words block by block from one stream
         stream = protocol_sim._stream(seed, start)
         head = size // 2
         words = np.concatenate([stream.random_raw(head * UNIFORMS_PER_ROUND),
                                 stream.random_raw((size - head) * UNIFORMS_PER_ROUND)])
-        bit_gen = np.random.Philox(key=seed)
-        bit_gen.advance(start * protocol_sim._BLOCKS_PER_ROUND)
-        assert np.array_equal(words, bit_gen.random_raw(size * UNIFORMS_PER_ROUND))
+        assert words.tolist() == philox_words(seed, size, start)
         u = np.random.Generator(protocol_sim._stream(seed, start)).random(size * UNIFORMS_PER_ROUND)
         assert u.tobytes() == ((words >> np.uint64(11)) * 2.0**-53).tobytes()
         assert np.array_equal(words.view(np.int64) < 0, u >= 0.5)
+
+    @pytest.mark.parametrize("seed, start", list(FROZEN))
+    def test_frozen_words(self, seed, start):
+        assert tuple(philox_words(seed, 1, start)[:4]) == self.FROZEN[seed, start]
+        assert tuple(protocol_sim._stream(seed, start).random_raw(4).tolist()) == self.FROZEN[seed, start]
 
 
 _GRID_PROBABILITIES = st.integers(0, 2**53).map(lambda k: k * 2.0**-53)  # exactly k * 2**-53
@@ -447,8 +458,7 @@ class TestKernelProperties:
         stop = start + size
         keys = np.concatenate([protocol_sim._run_block(tables, protocol_sim._stream(seed, s), min(share, stop - s))
                                for s in range(start, stop, share)])
-        uniforms = raw_uniforms(seed, stop)[start:]
-        assert_codes_replay(attack, tables.codes.take(keys), tables.eve_labels, uniforms)
+        assert_codes_replay(attack, tables.codes.take(keys), tables.eve_labels, raw_uniforms(seed, size, start))
 
     @settings(max_examples=30)
     @given(_JOINT_ATTACKS)
