@@ -76,15 +76,11 @@ class PureState(Value):
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        if len(self) != len(other):
-            raise ValueError("states live in different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def overlap_probability(self, other: "PureState") -> float:
         """|<self|other>|^2, clamped into [0, 1]."""
-        return _clamp01(abs(self.overlap(other)) ** 2)
+        if len(self) != len(other):
+            raise ValueError("states live in different spaces")
+        return _clamp01(abs(complex(np.vdot(self.amplitudes, other.amplitudes))) ** 2)
 
     def __repr__(self) -> str:
         return f"PureState({self.amplitudes.tolist()!r})"

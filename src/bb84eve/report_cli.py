@@ -224,11 +224,11 @@ class _TraceWriter:
 
     Blocks come in round order, and the first call writes the header. A row
     is its round index's digits and its code's tail, the bytes ",<cells>\n".
-    A table holds, for each code met so far (at most N_CODES), a row of NUL
-    digit columns and then its tail, NUL-padded. Each call formats its
-    block, one engine block of rounds, in one go: one take of the table, the
-    digits written over the NULs, and every NUL deleted, which leaves the
-    text since no cell contains one.
+    A table holds the tail of each code met so far (at most N_CODES),
+    NUL-padded, and is rebuilt only when a new code appears. Each call
+    formats its block, one engine block of rounds, in one go: the index
+    digits fill the rows' leading columns, one take of the table the rest,
+    and every NUL is deleted, which leaves the text since no cell contains one.
     """
 
     def __init__(self, out: TextIO):
@@ -237,7 +237,6 @@ class _TraceWriter:
         from .protocol_sim import N_CODES
         self.out, self.start = out, 0
         self.tails = {}  # code -> tail
-        self.lead = 0  # digit columns of the table
         self.table = np.zeros((N_CODES, 0), dtype=np.uint8)
         # digits[i]: the 4 ASCII digits of i, zero-padded
         self.digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
@@ -258,22 +257,19 @@ class _TraceWriter:
                if code not in self.tails]
         if new:
             self.tails.update(zip(new, (f",{cells}\n".encode() for cells in _trace_cells(new, eve_labels))))
-        if new or width > self.lead:
-            self.lead = max(self.lead, width)
-            self.table = np.zeros((len(self.table), self.lead + max(map(len, self.tails.values()))), np.uint8)
+            self.table = np.zeros((len(self.table), max(map(len, self.tails.values()))), np.uint8)
             for code, tail in self.tails.items():
-                self.table[code, self.lead : self.lead + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-        text = bytearray(n * self.table.shape[1])
+                self.table[code, : len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        text = bytearray(n * (width + self.table.shape[1]))
         rows = np.frombuffer(text, dtype=np.uint8).reshape(n, -1)
-        self.table.take(codes, axis=0, out=rows)
-        digits = rows[:, self.lead - width : self.lead]
+        rows[:, width:] = self.table.take(codes, axis=0)
         index = np.arange(start, start + n, dtype=np.int64)
         for right in range(width, 0, -4):  # four digits at a time, from the right
             index, group = np.divmod(index, 10_000)
             left = max(right - 4, 0)
-            digits[:, left:right] = self.digits.take(group, axis=0)[:, 4 - (right - left) :]
+            rows[:, left:right] = self.digits.take(group, axis=0)[:, 4 - (right - left) :]
         for k in range(1, width):  # k places from the right, a zero leads in every index below 10**k
-            digits[: max(0, min(n, 10**k - start)), width - 1 - k] = 0
+            rows[: max(0, min(n, 10**k - start)), width - 1 - k] = 0
         return text.translate(None, b"\0")
 
 
@@ -532,7 +528,3 @@ def cli() -> None:
     status = main()
     gc.freeze()
     sys.exit(status)
-
-
-if __name__ == "__main__":
-    cli()

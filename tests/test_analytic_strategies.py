@@ -21,6 +21,7 @@ from bb84eve.analytic_strategies import (
     ancilla_no_memory,
     ancilla_with_memory,
     closed_form,
+    info_from_fidelity,
     intercept_resend,
 )
 from bb84eve.attacks import (
@@ -39,7 +40,6 @@ from bb84eve.attacks import (
     parameters,
     sweep_grid,
 )
-from bb84eve.infotheory import info_from_fidelity
 from bb84eve.quantum_core import (
     EquatorBasis,
     Outcome,

@@ -1,4 +1,4 @@
-"""Tests for entropy, fidelity-to-information, and the plug-in mutual information oracle."""
+"""Tests for the closed forms' entropy and fidelity-to-information, and the plug-in mutual information oracle."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from reference import JointCounts, mutual_information
-from bb84eve.infotheory import binary_entropy, info_from_fidelity
+from bb84eve.analytic_strategies import binary_entropy, info_from_fidelity
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

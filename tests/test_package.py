@@ -29,8 +29,8 @@ SURFACE = {
 # names the package once exported that stay public in their modules only
 MODULE_ONLY = {
     "BasisStats": "analytic_strategies",
-    "binary_entropy": "infotheory",
-    "info_from_fidelity": "infotheory",
+    "binary_entropy": "analytic_strategies",
+    "info_from_fidelity": "analytic_strategies",
     **{name: "quantum_core" for name in (
         "EquatorBasis", "Outcome", "PureState", "apply_eve_unitary",
         "joint_outcome_probabilities", "make_bb84_state", "outcome_probabilities")},

@@ -42,9 +42,14 @@ from reference import (
     unmemoized_tables,
 )
 from bb84eve import protocol_sim, quantum_core
-from bb84eve.analytic_strategies import ancilla_no_memory, ancilla_with_memory, closed_form, intercept_resend
+from bb84eve.analytic_strategies import (
+    ancilla_no_memory,
+    ancilla_with_memory,
+    binary_entropy,
+    closed_form,
+    intercept_resend,
+)
 from bb84eve.attacks import AncillaNoMemory, AncillaWithMemory, InterceptResend, NoAttack
-from bb84eve.infotheory import binary_entropy
 from bb84eve.protocol_sim import (
     BASIS_ANGLES,
     BASIS_LABELS,

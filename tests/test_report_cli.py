@@ -1074,7 +1074,7 @@ class TestLazyEngine:
     @pytest.mark.parametrize(
         "argv, unused",
         [
-            (["--help"], ("bb84eve.analytic_strategies", "bb84eve.infotheory")),
+            (["--help"], ("bb84eve.analytic_strategies",)),
             # 1000 rounds are below 65536, so --jobs 2 starts no second thread
             (["simulate", "--strategy", "none", "--rounds", "1000", "--jobs", "2"],
              ("bb84eve.analytic_strategies", "concurrent.futures")),
