@@ -107,9 +107,9 @@ def digest(argv, src: Path) -> str:
         return frame(argv, done.returncode, done.stdout, done.stderr, trace)
 
 
-def line(argv, digest_: str) -> str:
+def line(argv, hexdigest: str) -> str:
     """The manifest line of one invocation."""
-    return f"{digest_}  {' '.join(argv)}"
+    return f"{hexdigest}  {' '.join(argv)}"
 
 
 def total_line(lines) -> str:
