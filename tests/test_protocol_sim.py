@@ -378,7 +378,7 @@ class TestWordStream:
     @example(seed=0, start=0, size=1)
     @example(seed=2**63 + 5, start=65536, size=3)
     @example(seed=2**64 - 1, start=2**40, size=64)
-    def test_words_are_the_reference_philox_and_the_generators_uniforms(self, seed, start, size):
+    def test_words_are_the_generators_uniforms(self, seed, start, size):
         # the kernel draws a share's words block by block from one stream
         stream = protocol_sim._stream(seed, start)
         head = size // 2
