@@ -167,11 +167,9 @@ class Trace(Value):
 # --- Born-rule tables for the vectorized sampler ---------------------------
 
 
-def _p_plus(states, angles) -> np.ndarray:
-    """p[i, j, t]: the probability of PLUS for states[i][j] measured at angles[t]."""
-    return np.array(
-        [[[outcome_probabilities(s, EquatorBasis(t))[0] for t in angles] for s in row] for row in states]
-    )
+def _p_plus(states, bases) -> np.ndarray:
+    """p[i, j, t]: the probability of PLUS for states[i][j] measured in bases[t]."""
+    return np.array([[[outcome_probabilities(s, basis)[0] for basis in bases] for s in row] for row in states])
 
 
 # The tables below depend on no attack, so each process builds them once;
@@ -190,7 +188,7 @@ def _protocol_states() -> tuple:
 @functools.cache
 def _untouched_p_plus() -> np.ndarray:
     """p[basis, bit, bob_basis]: the probability of PLUS for Bob on a qubit Eve left alone; read-only."""
-    p = _p_plus(_protocol_states(), BASIS_ANGLES)
+    p = _p_plus(_protocol_states(), [EquatorBasis(t) for t in BASIS_ANGLES])
     p.flags.writeable = False
     return p
 
@@ -257,39 +255,31 @@ def _born_tables(attack: AttackConfig) -> _EngineTables:
         p_bob = _untouched_p_plus()[ab, abit, bb]
         return _EngineTables(_pack(0, 0, 0, NO_GUESS, ab, abit, bb, bob_bit), p_bob=p_bob)
 
-    if isinstance(attack, InterceptResend):
+    # the slot rule: a memoryless family measures at once, at phi or its companion as the
+    # symmetrization coin says; the stored probe is read in the revealed basis, i.e. Alice's
+    if isinstance(attack, (InterceptResend, AncillaNoMemory)):
         angles = labels = (attack.phi, math.pi / 2 - attack.phi)
         k = slot if attack.symmetrize else 0  # Eve's angle slot
-        forwarded = [[EquatorBasis(t).eigenstate(Outcome.from_bit(bit)) for bit in (0, 1)] for t in angles]
+    elif isinstance(attack, AncillaWithMemory):
+        angles, labels, k = BASIS_ANGLES, (REVEALED_BASIS_MARKER, REVEALED_BASIS_MARKER), ab
+    else:
+        raise ValueError(f"unsupported attack config: {attack!r}")
+    bob_bases, eve_bases = ([EquatorBasis(t) for t in ts] for ts in (BASIS_ANGLES, angles))
+
+    if isinstance(attack, InterceptResend):
+        forwarded = [[basis.eigenstate(Outcome.from_bit(bit)) for bit in (0, 1)] for basis in eve_bases]
         scale = 1.0
-        p_forward = _p_plus(forwarded, BASIS_ANGLES)[k, e, bb]
         thresholds = dict(
             fraction=attack.fraction,
-            p_eve=_p_plus(states, angles)[ab, abit, k],
-            p_bob=np.where(acted, p_forward, _untouched_p_plus()[ab, abit, bb]),
+            p_eve=_p_plus(states, eve_bases)[ab, abit, k],
+            p_bob=np.where(acted, _p_plus(forwarded, bob_bases)[k, e, bb], _untouched_p_plus()[ab, abit, bb]),
         )
     else:
-        if isinstance(attack, AncillaNoMemory):
-            angles = labels = (attack.phi, math.pi / 2 - attack.phi)
-            k = slot if attack.symmetrize else 0
-        elif isinstance(attack, AncillaWithMemory):
-            # the stored probe is read in the revealed basis, i.e. Alice's
-            angles = BASIS_ANGLES
-            labels = (REVEALED_BASIS_MARKER, REVEALED_BASIS_MARKER)
-            k = ab
-        else:
-            raise ValueError(f"unsupported attack config: {attack!r}")
-        cdf = np.empty((2, 2, 2, 2, 4), dtype=np.float64)
-        for t, angle in enumerate(angles):
-            eve_basis = EquatorBasis(angle)
-            for a in (0, 1):
-                for bit in (0, 1):
-                    entangled = apply_eve_unitary(states[a][bit], attack.alpha)
-                    for b in (0, 1):
-                        table = joint_outcome_probabilities(
-                            entangled, EquatorBasis(BASIS_ANGLES[b]), eve_basis
-                        )
-                        cdf[t, a, bit, b] = np.cumsum(table.reshape(4))
+        # cdf[t, a, bit, b]: the joint cell's CDF when Alice's state states[a][bit], entangled once,
+        # is read by Bob in bob_bases[b] and its probe by Eve in eve_bases[t]
+        probes = [[apply_eve_unitary(s, attack.alpha) for s in row] for row in states]
+        cdf = np.array([[[[np.cumsum(joint_outcome_probabilities(probe, bob, eve)) for bob in bob_bases]
+                          for probe in row] for row in probes] for eve in eve_bases])
         # the kernel's three compares count the cell only on nondecreasing rows
         assert np.all(np.diff(cdf) >= 0), "a joint CDF row decreases"
         acted = 1

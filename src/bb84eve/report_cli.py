@@ -116,23 +116,27 @@ def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackC
     return attacks
 
 
+class _AngleError(ValueError, argparse.ArgumentTypeError):
+    """An angle that does not parse; argparse prints its reason after the flag's name."""
+
+
 def parse_angle(text: str) -> float:
     """Angle in radians from a float literal or a pi expression like 3pi/8."""
     s = text.strip().lower().replace(" ", "")
     number = r"((?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)"
     m = re.fullmatch(rf"(-?)(?:{number}\*?)?(pi)?(?:/{number})?", s)
     if not m or (m.group(2) is None and m.group(3) is None):
-        raise ValueError(f"cannot parse angle {text!r}")
+        raise _AngleError(f"cannot parse angle {text!r}")
     sign, coeff, pi_token, divisor = m.groups()
     value = float(coeff) if coeff is not None else 1.0
     div = float(divisor) if divisor is not None else 1.0
     if div == 0.0:
-        raise ValueError(f"zero divisor in angle {text!r}")
+        raise _AngleError(f"zero divisor in angle {text!r}")
     if pi_token:
         value *= math.pi
     value /= div
     if not (math.isfinite(value) and math.isfinite(div)):
-        raise ValueError(f"angle {text!r} is not finite")
+        raise _AngleError(f"angle {text!r} is not finite")
     return -value if sign else value
 
 

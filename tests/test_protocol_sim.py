@@ -19,6 +19,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -812,6 +813,23 @@ class TestBornMemo:
         for memo in _MEMOS:
             info = memo.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize < 1000
+
+
+class TestBornWork:
+    """An ancilla build entangles each of Alice's four states once, and every build makes each of its four
+    bases once."""
+
+    @pytest.mark.parametrize("attack, probes", [
+        (InterceptResend(math.pi / 8, 0.5), 0),
+        (AncillaNoMemory(1.0, math.pi / 8), 4),
+        (AncillaWithMemory(1.0), 4),
+    ])
+    def test_one_probe_per_state_and_one_basis_per_angle(self, attack, probes):
+        protocol_sim._protocol_states(), protocol_sim._untouched_p_plus()  # built once per process
+        with mock.patch.object(protocol_sim, "apply_eve_unitary", wraps=apply_eve_unitary) as entangle, \
+                mock.patch.object(protocol_sim, "EquatorBasis", wraps=EquatorBasis) as make_basis:
+            protocol_sim._born_tables(attack)
+        assert (entangle.call_count, make_basis.call_count) == (probes, 4)
 
 
 # count tables of 1-8 strata, with many zero cells and so some empty strata

@@ -100,6 +100,18 @@ class TestParseAngle:
             with pytest.raises(ValueError):
                 parse_angle(bad)
 
+    @pytest.mark.parametrize("flag", ["--phi", "--alpha"])
+    @pytest.mark.parametrize("text, reason", [
+        ("pi/0", "zero divisor in angle 'pi/0'"),
+        ("1e309", "angle '1e309' is not finite"),
+        ("pie", "cannot parse angle 'pie'"),
+    ])
+    def test_flag_error_names_its_reason(self, capsys, flag, text, reason):
+        assert main(["analytic", "--strategy", "ancilla_no_memory", flag, text]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"bb84eve analytic: error: argument {flag}: {reason}\n")
+
     def test_exponent_literals(self):
         assert parse_angle("1e-3") == 1e-3
         assert parse_angle("2.5E-07pi/4e0") == 2.5e-07 * math.pi / 4.0
