@@ -180,7 +180,7 @@ def _p_plus(states, bases) -> np.ndarray:
 def _protocol_states() -> tuple:
     """states[basis][bit]: Alice's four states."""
     return tuple(
-        tuple(make_bb84_state(EquatorBasis(BASIS_ANGLES[b]), Outcome.from_bit(bit)) for bit in (0, 1))
+        tuple(make_bb84_state(EquatorBasis(BASIS_ANGLES[b]), Outcome(bit)) for bit in (0, 1))
         for b in (0, 1)
     )
 
@@ -267,7 +267,7 @@ def _born_tables(attack: AttackConfig) -> _EngineTables:
     bob_bases, eve_bases = ([EquatorBasis(t) for t in ts] for ts in (BASIS_ANGLES, angles))
 
     if isinstance(attack, InterceptResend):
-        forwarded = [[basis.eigenstate(Outcome.from_bit(bit)) for bit in (0, 1)] for basis in eve_bases]
+        forwarded = [[basis.eigenstate(Outcome(bit)) for bit in (0, 1)] for basis in eve_bases]
         scale = 1.0
         thresholds = dict(
             fraction=attack.fraction,
@@ -322,8 +322,7 @@ _MANTISSA_SHIFT = np.uint64(64 - 53)
 def _stream(seed: int, start: int) -> np.random.Philox:
     """The run's words from round start on: each 8 words it draws are the next round's columns."""
     bit_gen = np.random.Philox(key=seed)
-    if start:
-        bit_gen.advance(start * _BLOCKS_PER_ROUND)
+    bit_gen.advance(start * _BLOCKS_PER_ROUND)
     return bit_gen
 
 

@@ -32,24 +32,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class Outcome(enum.Enum):
-    """Binary measurement result; PLUS maps to key bit 0, MINUS to 1."""
+    """Binary measurement result; its value is the key bit, 0 for PLUS and 1 for MINUS."""
 
     PLUS = 0
     MINUS = 1
 
     @property
-    def bit(self) -> int:
-        return self.value
-
-    @property
     def sign(self) -> int:
         return 1 if self is Outcome.PLUS else -1
-
-    @classmethod
-    def from_bit(cls, bit: int) -> "Outcome":
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        return cls.PLUS if bit == 0 else cls.MINUS
 
 
 class PureState(Value):
@@ -65,7 +55,7 @@ class PureState(Value):
         amps = np.array(amplitudes, dtype=np.complex128, copy=True)
         if amps.shape not in ((2,), (4,)):
             raise ValueError(f"state must have 2 or 4 amplitudes, got shape {amps.shape}")
-        if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
+        if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:

@@ -28,7 +28,6 @@ import contextlib
 import gc
 import io
 import math
-import numbers
 import os
 import re
 import stat
@@ -147,11 +146,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    return format(float(value), ".12g")
+    return str(value)  # str and int cells
 
 
 def _document(header: str, rows: list[list]) -> str:
@@ -216,7 +211,7 @@ def _trace_cells(codes, eve_labels: tuple) -> list[str]:
     for f in (dict(zip(fields, values)) for values in zip(*fields.values())):
         eve = [None] * 3
         if f["acted"]:
-            eve = [eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
+            eve = [eve_labels[f["slot"]], Outcome(f["eve_bit"]).name.lower(), f["guess"]]
         cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], bool(f["acted"]), *eve,
                  BASIS_LABELS[f["bob_basis"]], f["bob_bit"], f["alice_basis"] == f["bob_basis"]]
         rows.append(",".join(_fmt(cell) for cell in cells))

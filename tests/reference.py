@@ -93,7 +93,7 @@ def sample_joint_outcome(table, rng: np.random.Generator) -> tuple[Outcome, Outc
     cdf = np.cumsum(probs.reshape(4))
     u = rng.random()
     idx = min(int(np.searchsorted(cdf, u, side="right")), 3)
-    return Outcome.from_bit(idx >> 1), Outcome.from_bit(idx & 1)
+    return Outcome(idx >> 1), Outcome(idx & 1)
 
 
 def interpret_outcome(
@@ -128,9 +128,9 @@ def interpret_outcome(
         eve_angle = float(eve_basis)
     corr = correlation_scale * math.cos(eve_angle - revealed_angle)
     if corr > TIE_TOL:
-        return eve_outcome.bit
+        return eve_outcome.value
     if corr < -TIE_TOL:
-        return 1 - eve_outcome.bit
+        return 1 - eve_outcome.value
     if tie_coin is None:
         raise ValueError("outcome carries no information about this basis; a tie_coin is required")
     return int(tie_coin >= 0.5)
@@ -150,7 +150,7 @@ def fresh_joint_outcome_probabilities(
         for e_out in Outcome:
             bra_e = np.conj(fresh_eigenstate(eve_basis, e_out).amplitudes)
             amp = np.kron(bra_b, bra_e) @ state.amplitudes
-            table[b_out.bit, e_out.bit] = _clamp01(abs(amp) ** 2)
+            table[b_out.value, e_out.value] = _clamp01(abs(amp) ** 2)
     return table
 
 
@@ -217,7 +217,7 @@ def _trace_cells(code: int, eve_labels: tuple) -> str:
     acted = bool(f["acted"])
     eve = [None] * 3
     if acted:
-        eve = [eve_labels[f["slot"]], Outcome.from_bit(f["eve_bit"]).name.lower(), f["guess"]]
+        eve = [eve_labels[f["slot"]], Outcome(f["eve_bit"]).name.lower(), f["guess"]]
     cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], acted, *eve,
              BASIS_LABELS[f["bob_basis"]], f["bob_bit"], bool(f["alice_basis"] == f["bob_basis"])]
     return ",".join(_fmt(cell) for cell in cells)

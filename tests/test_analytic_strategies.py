@@ -61,7 +61,7 @@ def intercept_bob_fidelity(phi: float, alice_basis: EquatorBasis) -> float:
     state = alice_basis.eigenstate(Outcome.PLUS)
     total = 0.0
     for eve_outcome in (Outcome.PLUS, Outcome.MINUS):
-        p_eve = outcome_probabilities(state, eve_basis)[eve_outcome.bit]
+        p_eve = outcome_probabilities(state, eve_basis)[eve_outcome.value]
         if p_eve <= 1e-15:
             continue
         forwarded = project(state, eve_basis, eve_outcome)

@@ -100,6 +100,21 @@ class TestReadme:
         assert re.findall(r"one per (\d+) rounds", jobs.help) == [str(_THREAD_ROUNDS)]
         assert re.findall(r"one thread per (\d+) rounds", readme) == [str(_THREAD_ROUNDS)]
 
+    def test_engine_sizes_are_the_constants(self):
+        from bb84eve.protocol_sim import _BLOCK, MIN_SIFTED, UNIFORMS_PER_ROUND
+        from bb84eve.report_cli import MAX_GRID
+
+        readme = " ".join(README.read_text().split())
+        facts = {
+            r"blocks of (\d+) rounds": [_BLOCK],
+            r"Philox words \((\d+) KiB\)": [_BLOCK * UNIFORMS_PER_ROUND * 8 // 1024],
+            r"exceeds (\d+) KiB": [_BLOCK * 8 // 1024],
+            r"smaller than (\d+) rounds": [MIN_SIFTED],
+            r"(\d+) sifted rounds": [MIN_SIFTED, MIN_SIFTED],
+            r"1 to (\d+) points": [MAX_GRID],
+        }
+        assert {pattern: [int(n) for n in re.findall(pattern, readme)] for pattern in facts} == facts
+
     def test_command_lines_parse(self):
         lines = [line for block in self.blocks("sh") for line in block.replace("\\\n", " ").splitlines()]
         commands = [shlex.split(line, comments=True) for line in lines if line.startswith("bb84eve ")]

@@ -95,7 +95,7 @@ def replay_round(attack, u: np.ndarray) -> dict:
     bb = int(u[2] >= 0.5)
     alice_basis = EquatorBasis(BASIS_ANGLES[ab])
     bob_basis = EquatorBasis(BASIS_ANGLES[bb])
-    state = make_bb84_state(alice_basis, Outcome.from_bit(abit))
+    state = make_bb84_state(alice_basis, Outcome(abit))
 
     # untouched rounds: slot and outcome 0, the guess coin if there is an Eve
     t = 0
@@ -114,7 +114,7 @@ def replay_round(attack, u: np.ndarray) -> dict:
             angle = attack.phi if t == 0 else math.pi / 2 - attack.phi
             probe = EquatorBasis(angle)
             p_eve = outcome_probabilities(state, probe)[0]
-            eve_outcome = Outcome.from_bit(int(u[5] >= p_eve))
+            eve_outcome = Outcome(int(u[5] >= p_eve))
             forwarded = probe.eigenstate(eve_outcome)
             p_bob = outcome_probabilities(forwarded, bob_basis)[0]
             eve_basis = angle
@@ -144,7 +144,7 @@ def replay_round(attack, u: np.ndarray) -> dict:
         cdf = np.cumsum(table.reshape(4))
         cell = min(int((u[5] >= cdf).sum()), 3)
         bob_bit = cell >> 1
-        eve_outcome = Outcome.from_bit(cell & 1)
+        eve_outcome = Outcome(cell & 1)
         eve_guess = interpret_outcome(
             eve_basis,
             eve_outcome,
@@ -156,7 +156,7 @@ def replay_round(attack, u: np.ndarray) -> dict:
     return dict(
         acted=int(acted),
         slot=t,
-        eve_bit=eve_outcome.bit,
+        eve_bit=eve_outcome.value,
         guess=eve_guess,
         alice_basis=ab,
         alice_bit=abit,
@@ -686,6 +686,42 @@ class TestMultinomialCalibration:
         binomial_se = math.sqrt(self.NOMINAL * (1 - self.NOMINAL) / self.N_DRAWS)
         assert qber_covered < self.NOMINAL - 3 * binomial_se
         assert z.mean() > 3 * z.std(ddof=1) / math.sqrt(self.N_DRAWS)
+
+
+def binomial_pmf(n: int, p: float) -> list[float]:
+    """P(k successes in n trials) for k = 0..n, from log-gamma sums."""
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    return [math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+            for k in range(n + 1)]
+
+
+class TestFourSeFalseAlarms:
+    """Per-row false-alarm rates of a 4-SE gate |p̂ - p| > 4 SE on a rate p, n = 5000, from exact binomial sums.
+
+    With the Wald SE at p̂, which the CSV reports and the gates use, a
+    low-rate row alarms up to 20 times as often as the normal ideal, since
+    a row with no error has SE 0 and always alarms. The SE at the closed
+    form's p comes closer. These are the rates ROADMAP item 6 tabulates.
+    """
+
+    N = 5000
+
+    @staticmethod
+    def three_digits(x: float) -> float:
+        return float(f"{x:.3g}")
+
+    @pytest.mark.parametrize(
+        "p, wald_rate, exact_rate",
+        [(0.00616, 1.24e-3, 1.67e-4), (0.0125, 3.21e-4, 1.17e-4), (0.1, 8.91e-5, 7.09e-5)],
+    )
+    def test_rates_from_binomial_sums(self, p, wald_rate, exact_rate):
+        n, pmf = self.N, binomial_pmf(self.N, p)
+        wald = sum(w for k, w in enumerate(pmf) if abs(k / n - p) > 4 * math.sqrt(k / n * (1 - k / n) / n))
+        exact = sum(w for k, w in enumerate(pmf) if abs(k / n - p) > 4 * math.sqrt(p * (1 - p) / n))
+        assert (self.three_digits(wald), self.three_digits(exact)) == (wald_rate, exact_rate)
+
+    def test_normal_ideal(self):
+        assert self.three_digits(math.erfc(4 / math.sqrt(2))) == 6.33e-5
 
 
 def g_test_p_value(observed: np.ndarray, expected: np.ndarray) -> float:

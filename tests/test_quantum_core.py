@@ -34,8 +34,8 @@ alphas = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
 class TestOutcome:
     def test_bit_values(self):
-        assert Outcome.PLUS.bit == 0
-        assert Outcome.MINUS.bit == 1
+        assert Outcome.PLUS.value == 0
+        assert Outcome.MINUS.value == 1
 
     def test_sign_values(self):
         assert Outcome.PLUS.sign == 1.0
@@ -43,11 +43,11 @@ class TestOutcome:
 
     def test_from_bit_round_trip(self):
         for out in (Outcome.PLUS, Outcome.MINUS):
-            assert Outcome.from_bit(out.bit) is out
+            assert Outcome(out.value) is out
 
     def test_from_bit_rejects_other_values(self):
         with pytest.raises(ValueError):
-            Outcome.from_bit(2)
+            Outcome(2)
 
 
 class TestPureState:
@@ -293,7 +293,7 @@ class TestSampling:
     def test_golden_sequence(self):
         # frozen from the first run with seed 42 and p_plus = 0.3
         rng = np.random.default_rng(42)
-        drawn = [sample_outcome((0.3, 0.7), rng).bit for _ in range(24)]
+        drawn = [sample_outcome((0.3, 0.7), rng).value for _ in range(24)]
         assert drawn == [
             1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1,
             1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1,
@@ -324,7 +324,7 @@ class TestSampling:
         n = 100_000
         for _ in range(n):
             bob, eve = sample_joint_outcome(table, rng)
-            counts[bob.bit, eve.bit] += 1
+            counts[bob.value, eve.value] += 1
         assert counts / n == pytest.approx(table, abs=0.01)
 
     def test_rejects_bad_distribution(self):

@@ -1093,10 +1093,11 @@ class TestLazyEngine:
             # 200000 rounds are above 65536: a helper thread runs, and still no pool
             (["simulate", "--strategy", "none", "--rounds", "200000", "--jobs", "2"],
              ("bb84eve.analytic_strategies", "concurrent.futures")),
-            # the value types need neither dataclasses nor the inspect it loads
-            (["--help"], ("dataclasses", "inspect")),
-            (["analytic", "--strategy", "all", "--grid", "3"], ("dataclasses", "inspect")),
-            (["compare", "--d-bob", "0.1"], ("dataclasses", "inspect")),
+            # the value types need neither dataclasses nor the inspect it loads,
+            # and the CSV formatter needs no numbers
+            (["--help"], ("dataclasses", "inspect", "numbers")),
+            (["analytic", "--strategy", "all", "--grid", "3"], ("dataclasses", "inspect", "numbers")),
+            (["compare", "--d-bob", "0.1"], ("dataclasses", "inspect", "numbers")),
             # numpy imports inspect itself
             (["simulate", "--strategy", "none", "--rounds", "1000"], ("dataclasses",)),
             (TRACED, ("bb84eve.analytic_strategies", "dataclasses")),
