@@ -33,8 +33,9 @@ out their codes. One 256-entry table per run maps each key to its round
 code, a uint16 below N_CODES = 384 that packs the fields of ROUND_FIELDS
 (acted, slot, eve_bit, guess, the two bases and the two key bits); unpack
 decodes it. count_codes, the one run loop, returns the run's histogram of
-codes, estimate_counts derives every estimate from it, and a trace keeps
-the codes, so its estimate is the run's exactly.
+codes; estimate_counts derives every estimate from it, read as an array
+with one axis per field of ROUND_FIELDS; and a trace keeps the codes, so
+its estimate is the run's exactly.
 
 All sampling probabilities are Born-rule values computed from raw state
 vectors via quantum_core at run start; the engine never consults the
@@ -134,19 +135,6 @@ def _pack(*values):
 def unpack(codes) -> dict[str, np.ndarray]:
     """Field name -> value(s) of one round code or an array of them."""
     return dict(zip((name for name, _ in ROUND_FIELDS), np.unravel_index(codes, _SHAPE)))
-
-
-_CODE_FIELDS = unpack(np.arange(N_CODES))
-_SIFTED = _CODE_FIELDS["alice_basis"] == _CODE_FIELDS["bob_basis"]  # _SIFTED[code]: the bases agree
-# the codes estimate_counts adds up: _IN_BASIS[rb] holds the sifted codes of
-# revealed basis rb and _ERRORS[rb] those of them with a bit error; _GUESSED
-# holds the sifted codes with a guess, and _GUESS_CELL[i] is the flat index
-# of _GUESSED[i]'s cell in gc[acted, slot, rb, alice_bit, guess]
-_IN_BASIS = tuple(np.flatnonzero(_SIFTED & (_CODE_FIELDS["alice_basis"] == rb)) for rb in (0, 1))
-_ERRORS = tuple(codes[_CODE_FIELDS["alice_bit"][codes] != _CODE_FIELDS["bob_bit"][codes]] for codes in _IN_BASIS)
-_GUESSED = np.flatnonzero(_SIFTED & (_CODE_FIELDS["guess"] != NO_GUESS))
-_GUESS_CELL = np.ravel_multi_index(
-    tuple(_CODE_FIELDS[name][_GUESSED] for name in ("acted", "slot", "alice_basis", "alice_bit", "guess")), (2,) * 5)
 
 
 class Trace(Value):
@@ -407,7 +395,8 @@ def count_codes(
         nonlocal held
         if held is not None:
             codes = np.concatenate([*held, codes])
-            if np.count_nonzero(_SIFTED.take(codes)) < MIN_SIFTED:
+            fields = unpack(codes)
+            if np.count_nonzero(fields["alice_basis"] == fields["bob_basis"]) < MIN_SIFTED:
                 held = [codes]
                 return
             held = None
@@ -531,10 +520,17 @@ def estimate_counts(hist: np.ndarray) -> SimEstimate:
     """Estimates from a histogram of round codes, such as count_codes returns.
 
     Refuses to report when fewer than MIN_SIFTED sifted rounds are counted,
-    since the normal-approximation standard errors would be meaningless.
+    since the normal-approximation standard errors would be meaningless, and
+    raises ValueError on a histogram of other than N_CODES cells.
     """
-    n_sifted_by_basis = [int(hist.take(codes).sum()) for codes in _IN_BASIS]
-    n_errors_by_basis = [int(hist.take(codes).sum()) for codes in _ERRORS]
+    if len(hist) != N_CODES:
+        raise ValueError(f"a histogram of round codes has {N_CODES} cells, got {len(hist)}")
+    # subscripts name the fields in ROUND_FIELDS order: k acted, s slot, e eve_bit, g guess,
+    # r the bases, twice so only sifted rounds count, a alice_bit, b bob_bit
+    counts = hist.reshape(_SHAPE)
+    sifted = np.einsum("ksegrarb->rab", counts)  # sifted rounds by revealed basis, Alice's bit and Bob's
+    n_sifted_by_basis = sifted.sum(axis=(1, 2)).tolist()
+    n_errors_by_basis = (sifted[:, 0, 1] + sifted[:, 1, 0]).tolist()
     n_sifted = sum(n_sifted_by_basis)
     if n_sifted < MIN_SIFTED:
         raise InsufficientSampleError(
@@ -545,24 +541,16 @@ def estimate_counts(hist: np.ndarray) -> SimEstimate:
     qber_y, _ = _rate(n_errors_by_basis[1], n_sifted_by_basis[1])
 
     # gc[acted, slot, rb, alice_bit, guess] over sifted rounds; rounds without a guess drop out
-    gc = np.zeros(2**5, dtype=np.int64)
-    np.add.at(gc, _GUESS_CELL, hist.take(_GUESSED))
-    gc = gc.reshape((2,) * 5)
+    gc = np.einsum("ksegrarb->ksrag", counts[:, :, :, :NO_GUESS])
     mi_full, mi_full_se = _stratified_mi(gc.reshape(8, 2, 2))
     mi_int, mi_int_se = _stratified_mi(gc[1].reshape(4, 2, 2))
-
-    acted = gc[1]  # [t, rb, abit, guess]
-    fid = {}
-    for rb in (0, 1):
-        basis_counts = acted[:, rb]
-        n_basis = int(basis_counts.sum())
-        n_correct = int(basis_counts[:, 0, 0].sum() + basis_counts[:, 1, 1].sum())
-        fid[rb] = _rate(n_correct, n_basis)
+    # per revealed basis, the intercepted rounds by Alice's bit and Eve's guess
+    fid = [_rate(int(m[0, 0] + m[1, 1]), int(m.sum())) for m in gc[1].sum(axis=0)]
 
     return SimEstimate(
         n_rounds=int(hist.sum()),
         n_sifted=n_sifted,
-        n_intercepted=int(acted.sum()),
+        n_intercepted=int(gc[1].sum()),
         qber=qber,
         qber_se=qber_se,
         qber_x=qber_x,

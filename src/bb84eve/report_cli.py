@@ -206,14 +206,10 @@ def run_protocol(*args, **kwargs):
 def _trace_cells(codes, eve_labels: tuple) -> list[str]:
     """The TRACE_HEADER cells after the round index, for each of an array of round codes."""
     from .protocol_sim import BASIS_LABELS, Outcome, unpack
-    fields = {name: values.tolist() for name, values in unpack(codes).items()}
     rows = []
-    for f in (dict(zip(fields, values)) for values in zip(*fields.values())):
-        eve = [None] * 3
-        if f["acted"]:
-            eve = [eve_labels[f["slot"]], Outcome(f["eve_bit"]).name.lower(), f["guess"]]
-        cells = [BASIS_LABELS[f["alice_basis"]], f["alice_bit"], bool(f["acted"]), *eve,
-                 BASIS_LABELS[f["bob_basis"]], f["bob_bit"], f["alice_basis"] == f["bob_basis"]]
+    for acted, slot, eve_bit, guess, ab, abit, bb, bbit in zip(*(v.tolist() for v in unpack(codes).values())):
+        eve = [eve_labels[slot], Outcome(eve_bit).name.lower(), guess] if acted else [None] * 3
+        cells = [BASIS_LABELS[ab], abit, bool(acted), *eve, BASIS_LABELS[bb], bbit, ab == bb]
         rows.append(",".join(_fmt(cell) for cell in cells))
     return rows
 

@@ -78,6 +78,7 @@ def test_criterion_1_bob_fidelity_invariant():
         assert abs(report.bob_overall.fidelity - 0.75) < ANALYTIC_TOL
     for phi, seed in ((0.0, 101), (math.pi / 4, 102)):
         est, _ = run_protocol(N_ROUNDS, InterceptResend(phi=phi), seed=seed)
+        # a 4-SE gate; its per-row false-alarm rate: test_protocol_sim.py::TestFourSeFalseAlarms
         assert abs(est.qber - 0.25) <= 4.0 * est.qber_se, (phi, est.qber)
 
 
@@ -110,6 +111,7 @@ def test_criterion_4_fractional_linearity():
             seed = 400 + 20 * phi_index + step
             attack = InterceptResend(phi=phi, fraction=fraction)
             est, _ = run_protocol(N_ROUNDS, attack, seed=seed)
+            # a 4-SE gate; its per-row false-alarm rate: test_protocol_sim.py::TestFourSeFalseAlarms
             assert abs(est.qber - fraction * disturbance) <= 4.0 * est.qber_se, (phi, fraction, est.qber)
             target = fraction * per_round
             assert within_mc(est.eve_mutual_info, target, est.eve_mutual_info_se), (
@@ -134,8 +136,10 @@ def test_criterion_5_stored_probe_curve():
     assert within_mc(est.eve_mutual_info, oracles.INFO_MEMORY_PI3, est.eve_mutual_info_se)
     # the full swap hands Eve every bit: her guesses never miss
     est, _ = run_protocol(N_ROUNDS, AncillaWithMemory(alpha=math.pi / 2), seed=502)
+    # a 4-SE gate; its per-row false-alarm rate: test_protocol_sim.py::TestFourSeFalseAlarms
     assert abs(est.qber - 0.5) <= 4.0 * est.qber_se
     assert est.eve_fidelity_x == est.eve_fidelity_y == 1.0
+    # a 4-SE gate; its per-row false-alarm rate: test_protocol_sim.py::TestFourSeFalseAlarms
     assert abs(est.eve_mutual_info - 1.0) <= 4.0 * est.eve_mutual_info_se
 
 
@@ -157,6 +161,7 @@ def test_criterion_6_swap_equals_interception():
             N_ROUNDS, InterceptResend(phi=phi), seed=611 + phi_index
         )
         for est, report in ((probe_est, ancilla_no_memory(math.pi / 2, phi)), (direct_est, intercept_resend(phi))):
+            # a 4-SE gate; its per-row false-alarm rate: test_protocol_sim.py::TestFourSeFalseAlarms
             assert abs(est.qber - report.bob_overall.disturbance) <= 4.0 * est.qber_se, (phi, est.qber)
             assert within_mc(est.eve_mutual_info, report.eve_avg_info, est.eve_mutual_info_se), phi
         pairs = [

@@ -976,6 +976,7 @@ class TestEstimates:
         est, _ = run_protocol(400_000, attack, seed=21)
         report = intercept_resend(math.pi / 4)
         assert est.n_intercepted == est.n_sifted
+        # 4-SE gates; their per-row false-alarm rates: TestFourSeFalseAlarms
         assert abs(est.qber - 0.25) < 4.0 * est.qber_se
         assert abs(est.eve_mutual_info - report.eve_avg_info) < max(
             4.0 * est.eve_mutual_info_se, 0.003
@@ -1000,6 +1001,7 @@ class TestEstimates:
         fraction = 0.3
         attack = InterceptResend(phi=0.0, fraction=fraction)
         est, _ = run_protocol(600_000, attack, seed=29)
+        # 4-SE gates; their per-row false-alarm rates: TestFourSeFalseAlarms
         assert abs(est.qber - fraction / 4.0) < 4.0 * est.qber_se
         assert abs(est.eve_mutual_info - fraction * 0.5) < max(
             4.0 * est.eve_mutual_info_se, 0.003
@@ -1015,6 +1017,7 @@ class TestEstimates:
         alpha = math.pi / 3
         est, _ = run_protocol(400_000, AncillaWithMemory(alpha=alpha), seed=31)
         report = ancilla_with_memory(alpha)
+        # 4-SE gates; their per-row false-alarm rates: TestFourSeFalseAlarms
         assert abs(est.qber - report.bob_overall.disturbance) < 4.0 * est.qber_se
         assert abs(est.eve_mutual_info - report.eve_avg_info) < max(
             4.0 * est.eve_mutual_info_se, 0.003
@@ -1027,6 +1030,7 @@ class TestEstimates:
         alpha, phi = 1.0, math.pi / 8
         est, _ = run_protocol(400_000, AncillaNoMemory(alpha=alpha, phi=phi), seed=37)
         report = ancilla_no_memory(alpha, phi)
+        # 4-SE gates; their per-row false-alarm rates: TestFourSeFalseAlarms
         assert abs(est.qber - report.bob_overall.disturbance) < 4.0 * est.qber_se
         assert abs(est.eve_mutual_info - report.eve_avg_info) < max(
             4.0 * est.eve_mutual_info_se, 0.003
@@ -1057,6 +1061,13 @@ class TestCountCodes:
         assert blocks == [] and small.sum() == 150
         with pytest.raises(InsufficientSampleError):
             estimate_counts(small)
+
+    @pytest.mark.parametrize("cells", [300, 385, 400])
+    def test_estimate_refuses_a_histogram_of_another_length(self, cells):
+        # a stray cell past the last code would count into n_rounds, and a short histogram lacks codes
+        hist = np.resize(count_codes(20_000, InterceptResend(phi=0.3, fraction=0.5), 3), cells)
+        with pytest.raises(ValueError, match=f"has {N_CODES} cells, got {cells}"):
+            estimate_counts(hist)
 
 
 class TestTraceEstimation:
