@@ -193,6 +193,8 @@ _KEYS = np.arange(N_KEYS)
 # constant puts byte c at bit 56 + c; the partial products below bit 56 never
 # overlap, so none carries into the top byte.
 _GATHER = np.uint64(0x0102040810204080)
+# sifted rounds' keys, Alice's basis (column 0) equal to Bob's (column 2); a ufunc here adds RSS to importers
+_SIFTED_KEYS = [key for key in range(N_KEYS) if key & 1 == key >> 2 & 1]
 
 
 class _EngineTables(NamedTuple):
@@ -389,18 +391,7 @@ def count_codes(
     threads = 1 if traced else min(workers, -(-n_rounds // _THREAD_ROUNDS), _usable_cpus())
     hists = [None] * threads
     errors = []  # any error stops every share at its next block
-    held = []  # the first codes, until they hold MIN_SIFTED sifted rounds; None once handed out
-
-    def hand_out(codes):
-        nonlocal held
-        if held is not None:
-            codes = np.concatenate([*held, codes])
-            fields = unpack(codes)
-            if np.count_nonzero(fields["alice_basis"] == fields["bob_basis"]) < MIN_SIFTED:
-                held = [codes]
-                return
-            held = None
-        on_trace(Trace(codes, tables.eve_labels))
+    held = []  # a traced run's codes not yet handed out
 
     def share(i):
         """Run share i's rounds block by block until a share fails."""
@@ -415,8 +406,11 @@ def count_codes(
                     return
                 keys = _run_block(tables, stream, min(_BLOCK, stop - first))
                 hist += np.bincount(keys, minlength=N_KEYS)
-                if traced:
-                    hand_out(tables.codes.take(keys))
+                if traced:  # one share, so hist counts every round so far
+                    held.append(tables.codes.take(keys))
+                    if hist[_SIFTED_KEYS].sum() >= MIN_SIFTED:
+                        on_trace(Trace(np.concatenate(held), tables.eve_labels))
+                        held.clear()
         except BaseException as exc:  # failed or interrupted: the caller raises it
             errors.append(exc)
 
@@ -521,10 +515,12 @@ def estimate_counts(hist: np.ndarray) -> SimEstimate:
 
     Refuses to report when fewer than MIN_SIFTED sifted rounds are counted,
     since the normal-approximation standard errors would be meaningless, and
-    raises ValueError on a histogram of other than N_CODES cells.
+    raises ValueError unless hist is N_CODES nonnegative integer counts.
     """
     if len(hist) != N_CODES:
         raise ValueError(f"a histogram of round codes has {N_CODES} cells, got {len(hist)}")
+    if not np.issubdtype(hist.dtype, np.integer) or hist.min() < 0:
+        raise ValueError(f"round code counts must be nonnegative integers, got {hist.dtype} from {hist.min()}")
     # subscripts name the fields in ROUND_FIELDS order: k acted, s slot, e eve_bit, g guess,
     # r the bases, twice so only sifted rounds count, a alice_bit, b bob_bit
     counts = hist.reshape(_SHAPE)

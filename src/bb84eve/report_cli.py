@@ -229,10 +229,8 @@ class _TraceWriter:
     def __init__(self, out: TextIO):
         import numpy as np
 
-        from .protocol_sim import N_CODES
         self.out, self.start = out, 0
         self.tails = {}  # code -> tail
-        self.table = np.zeros((N_CODES, 0), dtype=np.uint8)
         # digits[i]: the 4 ASCII digits of i, zero-padded
         self.digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
 
@@ -248,13 +246,11 @@ class _TraceWriter:
 
         n = len(codes)
         width = len(str(start + n - 1))  # digits of the largest index
-        new = [code for code in np.flatnonzero(np.bincount(codes, minlength=len(self.table))).tolist()
-               if code not in self.tails]
+        new = [code for code in np.flatnonzero(np.bincount(codes)).tolist() if code not in self.tails]
         if new:
             self.tails.update(zip(new, (f",{cells}\n".encode() for cells in _trace_cells(new, eve_labels))))
-            self.table = np.zeros((len(self.table), max(map(len, self.tails.values()))), np.uint8)
-            for code, tail in self.tails.items():
-                self.table[code, : len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+            tails = [self.tails.get(code, b"") for code in range(max(self.tails) + 1)]
+            self.table = np.array(tails).view(np.uint8).reshape(len(tails), -1)  # each tail NUL-padded
         text = bytearray(n * (width + self.table.shape[1]))
         rows = np.frombuffer(text, dtype=np.uint8).reshape(n, -1)
         rows[:, width:] = self.table.take(codes, axis=0)

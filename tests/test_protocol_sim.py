@@ -1069,6 +1069,20 @@ class TestCountCodes:
         with pytest.raises(ValueError, match=f"has {N_CODES} cells, got {cells}"):
             estimate_counts(hist)
 
+    @pytest.mark.parametrize("case", ["float", "one_negative_cell", "all_negative"])
+    def test_estimate_refuses_a_histogram_that_is_not_counts(self, case):
+        # a float histogram would give a float n_sifted, a negative cell would cut
+        # n_rounds, and negative cells would read as too few sifted rounds
+        hist = count_codes(20_000, InterceptResend(phi=0.0, fraction=0.5), 3)
+        if case == "float":
+            hist = hist * 1.5
+        elif case == "one_negative_cell":
+            hist[hist.argmax()] = -5
+        else:
+            hist = np.full(N_CODES, -1)
+        with pytest.raises(ValueError, match="counts must be nonnegative integers, got "):
+            estimate_counts(hist)
+
 
 class TestTraceEstimation:
     def test_trace_estimate_matches_counts_at_full_interception(self):
