@@ -11,14 +11,18 @@ simulation produced too few sifted rounds for standard errors, 130 on
 Ctrl-C, and 141, silently, when the reader of an output pipe closed it.
 Every --out and --trace path is opened before any work, on exit 2 or 3
 stdout holds no CSV, and on any nonzero exit an existing output file is
-left as it was.
+left as it was, since the CSV, the last write, precedes the renames; so a
+rename that fails after the CSV reached stdout exits 2 with it written. A
+standard descriptor closed at start-up reads as /dev/null: with stdout
+closed, a command bound to write there (--help too) exits 2 before any
+work; with stderr closed, an error keeps its status and loses its line.
 
 Each command imports what it runs where it runs it: only simulate loads
 numpy and the engine, and only analytic and compare the closed forms.
 The process entry point, cli, sets OPENBLAS_NUM_THREADS to 1 unless the
-caller set it and turns the cyclic garbage collector off before main, and
-freezes the collector's objects after main. main, which tests and the
-benchmark call in process, leaves both alone.
+caller set it, fills closed descriptors 0-2 and turns the collector off
+before main, and freezes the collector's objects after main. main, which
+tests and the benchmark call in process, leaves all three alone.
 """
 
 from __future__ import annotations
@@ -351,11 +355,14 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose help reaches stdout in full or raises.
 
     argparse's own printing drops an OSError, so --help into a full disk or
-    a closed pipe would exit as if it had written. Usage goes only to
-    stderr, on a usage error, which exits 2 whether or not it was written.
+    a closed pipe would exit as if it had written; --help into a closed
+    stdout is a usage error. Usage goes only to stderr, on a usage error,
+    which exits 2 whether or not it was written.
     """
 
     def print_help(self, file=None) -> None:
+        if (file or sys.stdout) is None:
+            raise UsageError("stdout is closed")
         _write_all(file or sys.stdout, self.format_help())
 
 
@@ -439,7 +446,8 @@ def _error(message) -> None:
     stream's buffer for the flush at exit to fail on again.
     """
     try:
-        _write_all(sys.stderr, f"error: {message}\n")
+        if sys.stderr is not None:  # descriptor 2 was closed at start-up
+            _write_all(sys.stderr, f"error: {message}\n")
     except OSError:
         pass
 
@@ -454,6 +462,8 @@ def main(argv=None) -> int:
             # argparse exits on its own for bad flags or --help; fold that into
             # the return-code contract so callers never see the exception
             return int(exc.code or 0)
+        if args.out is None and sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise UsageError("stdout is closed; give --out")
         if args.command == "simulate":
             from .protocol_sim import InsufficientSampleError as too_few_sifted
         paths = (args.out, getattr(args, "trace", None))
@@ -473,16 +483,14 @@ def main(argv=None) -> int:
                 text = cmd_simulate(args, on_trace=None if trace_out is None else _TraceWriter(trace_out))
             else:
                 text = cmd_compare(args)
-            if out is not None:
-                _write_all(out, text)
-        if out is None:
-            _write_all(sys.stdout, text)
+            _write_all(sys.stdout if out is None else out, text)
     except KeyboardInterrupt:
         _error("interrupted")
         return EXIT_INTERRUPTED
     except BrokenPipeError:
         # the reader left; as the Python docs advise, the flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except too_few_sifted as exc:
         _error(exc)
@@ -497,24 +505,31 @@ def main(argv=None) -> int:
 
 
 def cli() -> None:
-    """The process entry point: set OPENBLAS_NUM_THREADS, turn the collector off, run main, exit with its status.
+    """The process entry point: set OPENBLAS_NUM_THREADS, fill closed descriptors, turn gc off, run main, exit.
 
     Before main, OPENBLAS_NUM_THREADS becomes 1 unless the caller set it,
     so numpy's OpenBLAS, which reads it when numpy loads, starts no worker
-    threads, and gc.disable() turns off the collector, whose passes during
+    threads; a closed descriptor 0-2 gets /dev/null, so no file main opens
+    takes its number (sys.stdout stays None, for main to refuse); and
+    gc.disable() turns off the collector, whose passes during
     numpy's import cost a few milliseconds on every call. A run makes no
     cyclic garbage that grows with its work: its only cycles are argparse's
     parser, a fixed couple of hundred objects that the exit frees with the
     process. Before the exit, gc.freeze() moves every live object, most of
     them made by numpy's import, to the collector's permanent generation, so
     the full collection of interpreter finalization, which runs even with
-    the collector off, skips them. main touches neither the environment nor
-    gc, since tests and benchmarks call it in process.
+    the collector off, skips them. main touches neither the environment, the
+    descriptors nor gc, since tests and benchmarks call it in process.
     """
     # OpenBLAS starts a worker per further CPU, which spins before it sleeps
     # and so takes a CPU from a --jobs share thread; the program's only linear
     # algebra is on 2- and 4-element state vectors, which a pool cannot speed up
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    for fd in range(3):  # os.open takes the lowest free descriptor, so a closed one gets /dev/null
+        try:
+            os.fstat(fd)
+        except OSError:
+            os.open(os.devnull, os.O_RDWR)
     gc.disable()
     status = main()
     gc.freeze()

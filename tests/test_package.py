@@ -4,7 +4,6 @@ the imports of every source file."""
 import argparse
 import ast
 import importlib
-import os
 import re
 import shlex
 import subprocess
@@ -14,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bb84eve
+from conftest import package_env
 from bb84eve.report_cli import _build_parser
 
 ROOT = Path(__file__).parents[1]
@@ -57,9 +57,7 @@ def test_fresh_import_lists_names_without_loading_them():
         "import sys, bb84eve\n"
         "print(set(bb84eve.__all__) <= set(dir(bb84eve)), 'numpy' in sys.modules)\n"
     )
-    paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=package_env())
     assert result.stdout.split() == ["True", "False"], result.stderr
 
 

@@ -30,6 +30,7 @@ from hypothesis.extra import numpy as hnp
 
 import bb84eve
 import oracles
+from conftest import package_env
 from reference import (
     X_BASIS,
     Y_BASIS,
@@ -1328,9 +1329,8 @@ class TestWorkerCap:
             "hist = protocol_sim.count_codes(200_000, NoAttack(), 1, workers=2)\n"
             "print(len(seen), hist.tolist())\n"
         )
-        paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=package_env(),
+                                timeout=60)
         assert result.returncode == 0, result.stderr
         threads, hist = result.stdout.split(" ", 1)
         assert threads == "1"
@@ -1482,7 +1482,5 @@ class TestRouteSeparation:
             "from bb84eve import InterceptResend\n"
             "print(sorted(m for m in ('numpy', 'bb84eve.protocol_sim') if m in sys.modules))\n"
         )
-        paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=package_env())
         assert result.stdout == "[]\n", result.stderr

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-import bb84eve
 import manifest
 import oracles
+from conftest import package_env
 from reference import reference_trace_text
 from bb84eve import protocol_sim
 from bb84eve.attacks import FAMILIES, AncillaWithMemory, InterceptResend, NoAttack
@@ -486,7 +486,7 @@ class TestMainEntryPoint:
     )
     def test_closed_pipe_exits_141_quietly(self, argv):
         # stdout is buffered, as by default, so --help meets the closed pipe at its flush
-        env = self.package_env()
+        env = package_env()
         env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -499,7 +499,7 @@ class TestMainEntryPoint:
 
     def run_help(self, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
         """bb84eve --help with the given stdout, its stream buffered or not."""
-        env = self.package_env()
+        env = package_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -536,7 +536,7 @@ class TestMainEntryPoint:
     def test_error_into_a_full_stderr_keeps_the_exit_status(self, argv, status, unbuffered):
         # the error line is dropped, as argparse drops its usage line, and the status
         # stays: a buffered stderr keeps no bytes for the flush at exit to fail on
-        env = self.package_env()
+        env = package_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -563,7 +563,7 @@ class TestMainEntryPoint:
         # the CSV, about 4 MB, is one write that the pipe takes only in part
         argv = ["analytic", "--strategy", "all", "--grid", str(MAX_GRID)]
         proc = subprocess.Popen([sys.executable, "-m", "bb84eve", *argv], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=self.package_env())
+                                stderr=subprocess.PIPE, env=package_env())
         try:
             proc.stdout.readline()
             proc.stdout.close()  # as `| head -1` does, long before the CSV ends
@@ -578,7 +578,7 @@ class TestMainEntryPoint:
     def test_reader_leaving_mid_trace_exits_141_quietly(self):
         argv = ["simulate", "--strategy", "none", "--rounds", "200000", "--trace", "/dev/stdout"]
         proc = subprocess.Popen([sys.executable, "-m", "bb84eve", *argv], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=self.package_env())
+                                stderr=subprocess.PIPE, env=package_env())
         try:
             header = proc.stdout.readline()
             proc.stdout.close()  # as `| head -1` does, long before the trace ends
@@ -701,6 +701,45 @@ class TestMainEntryPoint:
         assert trace.read_bytes() == b"previous\n"
         assert os.listdir(tmp_path) == ["trace.csv"]
 
+    @pytest.mark.parametrize("stdout, status", [("closed pipe", EXIT_BROKEN_PIPE), ("full device", EXIT_USAGE)])
+    def test_failed_csv_write_keeps_existing_trace(self, tmp_path, stdout, status):
+        # the CSV to stdout is the run's last write, so the trace replaces nothing until it is taken
+        if stdout == "full device" and not os.path.exists("/dev/full"):
+            pytest.skip("needs a device that is always full")
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"old\n")
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000", "--trace", str(trace)]
+        with contextlib.ExitStack() as stack:
+            if stdout == "closed pipe":
+                read_end, target = os.pipe()
+                os.close(read_end)
+                stack.callback(os.close, target)
+            else:
+                target = stack.enter_context(open("/dev/full", "wb"))
+            result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=target,
+                                    stderr=subprocess.PIPE, env=package_env(), timeout=60)
+        assert result.returncode == status
+        assert b"Traceback" not in result.stderr
+        assert trace.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["trace.csv"]
+
+    def test_reader_leaving_the_trace_with_stdout_closed_exits_141(self, tmp_path, monkeypatch):
+        import bb84eve.report_cli as report_cli
+
+        def reader_left(self, block):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(report_cli._TraceWriter, "__call__", reader_left)
+        monkeypatch.setattr(sys, "stdout", None)  # as Python leaves it when descriptor 1 is closed at start-up
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"old\n")
+        argv = ["simulate", "--strategy", "none", "--rounds", "1000", "--trace", os.devnull, "--out", str(out)]
+        assert main(argv) == EXIT_BROKEN_PIPE
+        assert sys.stderr.getvalue() == ""
+        assert out.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["run.csv"]
+
     @pytest.mark.parametrize("out, trace", [("same.csv", "same.csv"), ("s2.csv", "./s2.csv"),
                                             ("new.csv", "../dir/new.csv")])
     def test_out_and_trace_on_one_file_are_refused(self, tmp_path, monkeypatch, capsys, out, trace):
@@ -730,7 +769,7 @@ class TestMainEntryPoint:
         # a pipe is written through, not replaced, so nothing may reach it before the run is known to pass
         argv = ["simulate", "--strategy", "none", "--rounds", "150", "--trace", "/dev/stdout"]
         result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], capture_output=True,
-                                env=self.package_env(), timeout=60)
+                                env=package_env(), timeout=60)
         assert result.returncode == EXIT_INSUFFICIENT_SAMPLE
         assert result.stdout == b"" and result.stderr.startswith(b"error: need at least 100 sifted")
 
@@ -829,16 +868,10 @@ class TestMainEntryPoint:
             ],
             capture_output=True,
             text=True,
-            env=self.package_env(),
+            env=package_env(),
         )
         assert result.returncode == EXIT_OK
         assert result.stdout.splitlines()[0] == ANALYTIC_HEADER
-
-    @staticmethod
-    def package_env() -> dict:
-        """The environment with the imported bb84eve first on PYTHONPATH."""
-        paths = [str(Path(bb84eve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 class TestProcessEntryPoint:
@@ -872,7 +905,7 @@ class TestProcessEntryPoint:
     def test_too_few_sifted_rounds_exit_3(self):
         argv = ["simulate", "--strategy", "none", "--rounds", "50"]
         result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], capture_output=True,
-                                env=TestMainEntryPoint.package_env(), timeout=60)
+                                env=package_env(), timeout=60)
         assert result.returncode == 3
 
     def test_a_closed_output_pipe_exits_141(self):
@@ -881,7 +914,7 @@ class TestProcessEntryPoint:
         os.close(read_end)
         try:
             result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], stdout=write_end,
-                                    stderr=subprocess.PIPE, env=TestMainEntryPoint.package_env(), timeout=60)
+                                    stderr=subprocess.PIPE, env=package_env(), timeout=60)
         finally:
             os.close(write_end)
         assert result.returncode == 141
@@ -921,9 +954,48 @@ class TestProcessEntryPoint:
     def test_module_run_exits_two_with_one_error_line(self):
         argv = ["simulate", "--strategy", "none", "--rounds", "0"]
         result = subprocess.run([sys.executable, "-m", "bb84eve", *argv], capture_output=True,
-                                text=True, env=TestMainEntryPoint.package_env(), timeout=60)
+                                text=True, env=package_env(), timeout=60)
         assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
         assert result.stderr == "error: --rounds must be a positive integer\n"
+
+
+class TestClosedDescriptors:
+    """A standard descriptor that is closed when the process starts, as `>&-` leaves it.
+
+    Python then sets the matching sys stream to None, and a file the process
+    opens takes the lowest free number, so only a fresh process shows the
+    state: each case runs in a child that closes the descriptor before exec.
+    """
+
+    @staticmethod
+    def run(fd: int, argv: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "bb84eve", *argv], capture_output=True,
+                              env=package_env(), timeout=60, preexec_fn=lambda: os.close(fd))
+
+    @pytest.mark.parametrize("fd, argv, status, err", [
+        (0, ["--help"], EXIT_OK, b""),
+        # with stdout closed, a command that would write there refuses before any work
+        (1, ["analytic", "--strategy", "all"], EXIT_USAGE, b"error: stdout is closed; give --out\n"),
+        (1, ["simulate", "--strategy", "none", "--rounds", "400"], EXIT_USAGE,
+         b"error: stdout is closed; give --out\n"),
+        (1, ["--help"], EXIT_USAGE, b"error: stdout is closed\n"),
+        # with stderr closed, an error's line is dropped and its status kept
+        (2, ["analytic", "--strategy", "all", "--grid", "0"], EXIT_USAGE, b""),
+    ], ids=["stdin-help", "stdout-analytic", "stdout-simulate", "stdout-help", "stderr-usage-error"])
+    def test_exit_status(self, fd, argv, status, err):
+        result = self.run(fd, argv)
+        assert (result.returncode, result.stderr) == (status, err)
+        assert result.stdout.startswith(b"usage: bb84eve") if status == EXIT_OK else result.stdout == b""
+
+    def test_trace_to_stdout_leaves_the_csv_in_out(self, tmp_path):
+        # descriptor 1 reads as /dev/null, so --out's temporary cannot take it for /dev/stdout to name
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"old\n")
+        argv = ["simulate", "--strategy", "none", "--rounds", "400", "--trace", "/dev/stdout", "--out", str(out)]
+        result = self.run(1, argv)
+        assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, b"", b"")
+        assert out.read_text() == cmd_simulate(parse(*argv[:5]))
+        assert os.listdir(tmp_path) == ["run.csv"]
 
 
 class TestBlasWorkers:
@@ -962,7 +1034,7 @@ class TestBlasWorkers:
 
     def run(self, argv, blas) -> tuple:
         """(status, the variable main saw, whether numpy was loaded then, task ids, share thread ids)."""
-        env = TestMainEntryPoint.package_env()
+        env = package_env()
         env.pop(self.BLAS, None)
         if blas is not None:
             env[self.BLAS] = blas
@@ -1024,7 +1096,7 @@ class TestCollectorOff:
     ])
     def test_main_runs_with_the_collector_off_and_no_collection_before_the_exit(self, argv):
         result = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True,
-                                env=TestMainEntryPoint.package_env(), timeout=60)
+                                env=package_env(), timeout=60)
         assert result.returncode == 0, result.stderr
         assert ast.literal_eval(result.stdout.splitlines()[-1]) == (EXIT_OK, [False], [])
 
@@ -1115,7 +1187,7 @@ class TestLazyEngine:
         """Which of modules a fresh process running main(argv) has imported."""
         result = subprocess.run(
             [sys.executable, "-c", self.PROBE.format(heavy=modules), *argv],
-            capture_output=True, text=True, env=TestMainEntryPoint.package_env(),
+            capture_output=True, text=True, env=package_env(),
         )
         assert result.returncode == 0, result.stderr
         code, *names = result.stdout.split()
