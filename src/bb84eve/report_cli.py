@@ -81,6 +81,9 @@ def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackC
     # adding 0.0 reads -0.0 as 0.0, which the CSV then prints as 0
     given = {p: None if getattr(args, p) is None else getattr(args, p) + 0.0 for p in PARAMETERS}
     name = args.strategy
+    symmetrize = not getattr(args, "no_symmetrize", False)
+    if not symmetrize and "symmetrize" not in FAMILIES.get(name, NoAttack).__slots__:
+        raise UsageError(f"{name} takes no --no-symmetrize")
     if name in (NO_ATTACK, ALL_STRATEGIES):
         if any(value is not None for value in given.values()):
             raise UsageError("--strategy none takes no attack parameters" if name == NO_ATTACK
@@ -100,7 +103,6 @@ def _attacks(args: argparse.Namespace, default_grid: int | None) -> list[AttackC
                 raise UsageError(f"{name} takes no --{p}")
         curves = [(family, given["phi"])]
 
-    symmetrize = not getattr(args, "no_symmetrize", False)
     attacks = []
     for family, phi in curves:
         value = given[family.swept]
@@ -159,8 +161,8 @@ def _document(header: str, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_all(stream: TextIO, text: str | bytearray) -> None:
-    """Write text, or ASCII bytes, to stream in full, or raise BrokenPipeError if its reader left.
+def _write_all(stream: TextIO, text: str) -> None:
+    """Write text to stream in full, or raise BrokenPipeError if its reader left.
 
     A text stream drops what a pipe did not take without an error, so text
     goes to the descriptor by os.write until every byte is taken; a stream
@@ -170,9 +172,9 @@ def _write_all(stream: TextIO, text: str | bytearray) -> None:
     try:
         fd = stream.fileno()
     except io.UnsupportedOperation:
-        stream.write(text if isinstance(text, str) else text.decode("ascii"))
+        stream.write(text)
         return
-    data = memoryview(text.encode(stream.encoding, stream.errors) if isinstance(text, str) else text)
+    data = memoryview(text.encode(stream.encoding, stream.errors))
     while data:
         data = data[os.write(fd, data):]
 
@@ -208,7 +210,7 @@ def run_protocol(*args, **kwargs):
 
 
 def _trace_cells(codes, eve_labels: tuple) -> list[str]:
-    """The TRACE_HEADER cells after the round index, for each of an array of round codes."""
+    """The TRACE_HEADER cells after the round index, for each of a list of round codes."""
     from .protocol_sim import BASIS_LABELS, Outcome, unpack
     rows = []
     for acted, slot, eve_bit, guess, ab, abit, bb, bbit in zip(*(v.tolist() for v in unpack(codes).values())):
@@ -221,51 +223,21 @@ def _trace_cells(codes, eve_labels: tuple) -> list[str]:
 class _TraceWriter:
     """Writes the trace document of one run to out, a Trace block per call.
 
-    Blocks come in round order, and the first call writes the header. A row
-    is its round index's digits and its code's tail, the bytes ",<cells>\n".
-    A table holds the tail of each code met so far (at most N_CODES),
-    NUL-padded, and is rebuilt only when a new code appears. Each call
-    formats its block, one engine block of rounds, in one go: the index
-    digits fill the rows' leading columns, one take of the table the rest,
-    and every NUL is deleted, which leaves the text since no cell contains one.
+    Blocks come in round order, numbered from start, and the first call also
+    writes the header. Each code's cells are formatted the first time it appears.
     """
 
     def __init__(self, out: TextIO):
-        import numpy as np
-
-        self.out, self.start = out, 0
-        self.tails = {}  # code -> tail
-        # digits[i]: the 4 ASCII digits of i, zero-padded
-        self.digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+        self.out, self.start, self.cells = out, 0, {}  # cells: code -> its cells
 
     def __call__(self, block) -> None:
-        if not self.start:
-            _write_all(self.out, TRACE_HEADER + "\n")
-        _write_all(self.out, self.rows(block.codes, block.eve_labels, self.start))
-        self.start += len(block)
-
-    def rows(self, codes, eve_labels: tuple, start: int) -> bytearray:
-        """The trace rows of codes, numbered from start."""
-        import numpy as np
-
-        n = len(codes)
-        width = len(str(start + n - 1))  # digits of the largest index
-        new = [code for code in np.flatnonzero(np.bincount(codes)).tolist() if code not in self.tails]
+        codes = block.codes.tolist()
+        new = list(set(codes).difference(self.cells))
         if new:
-            self.tails.update(zip(new, (f",{cells}\n".encode() for cells in _trace_cells(new, eve_labels))))
-            tails = [self.tails.get(code, b"") for code in range(max(self.tails) + 1)]
-            self.table = np.array(tails).view(np.uint8).reshape(len(tails), -1)  # each tail NUL-padded
-        text = bytearray(n * (width + self.table.shape[1]))
-        rows = np.frombuffer(text, dtype=np.uint8).reshape(n, -1)
-        rows[:, width:] = self.table.take(codes, axis=0)
-        index = np.arange(start, start + n, dtype=np.int64)
-        for right in range(width, 0, -4):  # four digits at a time, from the right
-            index, group = np.divmod(index, 10_000)
-            left = max(right - 4, 0)
-            rows[:, left:right] = self.digits.take(group, axis=0)[:, 4 - (right - left) :]
-        for k in range(1, width):  # k places from the right, a zero leads in every index below 10**k
-            rows[: max(0, min(n, 10**k - start)), width - 1 - k] = 0
-        return text.translate(None, b"\0")
+            self.cells.update(zip(new, _trace_cells(new, block.eve_labels)))
+        rows = "".join([f"{i},{self.cells[code]}\n" for i, code in enumerate(codes, self.start)])
+        _write_all(self.out, rows if self.start else TRACE_HEADER + "\n" + rows)
+        self.start += len(codes)
 
 
 def cmd_simulate(args: argparse.Namespace, *, on_trace=None) -> str:

@@ -5,7 +5,7 @@ draw, collapse and interpret one round at a time, so tests can re-derive a
 round without going through any of the engine's code. The plug-in mutual
 information of a 2x2 count table is here too, written apart from the
 engine's one-pass estimator that tests check against it, and so is a
-row-at-a-time trace writer, the byte oracle of the CLI's block formatter,
+trace writer that unpacks one code at a time, the byte oracle of the CLI's,
 and a code-at-a-time estimator, the exact oracle of estimate_counts, with
 the stratified MI as a loop over numpy arrays.
 An instrument oracle places any memoryless attack, given as Kraus

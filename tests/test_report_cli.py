@@ -261,6 +261,12 @@ class TestFamilyFlags:
         pytest.param("ancilla_with_memory", ["--alpha", "0.5", "--fraction", "0.5"],
                      "ancilla_with_memory takes no --fraction", id="with_memory-fraction"),
     ]
+    # analytic has no --no-symmetrize; simulate refuses it where Eve has no phi to alternate
+    SIMULATE_REFUSALS = [
+        pytest.param("none", ["--no-symmetrize"], "none takes no --no-symmetrize", id="none-no_symmetrize"),
+        pytest.param("ancilla_with_memory", ["--alpha", "pi/3", "--no-symmetrize"],
+                     "ancilla_with_memory takes no --no-symmetrize", id="with_memory-no_symmetrize"),
+    ]
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     @pytest.mark.parametrize("strategy, flags, message", REFUSALS)
@@ -269,6 +275,19 @@ class TestFamilyFlags:
         assert main([command, "--strategy", strategy, *flags, *rounds]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("strategy, flags, message", SIMULATE_REFUSALS)
+    def test_simulate_refusal_is_one_error_line(self, capsys, strategy, flags, message):
+        self.test_refusal_is_one_error_line(capsys, "simulate", strategy, flags, message)
+
+    @pytest.mark.parametrize("strategy, flags", [
+        ("intercept_resend", ["--phi", "pi/8"]),
+        ("ancilla_no_memory", ["--phi", "pi/8", "--alpha", "0.5"]),
+    ])
+    def test_no_symmetrize_reaches_the_families_with_phi(self, strategy, flags):
+        args = parse("simulate", "--strategy", strategy, *flags, "--rounds", "1000", "--no-symmetrize")
+        (attack,) = _attacks(args, default_grid=None)
+        assert attack.symmetrize is False
 
     def test_strategy_choices_are_the_families(self):
         assert strategy_choices("analytic") == (*FAMILIES, "all")
@@ -1279,7 +1298,7 @@ class TestTraceCsv:
 
 
 class TestStreamedTrace:
-    """The block formatter against the per-row oracle, and the trace streamed as the run goes."""
+    """The writer against the per-row oracle, and the trace streamed as the run goes."""
 
     ATTACKS = (
         InterceptResend(phi=0.0, fraction=0.5),
@@ -1295,18 +1314,25 @@ class TestStreamedTrace:
     def test_rows_equal_the_per_row_oracle(self, data):
         # the run's own labels and the codes its tables can write; blocks
         # straddle a power of ten, so the index width grows inside a block or
-        # between two, with or without new codes
+        # between two, with or without new codes, and the header leads only a
+        # trace whose first block starts at round 0
         tables = protocol_sim._build_tables(data.draw(st.sampled_from(self.ATTACKS)))
         possible = sorted(set(tables.codes.tolist()))
         sizes = data.draw(st.lists(st.integers(1, 100), min_size=1, max_size=3))
         codes = np.array(data.draw(st.lists(st.sampled_from(possible), min_size=sum(sizes), max_size=sum(sizes))),
                          dtype=np.uint16)
         start = max(0, data.draw(st.sampled_from(self.EDGES)) - data.draw(st.integers(0, sum(sizes))))
-        writer, text, first = _TraceWriter(io.StringIO()), b"", start
+        stream = io.StringIO(newline="")
+        writer = _TraceWriter(stream)
+        writer.start = first = start
         for size in sizes:
-            text += writer.rows(codes[first - start : first - start + size], tables.eve_labels, first)
+            writer(protocol_sim.Trace(codes[first - start : first - start + size], tables.eve_labels))
             first += size
-        assert text == reference_trace_text(codes, tables.eve_labels, start).encode()
+        text = stream.getvalue()
+        header = TRACE_HEADER + "\n"
+        assert text.count(header) == (start == 0)
+        assert text == header * (start == 0) + reference_trace_text(codes, tables.eve_labels, start)
+        assert writer.start == first
 
     @pytest.mark.parametrize("name", sorted(TestTraceCsv.GOLDENS))
     def test_streamed_goldens(self, monkeypatch, name):
