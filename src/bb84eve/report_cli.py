@@ -161,20 +161,20 @@ def _document(header: str, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_all(stream: TextIO, text: str) -> None:
-    """Write text to stream in full, or raise BrokenPipeError if its reader left.
+def _write_all(stream: TextIO, text: str | bytes) -> None:
+    """Write text, or ASCII bytes, to stream in full, or raise BrokenPipeError if its reader left.
 
     A text stream drops what a pipe did not take without an error, so text
     goes to the descriptor by os.write until every byte is taken; a stream
-    with no descriptor (in memory) takes it in one write.
+    with no descriptor (in memory) takes it in one write, bytes decoded.
     """
     stream.flush()
     try:
         fd = stream.fileno()
     except io.UnsupportedOperation:
-        stream.write(text)
+        stream.write(text if isinstance(text, str) else text.decode("ascii"))
         return
-    data = memoryview(text.encode(stream.encoding, stream.errors))
+    data = memoryview(text.encode(stream.encoding, stream.errors) if isinstance(text, str) else text)
     while data:
         data = data[os.write(fd, data):]
 
@@ -209,35 +209,47 @@ def run_protocol(*args, **kwargs):
     return run_protocol(*args, **kwargs)
 
 
-def _trace_cells(codes, eve_labels: tuple) -> list[str]:
-    """The TRACE_HEADER cells after the round index, for each of a list of round codes."""
+def _trace_cells(codes, eve_labels: tuple) -> list[bytes]:
+    """The tail of a trace row, the bytes ",<cells>\n" after its index, for each of a list of round codes."""
     from .protocol_sim import BASIS_LABELS, Outcome, unpack
     rows = []
     for acted, slot, eve_bit, guess, ab, abit, bb, bbit in zip(*(v.tolist() for v in unpack(codes).values())):
         eve = [eve_labels[slot], Outcome(eve_bit).name.lower(), guess] if acted else [None] * 3
         cells = [BASIS_LABELS[ab], abit, bool(acted), *eve, BASIS_LABELS[bb], bbit, ab == bb]
-        rows.append(",".join(_fmt(cell) for cell in cells))
+        rows.append(f",{','.join(map(_fmt, cells))}\n".encode())
     return rows
 
 
 class _TraceWriter:
     """Writes the trace document of one run to out, a Trace block per call.
 
-    Blocks come in round order, numbered from start, and the first call also
-    writes the header. Each code's cells are formatted the first time it appears.
+    Blocks come in round order, numbered from start; the first call also writes
+    the header. A row is its index's digits, a NUL in each leading place, then
+    its code's tail ",<cells>\n" from a NUL-padded table, and deleting every NUL
+    leaves the text. A code's tail is formatted when the code first appears.
     """
 
     def __init__(self, out: TextIO):
-        self.out, self.start, self.cells = out, 0, {}  # cells: code -> its cells
+        self.out, self.start, self.tails = out, 0, {}  # tails: code -> its tail, NUL-padded in table[code]
 
     def __call__(self, block) -> None:
-        codes = block.codes.tolist()
-        new = list(set(codes).difference(self.cells))
+        import numpy as np
+
+        new = [code for code in np.flatnonzero(np.bincount(block.codes)).tolist() if code not in self.tails]
         if new:
-            self.cells.update(zip(new, _trace_cells(new, block.eve_labels)))
-        rows = "".join([f"{i},{self.cells[code]}\n" for i, code in enumerate(codes, self.start)])
-        _write_all(self.out, rows if self.start else TRACE_HEADER + "\n" + rows)
-        self.start += len(codes)
+            self.tails.update(zip(new, _trace_cells(new, block.eve_labels)))
+            self.table = np.array([[self.tails.get(c, b"")] for c in range(max(self.tails) + 1)]).view(np.uint8)
+        n, width = len(block), len(str(self.start + len(block) - 1))  # width: digits of the largest index
+        digits = np.empty((n, width), dtype=np.uint8)
+        index = np.arange(self.start, self.start + n, dtype=np.int64)
+        for place in range(1, width + 1):  # the digit of 10**(place - 1)
+            index, digits[:, -place] = np.divmod(index, 10)
+        digits += ord("0")
+        for k in range(1, width):  # the place of 10**k holds a NUL in each index below 10**k
+            digits[: max(0, 10**k - self.start), -1 - k] = 0
+        text = np.hstack([digits, self.table.take(block.codes, axis=0)]).tobytes().translate(None, b"\0")
+        _write_all(self.out, text if self.start else f"{TRACE_HEADER}\n".encode() + text)
+        self.start += n
 
 
 def cmd_simulate(args: argparse.Namespace, *, on_trace=None) -> str:

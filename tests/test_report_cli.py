@@ -43,6 +43,7 @@ from bb84eve.report_cli import (
     _attacks,
     _build_parser,
     _TraceWriter,
+    _write_all,
     cmd_analytic_curves,
     cmd_compare,
     cmd_simulate,
@@ -1151,6 +1152,8 @@ class TestLazyEngine:
     """Only simulate imports numpy and the engine."""
 
     HEAVY = ("numpy", "bb84eve.protocol_sim", "bb84eve.quantum_core")
+    # np.unique imports numpy.ma on its first call; numpy 1.x imports it with numpy itself
+    LAZY_MA = ("numpy.ma",) if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else ()
     PROBE = (
         "import contextlib, io, sys\n"
         "from bb84eve.report_cli import main\n"
@@ -1190,8 +1193,8 @@ class TestLazyEngine:
             (["analytic", "--strategy", "all", "--grid", "3"], ("dataclasses", "inspect", "numbers")),
             (["compare", "--d-bob", "0.1"], ("dataclasses", "inspect", "numbers")),
             # numpy imports inspect itself
-            (["simulate", "--strategy", "none", "--rounds", "1000"], ("dataclasses",)),
-            (TRACED, ("bb84eve.analytic_strategies", "dataclasses")),
+            (["simulate", "--strategy", "none", "--rounds", "1000"], ("dataclasses", *LAZY_MA)),
+            (TRACED, ("bb84eve.analytic_strategies", "dataclasses", *LAZY_MA)),
         ],
     )
     def test_commands_skip_modules_they_never_run(self, tmp_path, argv, unused):
@@ -1308,7 +1311,8 @@ class TestStreamedTrace:
         AncillaWithMemory(alpha=math.pi / 3),
         NoAttack(),
     )
-    EDGES = (*(10**k for k in range(1, 10)), 2**32)
+    # a run takes fewer than 2**63 rounds, so the last edge's trace ends at index 2**63 - 2
+    EDGES = (*(10**k for k in range(1, 10)), 2**32, 10**18, 2**63 - 1)
 
     @given(st.data())
     def test_rows_equal_the_per_row_oracle(self, data):
@@ -1322,6 +1326,7 @@ class TestStreamedTrace:
         codes = np.array(data.draw(st.lists(st.sampled_from(possible), min_size=sum(sizes), max_size=sum(sizes))),
                          dtype=np.uint16)
         start = max(0, data.draw(st.sampled_from(self.EDGES)) - data.draw(st.integers(0, sum(sizes))))
+        start = min(start, 2**63 - 1 - sum(sizes))
         stream = io.StringIO(newline="")
         writer = _TraceWriter(stream)
         writer.start = first = start
@@ -1361,6 +1366,34 @@ class TestStreamedTrace:
                     tracemalloc.stop()
         # one block's worth: the Philox words of its rounds
         assert abs(peaks[1] - peaks[0]) < block * protocol_sim.UNIFORMS_PER_ROUND * 8
+
+
+class TestWriteAll:
+    """_write_all hands a stream all of its str or ASCII bytes, or raises BrokenPipeError."""
+
+    PAYLOAD = b"".join(b"%d,z,1\n" % i for i in range(500))
+
+    @pytest.mark.parametrize("payload", [PAYLOAD, PAYLOAD.decode()], ids=["bytes", "str"])
+    def test_a_pipe_taking_a_few_bytes_a_write_gets_them_all(self, monkeypatch, payload):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader:
+            with open(write_end, "w") as stream:
+                _write_all(stream, payload)
+            assert reader.read() == self.PAYLOAD
+
+    def test_a_stream_without_a_descriptor_gets_bytes_decoded(self):
+        stream = io.StringIO(newline="")
+        _write_all(stream, self.PAYLOAD)
+        assert stream.getvalue() == self.PAYLOAD.decode()
+
+    @pytest.mark.parametrize("payload", [PAYLOAD, PAYLOAD.decode()], ids=["bytes", "str"])
+    def test_a_reader_that_left_raises_broken_pipe(self, payload):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream, pytest.raises(BrokenPipeError):
+            _write_all(stream, payload)
 
 
 class TestCliDeterminism:
